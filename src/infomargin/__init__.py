@@ -12,13 +12,10 @@ end. See the `infomargin` CLI for the file-level workflow.
 from .errors import InputError, NumericalError, TrainingDivergedError
 from .stats import (
     CategoryStats,
-    EmbeddingQueue,
-    EmbeddingRecord,
     EpochAccumulator,
     GlobalStats,
     LocalStats,
-    compute_local_stats,
-    epoch_finalize,
+    local_stats_from_arrays,
     merge_stats,
 )
 from .info import (
@@ -38,7 +35,6 @@ from .loss import (
     build_margins,
     ce_batch,
     ce_forward,
-    igam_backward,
     igam_batch,
     igam_forward,
     normalize_info,
@@ -70,15 +66,12 @@ __all__ = [
     "InputError",
     "NumericalError",
     "TrainingDivergedError",
-    "EmbeddingRecord",
     "LocalStats",
     "CategoryStats",
     "GlobalStats",
-    "EmbeddingQueue",
     "EpochAccumulator",
-    "compute_local_stats",
+    "local_stats_from_arrays",
     "merge_stats",
-    "epoch_finalize",
     "ShrinkageSpec",
     "InfoAmountTable",
     "shrink_covariance",
@@ -93,7 +86,6 @@ __all__ = [
     "normalize_info",
     "build_margins",
     "igam_forward",
-    "igam_backward",
     "normface_forward",
     "ce_forward",
     "igam_batch",

@@ -44,8 +44,7 @@ from .loss import (
 )
 from .planner import PlanInput, memory_report, optimal_queue_length, plan_result_to_json
 from .runconfig import parse_run_config
-from .stats import EmbeddingRecord, EpochAccumulator, global_stats_from_json, \
-    global_stats_to_json
+from .stats import EpochAccumulator, global_stats_from_json, global_stats_to_json
 from .trainer import LOSSES, generate_dataset, run_report_to_json, train
 
 _MODES = {"grid": "coarse-grid", "exact": "exact-integer"}
@@ -64,8 +63,7 @@ def _cmd_stats(args) -> int:
     if X.shape[0] == 0:
         raise InputError(f"{args.input}: no records")
     acc = EpochAccumulator(capacity=args.queue_len, p=X.shape[1])
-    for cat, vec in zip(categories, X):
-        acc.add(EmbeddingRecord(category=int(cat), vector=vec))
+    acc.add(X, categories)
     stats = acc.finalize()
     _emit(global_stats_to_json(stats), args.out)
     return 0

@@ -12,9 +12,9 @@ a larger angular gap. Two reference losses share the machinery: plain
 cross-entropy on raw inner products, and the zero-margin normalized-cosine
 loss (a zero margin matrix reduces the margined loss to it exactly).
 
-Per-sample operations (`igam_forward`, `igam_backward`, `normface_forward`,
-`ce_forward`) return a LossOutput with analytic gradients; the `*_batch`
-variants vectorize over a batch and report gradients of the mean loss.
+Per-sample operations (`igam_forward`, `normface_forward`, `ce_forward`)
+return a LossOutput with analytic gradients; the `*_batch` variants
+vectorize over a batch and report gradients of the mean loss.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "normalize_info",
     "build_margins",
     "igam_forward",
-    "igam_backward",
     "normface_forward",
     "ce_forward",
     "igam_batch",
@@ -438,11 +437,6 @@ def _single(batch: LossBatch) -> LossOutput:
 def igam_forward(x: np.ndarray, label: int, clf: CosineClassifier, margins) -> LossOutput:
     """IGAM loss of one sample, with analytic gradients filled in."""
     return _single(igam_batch(clf, np.atleast_2d(x), [label], margins))
-
-
-def igam_backward(x: np.ndarray, label: int, clf: CosineClassifier, margins) -> LossOutput:
-    """Alias of `igam_forward`; gradients are computed in the same pass."""
-    return igam_forward(x, label, clf, margins)
 
 
 def normface_forward(x: np.ndarray, label: int, clf: CosineClassifier) -> LossOutput:

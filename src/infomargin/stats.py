@@ -1,10 +1,11 @@
 """Per-category embedding statistics over bounded windows, merged exactly.
 
-A fixed-capacity FIFO queue collects instance embeddings during an epoch.
-Every time `capacity` new embeddings have arrived, the caller snapshots
-per-category (count, mean, covariance) triples over the current queue
-contents; at epoch end a final snapshot is taken over whatever the queue
-holds and all snapshots are merged into exact dataset-level statistics.
+`EpochAccumulator` keeps a fixed-capacity FIFO queue of the most recent
+`capacity` embeddings. Batches go in as `(n, p)` arrays; every time
+`capacity` new rows have arrived, per-category (count, mean, covariance)
+triples are snapshotted over the queue; at epoch end a final snapshot is
+taken over whatever the queue holds and all snapshots are merged into
+exact dataset-level statistics.
 
 Covariances are population-normalized (divisor = count) and accumulated in
 float64 regardless of input precision; the merge is exact in exact
@@ -24,35 +25,15 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
-    "EmbeddingRecord",
     "LocalStats",
     "CategoryStats",
     "GlobalStats",
-    "EmbeddingQueue",
     "EpochAccumulator",
-    "compute_local_stats",
     "local_stats_from_arrays",
     "merge_stats",
-    "epoch_finalize",
     "global_stats_to_json",
     "global_stats_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """One instance embedding tagged with its category id."""
-
-    category: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "vector", vec)
-        if self.category < 0:
-            raise InputError(f"category must be >= 0, got {self.category}")
-        if not np.all(np.isfinite(vec)):
-            raise InputError(f"non-finite coordinate in embedding for category {self.category}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +69,11 @@ class GlobalStats:
     absent: tuple[int, ...] = ()
 
 
-def _as_matrix(batch: Sequence[EmbeddingRecord]) -> tuple[np.ndarray, np.ndarray]:
-    cats = np.fromiter((r.category for r in batch), dtype=np.int64, count=len(batch))
-    X = np.stack([r.vector for r in batch]).astype(np.float64, copy=False)
-    return X, cats
-
-
 def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[LocalStats]:
-    """Array fast path for `compute_local_stats`.
+    """Per-category mean and population covariance of one window.
+
+    The covariance uses divisor n (population form), so a single-record
+    category yields the zero matrix.
 
     Parameters
     ----------
@@ -126,25 +104,6 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[Local
         cov = 0.5 * (cov + cov.T)
         out.append(LocalStats(category=int(cat), count=n, mean=mean, cov=cov))
     return out
-
-
-def compute_local_stats(batch: Sequence[EmbeddingRecord]) -> list[LocalStats]:
-    """Per-category mean and population covariance of one window.
-
-    The covariance uses divisor n (population form), so a single-record
-    category yields the zero matrix.
-    """
-    if len(batch) == 0:
-        raise InputError("cannot compute local statistics of an empty batch")
-    p = batch[0].vector.shape[0]
-    for r in batch:
-        if r.vector.shape[0] != p:
-            raise InputError(
-                f"embedding dimension mismatch: expected {p}, got {r.vector.shape[0]} "
-                f"(category {r.category})"
-            )
-    X, cats = _as_matrix(batch)
-    return local_stats_from_arrays(X, cats)
 
 
 def merge_stats(windows: Sequence[LocalStats]) -> CategoryStats:
@@ -187,134 +146,133 @@ def merge_stats(windows: Sequence[LocalStats]) -> CategoryStats:
     return CategoryStats(total=total, mean=mean, cov=cov, windows=len(windows))
 
 
-class EmbeddingQueue:
-    """Fixed-capacity FIFO buffer of embeddings with a snapshot counter.
+def _stack(pieces, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (X, categories) pieces, oldest first."""
+    if not pieces:
+        return np.empty((0, p)), np.empty(0, dtype=np.int64)
+    X, categories = zip(*pieces)
+    return np.concatenate(X), np.concatenate(categories)
 
-    Single-writer. `push` returns True exactly when `capacity` records have
-    been inserted since the last snapshot (the counter then resets); the
-    caller is expected to snapshot per-category local statistics over the
-    current contents at that point. Entries persist across epochs; only the
-    counters reset at epoch end.
+
+class EpochAccumulator:
+    """The queue/snapshot/merge cycle for one stream of embedding batches.
+
+    `add` appends an `(n, p)` batch to a FIFO queue of capacity `capacity`.
+    The queue holds views of the added arrays (nothing is copied), trimmed
+    to the most recent `capacity` rows, so callers must not modify a batch
+    in place after adding it. Each time `capacity` rows have arrived since
+    the last snapshot, per-category window statistics are taken over the
+    whole queue; a batch that crosses such a boundary is split there.
+
+    `finalize` closes the epoch. A final window is snapshotted over the
+    current queue contents (even when the queue is not full) whenever at
+    least one row arrived since the last snapshot, so a stream of N rows
+    against capacity d produces floor(N/d) + 1 windows when d does not
+    divide N. When the stream ends exactly on a snapshot boundary the final
+    window would repeat the previous one verbatim and is skipped (N = d
+    yields statistics identical to a direct full-data computation). Each
+    category's windows are merged oldest first. Categories with no rows
+    this epoch are excluded and, when part of `expected_categories`,
+    reported in `GlobalStats.absent`; their stale rows still in the queue
+    are ignored. Queue contents persist across epochs; only the snapshot
+    counter and the per-epoch windows reset.
+
+    This is the exact update loop the trainer runs; the CLI `stats` command
+    uses it too so both paths share one implementation. When
+    `keep_window_contents` is set, the rows covered by every snapshot
+    window are retained so callers can cross-check the merged statistics
+    against a direct pooled computation.
     """
 
-    def __init__(self, capacity: int, p: int):
+    def __init__(self, capacity: int, p: int, keep_window_contents: bool = False):
         if capacity < 1:
             raise InputError(f"queue capacity must be >= 1, got {capacity}")
         if p < 1:
             raise InputError(f"embedding dimension must be >= 1, got {p}")
         self.capacity = capacity
         self.p = p
-        self._entries: deque[EmbeddingRecord] = deque(maxlen=capacity)
-        self.inserted_since_snapshot = 0
-        self._seen_this_epoch: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, record: EmbeddingRecord) -> bool:
-        """Append a record (evicting the oldest when full); True means snapshot now."""
-        if record.vector.shape[0] != self.p:
-            raise InputError(
-                f"embedding dimension mismatch: queue expects p={self.p}, "
-                f"got {record.vector.shape[0]}"
-            )
-        self._entries.append(record)
-        self.inserted_since_snapshot += 1
-        self._seen_this_epoch[record.category] = self._seen_this_epoch.get(record.category, 0) + 1
-        if self.inserted_since_snapshot == self.capacity:
-            self.inserted_since_snapshot = 0
-            return True
-        return False
-
-    def contents(self) -> list[EmbeddingRecord]:
-        """Current entries, oldest first."""
-        return list(self._entries)
-
-    def categories_seen_this_epoch(self) -> dict[int, int]:
-        return dict(self._seen_this_epoch)
-
-    def reset_epoch_counters(self) -> None:
-        self.inserted_since_snapshot = 0
-        self._seen_this_epoch = {}
-
-
-def epoch_finalize(
-    queue: EmbeddingQueue,
-    accumulated: Iterable[LocalStats],
-    expected_categories: Iterable[int] | None = None,
-) -> GlobalStats:
-    """Close out an epoch: final snapshot, per-category merge, counter reset.
-
-    A final window is snapshotted over the current queue contents (even
-    when the queue is not full) whenever at least one record arrived since
-    the last snapshot, so a stream of N insertions against capacity d
-    produces floor(N/d) + 1 windows when d does not divide N. When the
-    stream ends exactly on a snapshot boundary the final window would
-    duplicate the previous one verbatim and is skipped, keeping the merge
-    free of double counting (N = d yields statistics identical to a direct
-    full-data computation). Categories with zero insertions this epoch are
-    excluded from the output and, when part of `expected_categories`,
-    reported in `GlobalStats.absent`; any of their stale entries still
-    sitting in the queue are ignored.
-    """
-    seen = queue.categories_seen_this_epoch()
-    per_category: dict[int, list[LocalStats]] = {}
-    for ls in accumulated:
-        per_category.setdefault(ls.category, []).append(ls)
-    if queue.inserted_since_snapshot > 0:
-        for ls in compute_local_stats(queue.contents()):
-            per_category.setdefault(ls.category, []).append(ls)
-    merged = {
-        cat: merge_stats(windows)
-        for cat, windows in sorted(per_category.items())
-        if cat in seen
-    }
-    absent: tuple[int, ...] = ()
-    if expected_categories is not None:
-        absent = tuple(c for c in sorted(expected_categories) if c not in merged)
-    queue.reset_epoch_counters()
-    return GlobalStats(p=queue.p, categories=merged, absent=absent)
-
-
-class EpochAccumulator:
-    """Drives the queue/snapshot/merge cycle for one stream of records.
-
-    This is the exact update loop the trainer runs; the CLI `stats` command
-    uses it too so both paths share one implementation. When
-    `keep_window_contents` is set, the raw embeddings covered by every
-    snapshot window are retained so callers can cross-check the merged
-    statistics against a direct pooled computation.
-    """
-
-    def __init__(self, capacity: int, p: int, keep_window_contents: bool = False):
-        self.queue = EmbeddingQueue(capacity=capacity, p=p)
-        self._local: list[LocalStats] = []
+        self._queue: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self._queued = 0
+        self._since_snapshot = 0
+        self._seen: set[int] = set()
+        self._windows: dict[int, list[LocalStats]] = {}
         self._keep = keep_window_contents
-        self._window_records: list[EmbeddingRecord] = []
+        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def add(self, record: EmbeddingRecord) -> None:
-        if self.queue.push(record):
-            self._snapshot()
+    def add(self, X: np.ndarray, categories: np.ndarray) -> None:
+        """Append an (n, p) batch with its (n,) integer category ids."""
+        X = np.asarray(X, dtype=np.float64)
+        categories = np.asarray(categories)
+        if X.ndim != 2 or X.shape[1] != self.p:
+            raise InputError(f"expected an (n, {self.p}) embedding batch, got shape {X.shape}")
+        if categories.shape != (X.shape[0],):
+            raise InputError(
+                f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
+            )
+        n = X.shape[0]
+        if n == 0:
+            return
+        if categories.dtype.kind not in "iu":
+            raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
+        if categories.min() < 0:
+            raise InputError(f"category must be >= 0, got {categories.min()}")
+        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+            raise InputError("non-finite coordinate in embedding batch")
+        categories = categories.astype(np.int64, copy=False)
+        self._seen.update(np.unique(categories).tolist())
+        start = 0
+        while start < n:
+            stop = min(n, start + self.capacity - self._since_snapshot)
+            self._push(X[start:stop], categories[start:stop])
+            self._since_snapshot += stop - start
+            start = stop
+            if self._since_snapshot == self.capacity:
+                self._since_snapshot = 0
+                self._snapshot()
+
+    def _push(self, X: np.ndarray, categories: np.ndarray) -> None:
+        self._queue.append((X, categories))
+        self._queued += X.shape[0]
+        while self._queued > self.capacity:
+            X0, c0 = self._queue.popleft()
+            excess = self._queued - self.capacity
+            if X0.shape[0] > excess:
+                self._queue.appendleft((X0[excess:], c0[excess:]))
+                self._queued -= excess
+            else:
+                self._queued -= X0.shape[0]
 
     def _snapshot(self) -> None:
-        contents = self.queue.contents()
-        self._local.extend(compute_local_stats(contents))
+        for ls in local_stats_from_arrays(*_stack(self._queue, self.p)):
+            self._windows.setdefault(ls.category, []).append(ls)
         if self._keep:
-            self._window_records.extend(contents)
+            self._kept.extend(self._queue)
 
     def finalize(self, expected_categories: Iterable[int] | None = None) -> GlobalStats:
-        if self._keep and self.queue.inserted_since_snapshot > 0:
-            self._window_records.extend(self.queue.contents())
-        stats = epoch_finalize(self.queue, self._local, expected_categories)
-        self._local = []
-        return stats
+        """Final snapshot, per-category merge, and reset for the next epoch."""
+        if self._since_snapshot > 0:
+            self._snapshot()
+        merged = {
+            cat: merge_stats(windows)
+            for cat, windows in sorted(self._windows.items())
+            if cat in self._seen
+        }
+        absent: tuple[int, ...] = ()
+        if expected_categories is not None:
+            absent = tuple(c for c in sorted(expected_categories) if c not in merged)
+        self._since_snapshot = 0
+        self._seen = set()
+        self._windows = {}
+        return GlobalStats(p=self.p, categories=merged, absent=absent)
 
-    def window_records(self) -> list[EmbeddingRecord]:
-        """All records covered by snapshot windows so far (with multiplicity)."""
-        return list(self._window_records)
+    def window_records(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, categories) of all rows covered by snapshot windows so far,
+        with multiplicity, oldest window first."""
+        return _stack(self._kept, self.p)
 
     def reset_window_records(self) -> None:
-        self._window_records = []
+        self._kept = []
 
 
 def global_stats_to_json(stats: GlobalStats) -> dict:
@@ -348,6 +306,10 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
             cov = np.asarray(entry["cov_row_major"], dtype=np.float64).reshape(p, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
+        if cat in categories:
+            raise InputError(f"category {cat} appears more than once")
+        if count < 1:
+            raise InputError(f"category {cat}: count must be >= 1, got {count}")
         if mean.shape != (p,):
             raise InputError(
                 f"category {cat}: mean length {mean.shape[0]} does not match p={p}"

@@ -4,10 +4,10 @@ Synthetic classes are isotropic Gaussians with per-class spread sigma_c,
 so intra-class diversity (and with it the measured information amount) is
 controlled directly. A linear cosine classifier is trained under one of
 three losses — plain cross-entropy, the zero-margin cosine loss, or the
-information-guided margin loss — while every instance embedding streams
-through the bounded queue; at each epoch end the merged statistics refresh
-the information amounts, which set the margins for the next epoch (epoch 1
-runs margin-free, since no amounts exist yet).
+information-guided margin loss — while every training batch streams
+through the bounded queue as one array; at each epoch end the merged
+statistics refresh the information amounts, which set the margins for the
+next epoch (epoch 1 runs margin-free, since no amounts exist yet).
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
@@ -30,7 +30,7 @@ from .info import InfoAmountTable, info_table_to_json, information_amount_from_e
 from .loss import CosineClassifier, MarginMatrix, build_margins, ce_batch, igam_batch, \
     margins_to_json, normalize_info, INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, \
     IBAR_MODES
-from .stats import EmbeddingRecord, EpochAccumulator
+from .stats import EpochAccumulator
 
 __all__ = [
     "SyntheticSpec",
@@ -259,14 +259,11 @@ def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.nda
     return acc
 
 
-def _pooled_info(records: list[EmbeddingRecord], C: int) -> np.ndarray:
+def _pooled_info(X: np.ndarray, categories: np.ndarray, C: int) -> np.ndarray:
     """Information amounts recomputed directly from the window contents."""
     out = np.zeros(C, dtype=np.float64)
-    by_cat: dict[int, list[np.ndarray]] = {}
-    for rec in records:
-        by_cat.setdefault(rec.category, []).append(rec.vector)
-    for cat, vecs in by_cat.items():
-        out[cat] = information_amount_from_embeddings(np.stack(vecs))
+    for cat in np.unique(categories):
+        out[cat] = information_amount_from_embeddings(X[categories == cat])
     return out
 
 
@@ -278,6 +275,7 @@ def train(
 ) -> TrainResult:
     """Run one training configuration end to end.
 
+    Each SGD batch is added to the queue as one `(batch_size, p)` array.
     The queue persists across epochs (only its counters reset), matching
     the streaming contract; with `track_windows` every epoch additionally
     recomputes information amounts from the raw contents of its snapshot
@@ -326,11 +324,10 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite weights in epoch {epoch} (loss={config.loss}, lr={config.lr})"
                 )
-            for cat, vec in zip(yb, Xb):
-                accumulator.add(EmbeddingRecord(category=int(cat), vector=vec))
+            accumulator.add(Xb, yb)
 
         stats = accumulator.finalize(expected_categories=range(C))
-        pooled = _pooled_info(accumulator.window_records(), C) if track_windows else None
+        pooled = _pooled_info(*accumulator.window_records(), C) if track_windows else None
         if track_windows:
             accumulator.reset_window_records()
         refreshed = information_amounts_from_stats(stats, epoch=epoch)

@@ -119,6 +119,19 @@ def test_info_single_instance_category_clipped_closed_form(tmp_path, capsys):
     assert json.loads(out)["info"]["5"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("second, message", [
+    ({"id": 5, "count": 3}, "appears more than once"),
+    ({"id": 6, "count": 0}, "count must be >= 1"),
+])
+def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, message):
+    entry = {"id": 5, "count": 2, "mean": [1.0, -2.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
+    path = tmp_path / "stats.json"
+    write_json(path, {"p": 2, "categories": [entry, dict(entry, **second)]})
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_stats_info_pipeline_round_trips(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path, n=40, p=3, C=2)

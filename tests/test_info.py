@@ -14,7 +14,7 @@ from infomargin.info import (
     information_amounts_from_stats,
     shrink_covariance,
 )
-from infomargin.stats import EmbeddingRecord, EpochAccumulator
+from infomargin.stats import EpochAccumulator
 
 
 def closed_form_identical(p, m):
@@ -214,8 +214,7 @@ def test_streaming_stats_agree_with_direct_amount():
     rng = np.random.default_rng(35)
     X = rng.normal(size=(120, 5)) * np.array([3.0, 1.0, 0.5, 2.0, 1.5])
     acc = EpochAccumulator(capacity=30, p=5)
-    for row in X:
-        acc.add(EmbeddingRecord(category=0, vector=row))
+    acc.add(X, np.zeros(120, dtype=np.int64))
     stats = acc.finalize()
     table = information_amounts_from_stats(stats)
     direct = information_amount_from_embeddings(X)
@@ -230,10 +229,9 @@ def test_amount_from_stats_uses_merged_count_for_clip():
     # (m = 100, clip 0.64) would give a different value, so this pins the
     # clip to the merged total.
     acc = EpochAccumulator(capacity=100, p=4)
-    basis = np.eye(4)
-    for i in range(400):
-        sign = 1.0 if (i // 4) % 2 == 0 else -1.0
-        acc.add(EmbeddingRecord(category=0, vector=sign * basis[i % 4]))
+    i = np.arange(400)
+    sign = np.where((i // 4) % 2 == 0, 1.0, -1.0)
+    acc.add(sign[:, None] * np.eye(4)[i % 4], np.zeros(400, dtype=np.int64))
     stats = acc.finalize()
     cs = stats.categories[0]
     assert cs.total == 400

@@ -20,7 +20,6 @@ from infomargin.loss import (
     build_margins,
     ce_batch,
     ce_forward,
-    igam_backward,
     igam_batch,
     igam_forward,
     margins_from_json,
@@ -302,14 +301,6 @@ def test_margins_lower_the_loss_against_rivals():
     igam = igam_forward(_X4, 0, make_clf(_W34), _M3).loss
     plain = normface_forward(_X4, 0, make_clf(_W34)).loss
     assert igam < plain
-
-
-def test_igam_backward_is_alias():
-    a = igam_forward(_X4, 0, make_clf(_W34), _M3)
-    b = igam_backward(_X4, 0, make_clf(_W34), _M3)
-    assert a.loss == b.loss
-    assert np.array_equal(a.grad_features, b.grad_features)
-    assert np.array_equal(a.grad_weights, b.grad_weights)
 
 
 # -------------------------------------------------------------- degeneracy

@@ -5,21 +5,13 @@ import pytest
 
 from infomargin.errors import InputError
 from infomargin.stats import (
-    EmbeddingQueue,
-    EmbeddingRecord,
     EpochAccumulator,
     LocalStats,
-    compute_local_stats,
-    epoch_finalize,
     global_stats_from_json,
     global_stats_to_json,
     local_stats_from_arrays,
     merge_stats,
 )
-
-
-def records(X, categories):
-    return [EmbeddingRecord(category=int(c), vector=v) for c, v in zip(categories, X)]
 
 
 def two_pass_reference(X):
@@ -36,25 +28,60 @@ def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / scale
 
 
-# ---------------------------------------------------------------- records
+def column(values):
+    """Scalar stream as an (n, 1) embedding batch."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
 
-def test_record_rejects_negative_category():
+# ------------------------------------------------------------ add validation
+
+
+def test_add_rejects_negative_category():
+    acc = EpochAccumulator(capacity=4, p=3)
     with pytest.raises(InputError):
-        EmbeddingRecord(category=-1, vector=np.zeros(3))
+        acc.add(np.zeros((2, 3)), [0, -1])
 
 
-def test_record_rejects_non_finite_vector():
+def test_add_rejects_non_finite_values():
+    acc = EpochAccumulator(capacity=4, p=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            acc.add(np.array([[0.0, 0.0], [1.0, bad]]), [0, 0])
+
+
+def test_add_rejects_wrong_dimension():
+    acc = EpochAccumulator(capacity=4, p=3)
     with pytest.raises(InputError):
-        EmbeddingRecord(category=0, vector=np.array([1.0, np.nan]))
+        acc.add(np.zeros((2, 4)), [0, 0])
+    with pytest.raises(InputError):
+        acc.add(np.zeros(3), [0])  # a bare vector is not an (n, p) batch
+
+
+def test_add_rejects_length_mismatch():
+    acc = EpochAccumulator(capacity=4, p=2)
+    with pytest.raises(InputError):
+        acc.add(np.zeros((3, 2)), [0, 1])
+
+
+def test_add_rejects_float_category_ids():
+    acc = EpochAccumulator(capacity=4, p=2)
+    with pytest.raises(InputError):
+        acc.add(np.zeros((2, 2)), np.array([0.0, 1.0]))
+
+
+def test_rejected_batch_leaves_accumulator_unchanged():
+    acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
+    with pytest.raises(InputError):
+        acc.add(column([1.0, 2.0, np.nan]), [0, 0, 0])
+    assert acc.finalize().categories == {}
+    assert acc.window_records()[0].shape == (0, 1)
 
 
 # ---------------------------------------------------------- local statistics
 
 
 def test_single_record_gives_zero_covariance():
-    batch = records(np.array([[2.0, -1.0, 3.0]]), [4])
-    (ls,) = compute_local_stats(batch)
+    (ls,) = local_stats_from_arrays(np.array([[2.0, -1.0, 3.0]]), [4])
     assert ls.category == 4
     assert ls.count == 1
     assert np.array_equal(ls.mean, np.array([2.0, -1.0, 3.0]))
@@ -63,8 +90,7 @@ def test_single_record_gives_zero_covariance():
 
 def test_pair_of_opposite_scalars_has_unit_variance():
     # Population variance of {-1, +1}: mean 0, E[x^2] - mean^2 = 1.
-    batch = records(np.array([[-1.0], [1.0]]), [0, 0])
-    (ls,) = compute_local_stats(batch)
+    (ls,) = local_stats_from_arrays(np.array([[-1.0], [1.0]]), [0, 0])
     assert ls.count == 2
     assert np.array_equal(ls.mean, np.array([0.0]))
     assert np.array_equal(ls.cov, np.array([[1.0]]))
@@ -73,7 +99,7 @@ def test_pair_of_opposite_scalars_has_unit_variance():
 def test_local_stats_match_extended_precision_reference():
     rng = np.random.default_rng(71)
     X = rng.normal(size=(5, 2)) * 3.0 + 1.5
-    (ls,) = compute_local_stats(records(X, [7] * 5))
+    (ls,) = local_stats_from_arrays(X, [7] * 5)
     mean_ref, cov_ref = two_pass_reference(X)
     assert np.allclose(ls.mean, mean_ref, rtol=1e-12, atol=1e-15)
     assert rel_frobenius(ls.cov, cov_ref) < 1e-12
@@ -83,7 +109,7 @@ def test_local_stats_split_by_category_sorted():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(7, 3))
     cats = [5, 1, 5, 1, 1, 9, 5]
-    out = compute_local_stats(records(X, cats))
+    out = local_stats_from_arrays(X, cats)
     assert [ls.category for ls in out] == [1, 5, 9]
     assert [ls.count for ls in out] == [3, 3, 1]
     for ls in out:
@@ -96,36 +122,25 @@ def test_local_stats_split_by_category_sorted():
 def test_local_stats_covariance_is_symmetric_psd():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 6)) @ np.diag([5.0, 2.0, 1.0, 0.5, 0.1, 0.01])
-    (ls,) = compute_local_stats(records(X, [0] * 40))
+    (ls,) = local_stats_from_arrays(X, [0] * 40)
     assert np.array_equal(ls.cov, ls.cov.T)
     assert np.linalg.eigvalsh(ls.cov).min() > -1e-12
 
 
 def test_empty_batch_rejected():
     with pytest.raises(InputError):
-        compute_local_stats([])
+        local_stats_from_arrays(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 def test_mixed_dimension_batch_rejected():
-    batch = [
-        EmbeddingRecord(category=0, vector=np.zeros(3)),
-        EmbeddingRecord(category=0, vector=np.zeros(4)),
-    ]
+    acc = EpochAccumulator(capacity=4, p=3)
+    acc.add(np.zeros((1, 3)), [0])
     with pytest.raises(InputError):
-        compute_local_stats(batch)
-
-
-def test_array_fast_path_matches_record_path():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(12, 4))
-    cats = rng.integers(0, 3, size=12)
-    via_arrays = local_stats_from_arrays(X, cats)
-    via_records = compute_local_stats(records(X, cats))
-    assert len(via_arrays) == len(via_records)
-    for a, b in zip(via_arrays, via_records):
-        assert a.category == b.category and a.count == b.count
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
+        acc.add(np.zeros((1, 4)), [0])
+    with pytest.raises(InputError):
+        local_stats_from_arrays(np.zeros(3), [0, 0, 0])
+    with pytest.raises(InputError):
+        local_stats_from_arrays(np.zeros((2, 3, 4)), [0, 0])
 
 
 # ------------------------------------------------------------------- merge
@@ -134,7 +149,7 @@ def test_array_fast_path_matches_record_path():
 def test_merge_single_window_is_identity():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(6, 3))
-    (ls,) = compute_local_stats(records(X, [2] * 6))
+    (ls,) = local_stats_from_arrays(X, [2] * 6)
     merged = merge_stats([ls])
     assert merged.total == 6
     assert merged.windows == 1
@@ -148,8 +163,8 @@ def test_merge_equal_means_averages_covariances():
     # covariances, (n1*S1 + n2*S2) / (n1 + n2).
     X1 = np.array([[-1.0, 0.0], [1.0, 0.0]])          # mean 0, cov diag(1, 0)
     X2 = np.array([[0.0, -2.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])  # mean 0, cov diag(0, 2)
-    (w1,) = compute_local_stats(records(X1, [0, 0]))
-    (w2,) = compute_local_stats(records(X2, [0] * 4))
+    (w1,) = local_stats_from_arrays(X1, [0, 0])
+    (w2,) = local_stats_from_arrays(X2, [0] * 4)
     merged = merge_stats([w1, w2])
     expected = (2 * w1.cov + 4 * w2.cov) / 6
     assert np.array_equal(merged.mean, np.zeros(2))
@@ -162,7 +177,7 @@ def test_merge_three_windows_equals_pooled():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 5)) * 2.0 - 0.7
     parts = [X[:4], X[4:17], X[17:]]
-    windows = [compute_local_stats(records(part, [1] * len(part)))[0] for part in parts]
+    windows = [local_stats_from_arrays(part, [1] * len(part))[0] for part in parts]
     merged = merge_stats(windows)
     mean_ref, cov_ref = two_pass_reference(X)
     assert merged.total == 30
@@ -174,8 +189,8 @@ def test_merge_three_windows_equals_pooled():
 def test_merge_rejects_empty_and_mixed_categories():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(4, 2))
-    (a,) = compute_local_stats(records(X[:2], [0, 0]))
-    (b,) = compute_local_stats(records(X[2:], [1, 1]))
+    (a,) = local_stats_from_arrays(X[:2], [0, 0])
+    (b,) = local_stats_from_arrays(X[2:], [1, 1])
     with pytest.raises(InputError):
         merge_stats([])
     with pytest.raises(InputError):
@@ -186,7 +201,7 @@ def test_merge_result_is_symmetric():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(50, 8)) * rng.uniform(0.1, 10.0, size=8)
     windows = [
-        compute_local_stats(records(part, [0] * len(part)))[0]
+        local_stats_from_arrays(part, [0] * len(part))[0]
         for part in np.array_split(X, 4)
     ]
     merged = merge_stats(windows)
@@ -205,7 +220,7 @@ def test_merge_exactness_randomized():
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
         parts = np.split(X, cuts)
         windows = [
-            compute_local_stats(records(part, [3] * len(part)))[0]
+            local_stats_from_arrays(part, [3] * len(part))[0]
             for part in parts
             if len(part)
         ]
@@ -223,7 +238,7 @@ def test_merge_is_hierarchical():
     for _ in range(10):
         p = int(rng.integers(1, 6))
         parts = [rng.normal(size=(int(rng.integers(1, 40)), p)) for _ in range(3)]
-        wins = [compute_local_stats(records(x, [0] * len(x)))[0] for x in parts]
+        wins = [local_stats_from_arrays(x, [0] * len(x))[0] for x in parts]
         ab = merge_stats(wins[:2])
         ab_local = LocalStats(category=0, count=ab.total, mean=ab.mean, cov=ab.cov)
         two_step = merge_stats([ab_local, wins[2]])
@@ -236,7 +251,7 @@ def test_merge_is_hierarchical():
 def test_merge_is_permutation_invariant():
     rng = np.random.default_rng(17)
     parts = [rng.normal(size=(int(rng.integers(2, 30)), 4)) for _ in range(5)]
-    wins = [compute_local_stats(records(x, [0] * len(x)))[0] for x in parts]
+    wins = [local_stats_from_arrays(x, [0] * len(x))[0] for x in parts]
     base = merge_stats(wins)
     for _ in range(4):
         order = rng.permutation(5)
@@ -250,7 +265,7 @@ def test_merge_conserves_counts():
     rng = np.random.default_rng(18)
     counts = [int(rng.integers(1, 50)) for _ in range(6)]
     wins = [
-        compute_local_stats(records(rng.normal(size=(n, 3)), [0] * n))[0] for n in counts
+        local_stats_from_arrays(rng.normal(size=(n, 3)), [0] * n)[0] for n in counts
     ]
     assert merge_stats(wins).total == sum(counts)
 
@@ -259,46 +274,97 @@ def test_merge_conserves_counts():
 
 
 def test_queue_flag_fires_exactly_at_capacity():
-    q = EmbeddingQueue(capacity=3, p=2)
-    flags = [q.push(EmbeddingRecord(category=0, vector=np.full(2, float(i)))) for i in range(3)]
-    assert flags == [False, False, True]
+    acc = EpochAccumulator(capacity=3, p=2, keep_window_contents=True)
+    covered = []
+    for i in range(3):
+        acc.add(np.full((1, 2), float(i)), [0])
+        covered.append(acc.window_records()[0].shape[0])
+    assert covered == [0, 0, 3]
 
 
 def test_queue_flag_refires_after_reset():
-    q = EmbeddingQueue(capacity=3, p=1)
-    flags = [q.push(EmbeddingRecord(category=0, vector=np.array([float(i)]))) for i in range(7)]
-    assert flags == [False, False, True, False, False, True, False]
-    assert q.inserted_since_snapshot == 1
+    acc = EpochAccumulator(capacity=3, p=1, keep_window_contents=True)
+    covered = []
+    for i in range(7):
+        acc.add(column([float(i)]), [0])
+        covered.append(acc.window_records()[0].shape[0])
+    assert covered == [0, 0, 3, 3, 3, 6, 6]
+    # One row is pending since the last snapshot, so finalize adds a window.
+    assert acc.finalize().categories[0].windows == 3
 
 
 def test_queue_evicts_oldest_when_full():
-    q = EmbeddingQueue(capacity=2, p=1)
-    for i in range(3):
-        q.push(EmbeddingRecord(category=0, vector=np.array([float(i)])))
-    kept = [r.vector[0] for r in q.contents()]
-    assert kept == [1.0, 2.0]
-    assert len(q) == 2
+    acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
+    acc.add(column([0.0, 1.0, 2.0]), [0, 0, 0])
+    acc.finalize()
+    X, _ = acc.window_records()
+    # Snapshot {0, 1}, then the final window over the queue, which now
+    # holds only the two newest rows.
+    assert X[:, 0].tolist() == [0.0, 1.0, 1.0, 2.0]
 
 
 def test_queue_rejects_dimension_mismatch_and_bad_capacity():
     with pytest.raises(InputError):
-        EmbeddingQueue(capacity=0, p=1)
+        EpochAccumulator(capacity=0, p=1)
     with pytest.raises(InputError):
-        EmbeddingQueue(capacity=2, p=0)
-    q = EmbeddingQueue(capacity=2, p=3)
+        EpochAccumulator(capacity=2, p=0)
+    acc = EpochAccumulator(capacity=2, p=3)
     with pytest.raises(InputError):
-        q.push(EmbeddingRecord(category=0, vector=np.zeros(2)))
+        acc.add(np.zeros((1, 2)), [0])
 
 
 def test_queue_epoch_counters_reset_but_entries_persist():
-    q = EmbeddingQueue(capacity=4, p=1)
-    for i in range(3):
-        q.push(EmbeddingRecord(category=i, vector=np.array([float(i)])))
-    assert q.categories_seen_this_epoch() == {0: 1, 1: 1, 2: 1}
-    q.reset_epoch_counters()
-    assert q.categories_seen_this_epoch() == {}
-    assert q.inserted_since_snapshot == 0
-    assert len(q) == 3  # entries survive the epoch boundary
+    acc = EpochAccumulator(capacity=4, p=1)
+    acc.add(column([0.0, 1.0, 2.0]), [0, 1, 2])
+    first = acc.finalize()
+    assert {c: cs.total for c, cs in first.categories.items()} == {0: 1, 1: 1, 2: 1}
+    # Counters reset: an epoch with no rows takes no window and sees nothing.
+    assert acc.finalize().categories == {}
+    # Entries survive the epoch boundary: the next final window covers them.
+    acc.add(column([3.0]), [0])
+    cs = acc.finalize().categories[0]
+    assert cs.total == 2
+    assert np.allclose(cs.mean, [1.5])
+
+
+def test_batch_split_is_invisible():
+    # However the stream is cut into batches, the windows, the merged
+    # statistics and the covered rows are bit-identical. Three consecutive
+    # epochs, none a multiple of the capacity; the last is shorter than the
+    # capacity, so its final window carries stale rows from the previous one.
+    d, p = 50, 3
+    rng = np.random.default_rng(23)
+    epochs = [
+        (rng.normal(size=(n, p)), rng.integers(0, C, size=n))
+        for n, C in ((237, 4), (180, 4), (30, 3))
+    ]
+
+    def run(sizes):
+        acc = EpochAccumulator(capacity=d, p=p, keep_window_contents=True)
+        out = []
+        for X, cats in epochs:
+            start, k = 0, 0
+            while start < X.shape[0]:
+                stop = start + sizes[k % len(sizes)]
+                acc.add(X[start:stop], cats[start:stop])
+                start, k = stop, k + 1
+            out.append((acc.finalize(expected_categories=range(4)), acc.window_records()))
+        return out
+
+    reference = run([max(X.shape[0] for X, _ in epochs)])
+    for sizes in ([1], [64], [d + 7], [1, 64, d + 7]):
+        for (got, (gX, gc)), (ref, (rX, rc)) in zip(run(sizes), reference):
+            assert got.p == ref.p and got.absent == ref.absent
+            assert list(got.categories) == list(ref.categories)
+            for cat, cs in ref.categories.items():
+                g = got.categories[cat]
+                assert (g.total, g.windows) == (cs.total, cs.windows)
+                assert np.array_equal(g.mean, cs.mean)
+                assert np.array_equal(g.cov, cs.cov)
+            assert np.array_equal(gX, rX) and np.array_equal(gc, rc)
+    last = reference[-1][0]
+    assert last.absent == (3,)
+    assert sum(cs.total for cs in last.categories.values()) > 30
 
 
 # ----------------------------------------------------------- epoch finalize
@@ -308,10 +374,9 @@ def test_five_pushes_capacity_two_makes_three_windows():
     # 5 insertions against capacity 2: snapshots after records {0,1} and
     # {2,3}, plus a final partial window over the current contents {3,4}.
     acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
-    for i in range(5):
-        acc.add(EmbeddingRecord(category=0, vector=np.array([float(i)])))
+    acc.add(column(range(5)), [0] * 5)
     stats = acc.finalize()  # appends the final partial window to the kept records
-    kept = sorted(r.vector[0] for r in acc.window_records())
+    kept = sorted(acc.window_records()[0][:, 0])
     cs = stats.categories[0]
     assert cs.windows == 3
     assert cs.total == 6  # record 3 is covered by two windows
@@ -328,8 +393,7 @@ def test_exact_boundary_stream_is_duplicate_free():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(4, 3))
     acc = EpochAccumulator(capacity=4, p=3)
-    for row in X:
-        acc.add(EmbeddingRecord(category=1, vector=row))
+    acc.add(X, [1] * 4)
     stats = acc.finalize()
     cs = stats.categories[1]
     mean_ref, cov_ref = two_pass_reference(X)
@@ -344,8 +408,7 @@ def test_window_count_floor_formula_when_not_divisible():
     # floor(N/d) + 1 windows.
     for n, d, expected in [(10, 3, 4), (7, 2, 4), (5, 4, 2), (3, 5, 1)]:
         acc = EpochAccumulator(capacity=d, p=1)
-        for i in range(n):
-            acc.add(EmbeddingRecord(category=0, vector=np.array([float(i)])))
+        acc.add(column(range(n)), [0] * n)
         assert acc.finalize().categories[0].windows == expected, (n, d)
 
 
@@ -355,10 +418,9 @@ def test_finalize_merge_matches_window_multiset():
     rng = np.random.default_rng(20)
     X = rng.normal(size=(10, 2))
     acc = EpochAccumulator(capacity=3, p=2, keep_window_contents=True)
-    for row in X:
-        acc.add(EmbeddingRecord(category=0, vector=row))
+    acc.add(X, [0] * 10)
     stats = acc.finalize()  # appends the final partial window to the kept records
-    kept = np.stack([r.vector for r in acc.window_records()])
+    kept, _ = acc.window_records()
     cs = stats.categories[0]
     # Snapshots cover {0,1,2}, {3,4,5}, {6,7,8}; the final partial window
     # holds the current contents {7,8,9}, so records 7 and 8 count twice.
@@ -370,8 +432,7 @@ def test_finalize_merge_matches_window_multiset():
 
 def test_finalize_flags_absent_expected_category():
     acc = EpochAccumulator(capacity=8, p=1)
-    for i in range(3):
-        acc.add(EmbeddingRecord(category=0, vector=np.array([float(i)])))
+    acc.add(column(range(3)), [0] * 3)
     stats = acc.finalize(expected_categories=[0, 1])
     assert set(stats.categories) == {0}
     assert stats.absent == (1,)
@@ -384,12 +445,10 @@ def test_stale_entries_of_unseen_category_are_ignored():
     # entries, but category 1 saw no insertions this epoch, so it is
     # reported absent rather than resurrected from leftovers.
     acc = EpochAccumulator(capacity=4, p=1)
-    epoch1 = [(0, 1.0), (0, 2.0), (1, 10.0), (1, 12.0)]
-    for cat, v in epoch1:
-        acc.add(EmbeddingRecord(category=cat, vector=np.array([v])))
+    acc.add(column([1.0, 2.0, 10.0, 12.0]), [0, 0, 1, 1])
     first = acc.finalize(expected_categories=[0, 1])
     assert set(first.categories) == {0, 1}
-    acc.add(EmbeddingRecord(category=0, vector=np.array([3.0])))
+    acc.add(column([3.0]), [0])
     second = acc.finalize(expected_categories=[0, 1])
     assert set(second.categories) == {0}
     assert second.absent == (1,)
@@ -400,26 +459,13 @@ def test_stale_entries_of_unseen_category_are_ignored():
     assert np.allclose(cs.mean, [2.5])
 
 
-def test_epoch_finalize_direct_call_resets_counters():
-    q = EmbeddingQueue(capacity=5, p=1)
-    local = []
-    for i in range(7):
-        if q.push(EmbeddingRecord(category=0, vector=np.array([float(i)]))):
-            local.extend(compute_local_stats(q.contents()))
-    stats = epoch_finalize(q, local)
-    assert stats.categories[0].windows == 2
-    assert q.inserted_since_snapshot == 0
-    assert q.categories_seen_this_epoch() == {}
-
-
 # -------------------------------------------------------------------- json
 
 
 def test_global_stats_json_round_trip():
     rng = np.random.default_rng(21)
     acc = EpochAccumulator(capacity=5, p=3)
-    for i in range(12):
-        acc.add(EmbeddingRecord(category=i % 2, vector=rng.normal(size=3)))
+    acc.add(rng.normal(size=(12, 3)), np.arange(12) % 2)
     stats = acc.finalize()
     doc = global_stats_to_json(stats)
     back = global_stats_from_json(doc)
@@ -441,3 +487,15 @@ def test_global_stats_from_json_rejects_malformed():
         global_stats_from_json(
             {"p": 2, "categories": [{"id": 0, "count": 1, "mean": [0.0], "cov_row_major": [0.0] * 4}]}
         )
+
+
+def test_global_stats_from_json_rejects_duplicate_category():
+    entry = {"id": 3, "count": 2, "mean": [0.0, 1.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
+    with pytest.raises(InputError, match="more than once"):
+        global_stats_from_json({"p": 2, "categories": [entry, dict(entry, count=5)]})
+
+
+def test_global_stats_from_json_rejects_count_below_one():
+    entry = {"id": 3, "count": 0, "mean": [0.0, 1.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
+    with pytest.raises(InputError, match="count must be >= 1"):
+        global_stats_from_json({"p": 2, "categories": [entry]})
