@@ -30,16 +30,12 @@ from .loss import (
     CosineClassifier,
     InfoNormalization,
     LossBatch,
-    LossOutput,
     MarginMatrix,
     build_margins,
     ce_batch,
-    ce_forward,
     igam_batch,
-    igam_forward,
     normalize_info,
     normface_batch,
-    normface_forward,
 )
 from .planner import (
     PlanInput,
@@ -81,13 +77,9 @@ __all__ = [
     "InfoNormalization",
     "MarginMatrix",
     "CosineClassifier",
-    "LossOutput",
     "LossBatch",
     "normalize_info",
     "build_margins",
-    "igam_forward",
-    "normface_forward",
-    "ce_forward",
     "igam_batch",
     "normface_batch",
     "ce_batch",

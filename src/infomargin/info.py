@@ -5,10 +5,12 @@ eigenvalue clipping: eigenvalues below lambda_- = (1 - sqrt(p/m))^2 are
 lifted to that floor, which removes the spurious near-zero directions a
 small sample produces. The information amount is then
 
-    I = 1/2 * log2 det(Id + Sigma') = 1/2 * sum_k log2(1 + lambda'_k)
+    I = 1/2 * log2 det(Id + Sigma') = 1/2 * sum_k log2(1 + max(lambda_k, lambda_-))
 
-computed from the eigenvalues directly rather than through a determinant,
-so it stays finite and stable for any spectrum.
+read straight off the clipped spectrum of one `eigvalsh` per category,
+never through a determinant or a rebuilt matrix, so it stays finite and
+stable for any spectrum. `shrink_covariance` builds the clipped matrix
+itself for callers who need it.
 
 The floor is the raw square, never clamped: for m < p it grows past 1, and
 a single-sample category (zero covariance, m=1) is deliberately inflated
@@ -101,11 +103,43 @@ def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _eigh(sym: np.ndarray):
+def _checked_for_spec(cov: np.ndarray, spec: ShrinkageSpec) -> np.ndarray:
+    sym = _checked_symmetric(cov)
+    if sym.shape[0] != spec.p:
+        raise InputError(f"covariance is {sym.shape[0]}x{sym.shape[0]} but spec has p={spec.p}")
+    return sym
+
+
+def _decompose(eig, sym: np.ndarray):
     try:
-        return np.linalg.eigh(sym)
+        return eig(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _psd_floor(eigvals: np.ndarray) -> np.ndarray:
+    """Reject a genuinely non-PSD spectrum; floor rounding debris at zero."""
+    if eigvals.min() < _PSD_SLACK:
+        raise InputError(
+            f"covariance is not positive semidefinite: eigenvalue {eigvals.min():.3g}"
+        )
+    return np.maximum(eigvals, 0.0)
+
+
+def _half_log2_det(eigvals: np.ndarray) -> float:
+    return float(np.sum(np.log2(1.0 + eigvals)) / 2.0)
+
+
+def _clipped_amount(cov: np.ndarray, spec: ShrinkageSpec) -> float:
+    """1/2 * sum_k log2(1 + max(lambda_k, lambda_-)) from one eigvalsh of cov.
+
+    Equal to information_amount(shrink_covariance(cov, spec)) to round-off,
+    with the same checks, but without the eigenvectors, the rebuilt matrix
+    and its second decomposition.
+    """
+    sym = _checked_for_spec(cov, spec)
+    eigvals = _psd_floor(_decompose(np.linalg.eigvalsh, sym))
+    return _half_log2_det(np.maximum(eigvals, spec.lambda_minus))
 
 
 def shrink_covariance(cov: np.ndarray, spec: ShrinkageSpec) -> np.ndarray:
@@ -115,15 +149,9 @@ def shrink_covariance(cov: np.ndarray, spec: ShrinkageSpec) -> np.ndarray:
     after flooring small negative rounding debris at zero. The result is
     symmetric with minimum eigenvalue >= lambda_-.
     """
-    sym = _checked_symmetric(cov)
-    if sym.shape[0] != spec.p:
-        raise InputError(f"covariance is {sym.shape[0]}x{sym.shape[0]} but spec has p={spec.p}")
-    eigvals, eigvecs = _eigh(sym)
-    if eigvals.min() < _PSD_SLACK:
-        raise InputError(
-            f"covariance is not positive semidefinite: eigenvalue {eigvals.min():.3g}"
-        )
-    clipped = np.maximum(np.maximum(eigvals, 0.0), spec.lambda_minus)
+    sym = _checked_for_spec(cov, spec)
+    eigvals, eigvecs = _decompose(np.linalg.eigh, sym)
+    clipped = np.maximum(_psd_floor(eigvals), spec.lambda_minus)
     out = (eigvecs * clipped) @ eigvecs.T
     return 0.5 * (out + out.T)
 
@@ -136,21 +164,16 @@ def information_amount(cov_shrunk: np.ndarray) -> float:
     as non-PSD; smaller negatives are treated as zero.
     """
     sym = _checked_symmetric(cov_shrunk)
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals.min() < _PSD_SLACK:
-        raise InputError(
-            f"covariance is not positive semidefinite: eigenvalue {eigvals.min():.3g}"
-        )
-    eigvals = np.maximum(eigvals, 0.0)
-    return float(np.sum(np.log2(1.0 + eigvals)) / 2.0)
+    return _half_log2_det(_psd_floor(_decompose(np.linalg.eigvalsh, sym)))
 
 
 def information_amount_from_embeddings(X: np.ndarray) -> float:
     """Information amount of one category from raw embeddings.
 
-    Centers the rows of X, forms the population covariance, clips its
-    spectrum for m = len(X) samples, and scores it. This is literally the
-    composition of `shrink_covariance` and `information_amount`.
+    Centers the rows of X, forms the population covariance, and reads the
+    amount straight off its spectrum clipped for m = len(X) samples: one
+    eigvalsh, equal to information_amount(shrink_covariance(cov, spec)) to
+    round-off.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -162,20 +185,19 @@ def information_amount_from_embeddings(X: np.ndarray) -> float:
     centered = X - mean
     cov = centered.T @ centered / m
     cov = 0.5 * (cov + cov.T)
-    return information_amount(shrink_covariance(cov, ShrinkageSpec(p=p, m=m)))
+    return _clipped_amount(cov, ShrinkageSpec(p=p, m=m))
 
 
 def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAmountTable:
     """Information amount per category from merged epoch statistics.
 
-    The clip threshold for each category uses that category's own merged
-    sample count N_i, since the merged covariance represents N_i samples
-    regardless of how the windows sliced them.
+    Each amount is read straight off the category's clipped spectrum, one
+    eigvalsh per category. The clip threshold uses that category's own
+    merged sample count N_i, since the merged covariance represents N_i
+    samples regardless of how the windows sliced them.
     """
     amounts = {
-        cat: information_amount(
-            shrink_covariance(cs.cov, ShrinkageSpec(p=stats.p, m=cs.total))
-        )
+        cat: _clipped_amount(cs.cov, ShrinkageSpec(p=stats.p, m=cs.total))
         for cat, cs in stats.categories.items()
     }
     return InfoAmountTable(amounts=amounts, epoch=epoch)
@@ -193,6 +215,8 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
     try:
         epoch = int(doc["epoch"])
         info = doc["info"]
+        if not isinstance(info, dict):
+            raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
         amounts = {int(cat): float(val) for cat, val in info.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc

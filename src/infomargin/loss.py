@@ -12,9 +12,10 @@ a larger angular gap. Two reference losses share the machinery: plain
 cross-entropy on raw inner products, and the zero-margin normalized-cosine
 loss (a zero margin matrix reduces the margined loss to it exactly).
 
-Per-sample operations (`igam_forward`, `normface_forward`, `ce_forward`)
-return a LossOutput with analytic gradients; the `*_batch` variants
-vectorize over a batch and report gradients of the mean loss.
+The losses are array-in/array-out: `igam_batch`, `normface_batch` and
+`ce_batch` take an (n, p) batch and return a LossBatch with per-sample
+losses, logits and the analytic gradients of the mean loss. A single
+sample is a one-row batch.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ __all__ = [
     "InfoNormalization",
     "MarginMatrix",
     "CosineClassifier",
-    "LossOutput",
     "LossBatch",
     "normalize_info",
     "build_margins",
-    "igam_forward",
-    "normface_forward",
-    "ce_forward",
     "igam_batch",
     "normface_batch",
     "ce_batch",
@@ -148,28 +145,13 @@ class CosineClassifier:
 
 
 @dataclass
-class LossOutput:
-    """One sample's loss with analytic gradients.
-
-    grad_cos is dL/dcos(theta_j); grad_features and grad_weights are the
-    gradients through the cosine map (weights laid out as in
-    CosineClassifier, one row per class). `saturated` counts margin-active
-    classes whose cosine sat within 1e-9 of +-1, where the exact angle
-    derivative is unbounded and the clamped (constant) branch was used
-    instead.
-    """
-
-    loss: float
-    grad_cos: np.ndarray
-    grad_features: np.ndarray
-    grad_weights: np.ndarray
-    logits: np.ndarray
-    saturated: int = 0
-
-
-@dataclass
 class LossBatch:
-    """Batched loss evaluation; gradients are of losses.mean()."""
+    """Batched loss evaluation; gradients are of losses.mean().
+
+    grad_cos is dL/dcos(theta) per sample and class. `saturated` counts
+    margin-active entries whose cosine sat within 1e-9 of +-1, where the
+    exact angle derivative is unbounded and the constant branch was used.
+    """
 
     losses: np.ndarray
     logits: np.ndarray
@@ -375,11 +357,13 @@ def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBat
         theta = np.arccos(c_a)
         clamp = theta + m_a > np.pi
         sin_t = np.sqrt(np.maximum(1.0 - c_a * c_a, 0.0))
-        phi = c_a * np.cos(m_a) - sin_t * np.sin(m_a)
+        cos_m = np.cos(m_a)
+        sin_m = np.sin(m_a)
+        phi = c_a * cos_m - sin_t * sin_m
         sat = (~clamp) & (np.abs(c_a) > 1.0 - _SATURATION_EPS)
         saturated = int(sat.sum())
         safe_sin = np.where(sin_t > 0.0, sin_t, 1.0)
-        d_a = s * (np.cos(m_a) + c_a * np.sin(m_a) / safe_sin)
+        d_a = s * (cos_m + c_a * sin_m / safe_sin)
         d_a[clamp | sat] = 0.0
         z[active] = s * np.where(clamp, -1.0, phi)
         dzdc[active] = d_a
@@ -389,9 +373,10 @@ def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBat
     # c_j = u . w_j with u = x/|x| and w_j = W_j/|W_j|, so
     #   dc_j/dx   = (w_j - c_j u) / |x|
     #   dc_j/dW_j = (u - c_j w_j) / |W_j|
-    row_mix = (gc * cos).sum(axis=1, keepdims=True)
+    gc_cos = gc * cos
+    row_mix = gc_cos.sum(axis=1, keepdims=True)
     grad_X = (gc @ Wn - row_mix * U) / xnorms[:, None]
-    col_mix = (gc * cos).sum(axis=0)[:, None]
+    col_mix = gc_cos.sum(axis=0)[:, None]
     grad_W = (gc.T @ U - col_mix * Wn) / wnorms[:, None]
     return LossBatch(
         losses=losses,
@@ -421,32 +406,6 @@ def ce_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
         grad_cos=np.zeros_like(z),
         saturated=0,
     )
-
-
-def _single(batch: LossBatch) -> LossOutput:
-    return LossOutput(
-        loss=float(batch.losses[0]),
-        grad_cos=batch.grad_cos[0],
-        grad_features=batch.grad_inputs[0],
-        grad_weights=batch.grad_weights,
-        logits=batch.logits[0],
-        saturated=batch.saturated,
-    )
-
-
-def igam_forward(x: np.ndarray, label: int, clf: CosineClassifier, margins) -> LossOutput:
-    """IGAM loss of one sample, with analytic gradients filled in."""
-    return _single(igam_batch(clf, np.atleast_2d(x), [label], margins))
-
-
-def normface_forward(x: np.ndarray, label: int, clf: CosineClassifier) -> LossOutput:
-    """Zero-margin cosine loss of one sample (identical code path to IGAM)."""
-    return _single(normface_batch(clf, np.atleast_2d(x), [label]))
-
-
-def ce_forward(x: np.ndarray, label: int, clf: CosineClassifier) -> LossOutput:
-    """Plain cross-entropy of one sample on raw inner-product logits."""
-    return _single(ce_batch(clf, np.atleast_2d(x), [label]))
 
 
 def margins_to_json(margins: MarginMatrix) -> dict:

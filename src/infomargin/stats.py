@@ -297,6 +297,10 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
         entries = doc["categories"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed statistics document: missing {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputError(
+            f"malformed statistics document: 'categories' must be a list, got {type(entries).__name__}"
+        )
     categories: dict[int, CategoryStats] = {}
     for entry in entries:
         try:
@@ -312,7 +316,7 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
             raise InputError(f"category {cat}: count must be >= 1, got {count}")
         if mean.shape != (p,):
             raise InputError(
-                f"category {cat}: mean length {mean.shape[0]} does not match p={p}"
+                f"category {cat}: mean has shape {mean.shape}, expected ({p},)"
             )
         categories[cat] = CategoryStats(total=count, mean=mean, cov=cov)
     return GlobalStats(p=p, categories=categories)

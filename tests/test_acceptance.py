@@ -26,7 +26,6 @@ from infomargin.loss import (
     MarginMatrix,
     build_margins,
     igam_batch,
-    igam_forward,
     normalize_info,
     normface_batch,
 )
@@ -182,10 +181,10 @@ def test_criterion_4_gradient_correctness():
                 break
 
         def loss():
-            return igam_forward(x, label, CosineClassifier(W, scale=s), M).loss
+            return igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], M).losses[0]
 
-        out = igam_forward(x, label, CosineClassifier(W, scale=s), M)
-        for arr, grad in ((x, out.grad_features), (W, out.grad_weights)):
+        out = igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], M)
+        for arr, grad in ((x, out.grad_inputs[0]), (W, out.grad_weights)):
             flat = arr.reshape(-1)
             fd = np.empty_like(flat)
             for i in range(flat.size):
@@ -246,11 +245,12 @@ def test_criterion_5_degeneracy_suite():
         M = rng.uniform(0.0, 0.4, size=(C, C))
         np.fill_diagonal(M, 0.0)
         label = int(rng.integers(0, C))
-        base = igam_forward(x, label, CosineClassifier(W, scale=10.0), M).loss
+        x = x[None, :]
+        base = igam_batch(CosineClassifier(W, scale=10.0), x, [label], M).losses[0]
         alpha = float(rng.uniform(1e-3, 1e3))
         row_scales = rng.uniform(1e-2, 1e2, size=(C, 1))
-        scaled_x = igam_forward(alpha * x, label, CosineClassifier(W, scale=10.0), M).loss
-        scaled_w = igam_forward(x, label, CosineClassifier(W * row_scales, scale=10.0), M).loss
+        scaled_x = igam_batch(CosineClassifier(W, scale=10.0), alpha * x, [label], M).losses[0]
+        scaled_w = igam_batch(CosineClassifier(W * row_scales, scale=10.0), x, [label], M).losses[0]
         denom = max(abs(base), 1e-30)
         worst_scale = max(
             worst_scale, abs(scaled_x - base) / denom, abs(scaled_w - base) / denom

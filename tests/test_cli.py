@@ -132,6 +132,18 @@ def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, mess
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"p": 2, "categories": 7},
+    {"p": 2, "categories": [{"id": 0, "count": 2, "mean": 1.0, "cov_row_major": [1.0, 0.0, 0.0, 1.0]}]},
+])
+def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "stats.json"
+    write_json(path, doc)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_stats_info_pipeline_round_trips(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path, n=40, p=3, C=2)
@@ -190,6 +202,14 @@ def test_margins_signed_variant_antisymmetric(tmp_path, capsys):
     _, out, _ = run(capsys, "margins", str(path), "--margin-variant", "signed")
     m = np.reshape(json.loads(out)["margins_row_major"], (2, 2))
     assert m[0, 1] == -m[1, 0] != 0.0
+
+
+def test_margins_info_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "info.json"
+    write_json(path, {"epoch": 0, "info": [1.0, 2.0]})
+    code, out, err = run(capsys, "margins", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_margins_overflow_exits_three(tmp_path, capsys):

@@ -14,7 +14,7 @@ from infomargin.info import (
     information_amounts_from_stats,
     shrink_covariance,
 )
-from infomargin.stats import EpochAccumulator
+from infomargin.stats import CategoryStats, EpochAccumulator, GlobalStats
 
 
 def closed_form_identical(p, m):
@@ -240,6 +240,61 @@ def test_amount_from_stats_uses_merged_count_for_clip():
     assert table.epoch == 3
     expected = 0.5 * 4 * np.log2(1.0 + 0.81)
     assert table.amounts[0] == pytest.approx(expected, rel=1e-12)
+
+
+def random_stats(rng, p, counts):
+    """GlobalStats with one random PSD covariance of rank <= m per count m."""
+    categories = {}
+    for cat, m in enumerate(counts):
+        A = rng.normal(size=(p, m)) * rng.uniform(0.1, 3.0, size=(p, 1))
+        cov = A @ A.T / m
+        categories[cat] = CategoryStats(total=m, mean=np.zeros(p), cov=0.5 * (cov + cov.T))
+    return GlobalStats(p=p, categories=categories)
+
+
+@pytest.mark.parametrize("p,counts", [
+    (6, [1, 2, 3, 5]),       # m < p, including a single sample
+    (6, [6, 6]),             # m = p: the clip level vanishes
+    (6, [7, 40, 500]),       # m > p
+    (1, [1, 2, 9]),
+])
+def test_amounts_from_stats_match_shrink_then_score(p, counts):
+    # One eigvalsh of the covariance, clipped, equals the two-step route
+    # through the rebuilt shrunk matrix to round-off.
+    stats = random_stats(np.random.default_rng([36, p, len(counts)]), p, counts)
+    table = information_amounts_from_stats(stats)
+    for cat, cs in stats.categories.items():
+        two_step = information_amount(shrink_covariance(cs.cov, ShrinkageSpec(p=p, m=cs.total)))
+        assert table.amounts[cat] == pytest.approx(two_step, rel=1e-12, abs=0), (cat, cs.total)
+
+
+@pytest.mark.parametrize("cov", [
+    np.array([[1.0, 0.5], [0.2, 1.0]]),       # asymmetric
+    np.diag([1.0, -0.5]),                     # clearly non-PSD
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),  # non-finite
+    np.eye(3),                                # wrong p
+])
+def test_amounts_from_stats_reject_malformed_covariance(cov):
+    stats = GlobalStats(p=2, categories={0: CategoryStats(total=5, mean=np.zeros(2), cov=cov)})
+    with pytest.raises(InputError):
+        information_amounts_from_stats(stats)
+
+
+def test_refresh_makes_one_eigvalsh_per_category(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    stats = random_stats(np.random.default_rng(37), 4, [1, 3, 4, 20, 100])
+    information_amounts_from_stats(stats)
+    assert calls == {"eigh": 0, "eigvalsh": 5}
+    information_amount_from_embeddings(np.random.default_rng(38).normal(size=(10, 4)))
+    assert calls == {"eigh": 0, "eigvalsh": 6}
 
 
 def test_embeddings_input_validation():

@@ -19,18 +19,16 @@ from infomargin.loss import (
     MarginMatrix,
     build_margins,
     ce_batch,
-    ce_forward,
     igam_batch,
-    igam_forward,
     margins_from_json,
     margins_to_json,
     normalize_info,
     normface_batch,
-    normface_forward,
 )
 
-# Shared fixture for the frozen single-sample loss values below.
-_X4 = np.array([0.3, -1.2, 0.7, 2.0])
+# Shared fixture for the frozen single-sample loss values below; a single
+# sample is a one-row batch.
+_X4 = np.array([[0.3, -1.2, 0.7, 2.0]])
 _W34 = np.array(
     [
         [1.0, 0.2, -0.3, 0.5],
@@ -280,26 +278,26 @@ def test_classifier_rejects_bad_inputs():
 
 
 def test_igam_single_sample_frozen_value():
-    out = igam_forward(_X4, 0, make_clf(_W34), _M3)
-    assert out.loss == pytest.approx(2.5733235750929126, rel=1e-10)
+    out = igam_batch(make_clf(_W34), _X4, [0], _M3)
+    assert out.losses[0] == pytest.approx(2.5733235750929126, rel=1e-10)
     assert out.saturated == 0
 
 
 def test_normface_single_sample_frozen_value():
-    out = normface_forward(_X4, 0, make_clf(_W34))
-    assert out.loss == pytest.approx(4.9764935463184747, rel=1e-10)
+    out = normface_batch(make_clf(_W34), _X4, [0])
+    assert out.losses[0] == pytest.approx(4.9764935463184747, rel=1e-10)
 
 
 def test_ce_single_sample_frozen_value():
-    out = ce_forward(_X4, 0, make_clf(_W34))
-    assert out.loss == pytest.approx(3.1762215085488919, rel=1e-10)
+    out = ce_batch(make_clf(_W34), _X4, [0])
+    assert out.losses[0] == pytest.approx(3.1762215085488919, rel=1e-10)
 
 
 def test_margins_lower_the_loss_against_rivals():
     # Widening rival angles can only shrink rival logits, so the margined
     # loss sits at or below the margin-free one, strictly here.
-    igam = igam_forward(_X4, 0, make_clf(_W34), _M3).loss
-    plain = normface_forward(_X4, 0, make_clf(_W34)).loss
+    igam = igam_batch(make_clf(_W34), _X4, [0], _M3).losses[0]
+    plain = normface_batch(make_clf(_W34), _X4, [0]).losses[0]
     assert igam < plain
 
 
@@ -329,8 +327,8 @@ def test_uniform_cosines_give_log_C():
     for C in (2, 5):
         W = np.tile(np.array([0.3, -0.8, 0.44]), (C, 1))
         clf = make_clf(W, s=12.0)
-        out = igam_forward(np.array([1.0, 0.2, -0.5]), 1, clf, np.zeros((C, C)))
-        assert out.loss == pytest.approx(np.log(C), rel=1e-14)
+        out = igam_batch(clf, np.array([[1.0, 0.2, -0.5]]), [1], np.zeros((C, C)))
+        assert out.losses[0] == pytest.approx(np.log(C), rel=1e-14)
 
 
 def test_label_row_margin_entry_is_ignored():
@@ -338,10 +336,10 @@ def test_label_row_margin_entry_is_ignored():
     # diagonal entry must not change anything.
     dirty = _M3.copy()
     dirty[0, 0] = 0.9
-    a = igam_forward(_X4, 0, make_clf(_W34), _M3)
-    b = igam_forward(_X4, 0, make_clf(_W34), dirty)
-    assert a.loss == b.loss
-    assert np.array_equal(a.grad_features, b.grad_features)
+    a = igam_batch(make_clf(_W34), _X4, [0], _M3)
+    b = igam_batch(make_clf(_W34), _X4, [0], dirty)
+    assert np.array_equal(a.losses, b.losses)
+    assert np.array_equal(a.grad_inputs, b.grad_inputs)
 
 
 # ------------------------------------------------------------- invariances
@@ -350,26 +348,26 @@ def test_label_row_margin_entry_is_ignored():
 def test_feature_scale_invariance():
     rng = np.random.default_rng(49)
     clf = make_clf(rng.normal(size=(4, 6)))
-    x = rng.normal(size=6)
+    x = rng.normal(size=(1, 6))
     M = rng.uniform(0.0, 0.4, size=(4, 4))
     np.fill_diagonal(M, 0.0)
-    base = igam_forward(x, 2, clf, M)
+    base = igam_batch(clf, x, [2], M)
     for alpha in (1e-3, 0.5, 7.0, 1e3):
-        out = igam_forward(alpha * x, 2, clf, M)
-        assert out.loss == pytest.approx(base.loss, rel=1e-10)
-        assert np.allclose(out.grad_features, base.grad_features / alpha, rtol=1e-10)
+        out = igam_batch(clf, alpha * x, [2], M)
+        assert out.losses[0] == pytest.approx(base.losses[0], rel=1e-10)
+        assert np.allclose(out.grad_inputs, base.grad_inputs / alpha, rtol=1e-10)
         assert np.allclose(out.grad_cos, base.grad_cos, rtol=1e-10)
 
 
 def test_weight_row_scale_invariance():
     rng = np.random.default_rng(50)
     W = rng.normal(size=(3, 5))
-    x = rng.normal(size=5)
+    x = rng.normal(size=(1, 5))
     M = rng.uniform(0.0, 0.3, size=(3, 3))
-    base = igam_forward(x, 1, make_clf(W), M)
+    base = igam_batch(make_clf(W), x, [1], M)
     scales = np.array([0.01, 3.0, 40.0])
-    out = igam_forward(x, 1, make_clf(W * scales[:, None]), M)
-    assert out.loss == pytest.approx(base.loss, rel=1e-10)
+    out = igam_batch(make_clf(W * scales[:, None]), x, [1], M)
+    assert out.losses[0] == pytest.approx(base.losses[0], rel=1e-10)
     # dL/dW_j shrinks by the row's scale factor.
     assert np.allclose(out.grad_weights, base.grad_weights / scales[:, None], rtol=1e-10)
 
@@ -377,13 +375,13 @@ def test_weight_row_scale_invariance():
 def test_loss_non_increasing_in_margin():
     rng = np.random.default_rng(51)
     clf = make_clf(rng.normal(size=(3, 4)))
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     losses = []
     for m in (0.0, 0.1, 0.2, 0.4):
         M = np.zeros((3, 3))
         M[1, :] = m
         M[1, 1] = 0.0
-        losses.append(igam_forward(x, 1, clf, M).loss)
+        losses.append(igam_batch(clf, x, [1], M).losses[0])
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -397,11 +395,11 @@ def test_saturated_cosine_counted_and_gradient_zeroed():
     W = np.stack([np.array([1.0, 0.0]), w_rival])
     clf = make_clf(W, s=5.0)
     M = np.array([[0.0, 0.3], [0.0, 0.0]])
-    out = igam_forward(2.0 * w_rival, 0, clf, M)
+    out = igam_batch(clf, 2.0 * w_rival[None, :], [0], M)
     assert out.saturated == 1
-    assert out.grad_cos[1] == 0.0
+    assert out.grad_cos[0, 1] == 0.0
     # The logit still uses the angle-addition value cos(0 + 0.3).
-    assert out.logits[1] == pytest.approx(5.0 * np.cos(0.3), rel=1e-12)
+    assert out.logits[0, 1] == pytest.approx(5.0 * np.cos(0.3), rel=1e-12)
 
 
 def test_margined_angle_past_pi_clamps_logit():
@@ -409,21 +407,21 @@ def test_margined_angle_past_pi_clamps_logit():
     # -s with zero gradient instead of folding back.
     theta = 2.9
     w_rival = np.array([1.0, 0.0])
-    x = np.array([np.cos(theta), np.sin(theta)])
+    x = np.array([[np.cos(theta), np.sin(theta)]])
     W = np.stack([np.array([0.0, 1.0]), w_rival])
     clf = make_clf(W, s=5.0)
     M = np.array([[0.0, 0.35], [0.0, 0.0]])
-    out = igam_forward(x, 0, clf, M)
-    assert out.logits[1] == -5.0
-    assert out.grad_cos[1] == 0.0
+    out = igam_batch(clf, x, [0], M)
+    assert out.logits[0, 1] == -5.0
+    assert out.grad_cos[0, 1] == 0.0
     assert out.saturated == 0  # clamped, not saturated
 
 
 def test_ce_saturates_to_zero_loss():
     clf = make_clf([[100.0, 0.0], [0.0, 1.0]])
-    out = ce_forward(np.array([1.0, 0.0]), 0, clf)
-    assert out.loss < 1e-12
-    assert np.isfinite(out.loss)
+    out = ce_batch(clf, np.array([[1.0, 0.0]]), [0])
+    assert out.losses[0] < 1e-12
+    assert np.isfinite(out.losses[0])
 
 
 # --------------------------------------------------------------- gradients
@@ -433,27 +431,27 @@ def test_zero_margin_grad_cos_matches_softmax_identity():
     # With no margins dL/dcos_j = s * (softmax(s cos)_j - [j == label]).
     rng = np.random.default_rng(52)
     clf = make_clf(rng.normal(size=(5, 7)), s=9.0)
-    x = rng.normal(size=7)
-    out = normface_forward(x, 3, clf)
-    cos = clf.cosines(x[None, :])[0]
+    x = rng.normal(size=(1, 7))
+    out = normface_batch(clf, x, [3])
+    cos = clf.cosines(x)[0]
     z = 9.0 * cos
     p = np.exp(z - z.max())
     p /= p.sum()
     p[3] -= 1.0
-    assert np.allclose(out.grad_cos, 9.0 * p, rtol=1e-12, atol=1e-15)
+    assert np.allclose(out.grad_cos[0], 9.0 * p, rtol=1e-12, atol=1e-15)
 
 
 def test_ce_gradient_matches_softmax_outer_product():
     rng = np.random.default_rng(53)
     clf = make_clf(rng.normal(size=(4, 6)))
     x = rng.normal(size=6)
-    out = ce_forward(x, 2, clf)
+    out = ce_batch(clf, x[None, :], [2])
     z = clf.weights @ x
     p = np.exp(z - z.max())
     p /= p.sum()
     p[2] -= 1.0
     assert np.allclose(out.grad_weights, np.outer(p, x), rtol=1e-12, atol=1e-15)
-    assert np.allclose(out.grad_features, clf.weights.T @ p, rtol=1e-12, atol=1e-15)
+    assert np.allclose(out.grad_inputs[0], clf.weights.T @ p, rtol=1e-12, atol=1e-15)
 
 
 def central_diff(f, x, h=1e-6):
@@ -487,12 +485,15 @@ def test_igam_gradients_match_finite_differences(seed):
         theta = np.arccos(cos)
         if np.all(np.abs(cos) < 0.95) and np.all(theta + M[label] < np.pi - 0.1):
             break
-    out = igam_forward(x, label, clf, M)
-    fd_x = central_diff(lambda: igam_forward(x, label, CosineClassifier(W, s), M).loss, x)
-    fd_W = central_diff(lambda: igam_forward(x, label, CosineClassifier(W, s), M).loss, W)
+    def loss():
+        return igam_batch(CosineClassifier(W, s), x[None, :], [label], M).losses[0]
+
+    out = igam_batch(clf, x[None, :], [label], M)
+    fd_x = central_diff(loss, x)
+    fd_W = central_diff(loss, W)
     # rtol 1e-4 with a 1e-7 absolute floor for entries drowned in the
     # finite-difference roundoff (h = 1e-6).
-    assert np.all(np.abs(out.grad_features - fd_x) <= 1e-4 * np.abs(fd_x) + 1e-7)
+    assert np.all(np.abs(out.grad_inputs[0] - fd_x) <= 1e-4 * np.abs(fd_x) + 1e-7)
     assert np.all(np.abs(out.grad_weights - fd_W) <= 1e-4 * np.abs(fd_W) + 1e-7)
 
 
@@ -508,13 +509,13 @@ def test_batch_agrees_with_per_sample_calls():
     X = rng.normal(size=(n, p))
     y = rng.integers(0, C, size=n)
     batch = igam_batch(clf, X, y, M)
-    singles = [igam_forward(X[k], int(y[k]), clf, M) for k in range(n)]
-    assert np.allclose(batch.losses, [o.loss for o in singles], rtol=1e-14)
-    assert batch.mean == pytest.approx(np.mean([o.loss for o in singles]), rel=1e-14)
+    singles = [igam_batch(clf, X[k:k + 1], y[k:k + 1], M) for k in range(n)]
+    assert np.allclose(batch.losses, [o.losses[0] for o in singles], rtol=1e-14)
+    assert batch.mean == pytest.approx(np.mean([o.losses[0] for o in singles]), rel=1e-14)
     # Batch gradients are of the mean loss: each row is the per-sample
     # feature gradient divided by n, and grad_weights is the average.
     for k in range(n):
-        assert np.allclose(batch.grad_inputs[k], singles[k].grad_features / n, rtol=1e-12)
+        assert np.allclose(batch.grad_inputs[k], singles[k].grad_inputs[0] / n, rtol=1e-12)
     avg_W = np.mean([o.grad_weights for o in singles], axis=0)
     assert np.allclose(batch.grad_weights, avg_W, rtol=1e-12, atol=1e-15)
 
