@@ -60,8 +60,6 @@ def _emit(doc, out: str | None) -> None:
 
 def _cmd_stats(args) -> int:
     X, categories = fileio.read_embeddings(args.input, args.format)
-    if X.shape[0] == 0:
-        raise InputError(f"{args.input}: no records")
     acc = EpochAccumulator(capacity=args.queue_len, p=X.shape[1])
     acc.add(X, categories)
     stats = acc.finalize()
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override both dataset and train seeds")
     p_run.add_argument("--track-windows", action="store_true",
-                       help="also recompute info amounts from raw window contents")
+                       help="also recompute info amounts from the pooled training records")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_toy_run)
 

@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check of
+JSON inputs.
 
 The CLI maps these onto exit codes: InputError -> 2, NumericalError -> 3.
 """
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -14,3 +17,10 @@ class NumericalError(RuntimeError):
 
 class TrainingDivergedError(NumericalError):
     """Training produced a non-finite loss."""
+
+
+def as_int(value, path: str) -> int:
+    """`value` as an int; bools, floats and strings raise InputError naming `path`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{path}: expected an integer, got {value!r}")
+    return int(value)

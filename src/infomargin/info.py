@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_int
 from .stats import GlobalStats
 
 __all__ = [
@@ -213,14 +213,19 @@ def info_table_to_json(table: InfoAmountTable) -> dict:
 
 def info_table_from_json(doc: dict) -> InfoAmountTable:
     try:
-        epoch = int(doc["epoch"])
+        raw_epoch = doc["epoch"]
         info = doc["info"]
         if not isinstance(info, dict):
             raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
-        amounts = {int(cat): float(val) for cat, val in info.items()}
+        pairs = [(int(cat), float(val)) for cat, val in info.items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
-    for cat, val in amounts.items():
+    epoch = as_int(raw_epoch, "epoch")
+    amounts: dict[int, float] = {}
+    for cat, val in pairs:
+        if cat in amounts:
+            raise InputError(f"category {cat} appears more than once")
         if not np.isfinite(val) or val < 0:
             raise InputError(f"category {cat}: information amount must be finite >= 0, got {val}")
+        amounts[cat] = val
     return InfoAmountTable(amounts=amounts, epoch=epoch)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_int
 from .info import InfoAmountTable
 
 __all__ = [
@@ -418,10 +418,13 @@ def margins_to_json(margins: MarginMatrix) -> dict:
 
 def margins_from_json(doc: dict) -> MarginMatrix:
     try:
-        C = int(doc["C"])
+        raw_C = doc["C"]
         flat = np.asarray(doc["margins_row_major"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed margin document: {exc}") from exc
+    C = as_int(raw_C, "C")
+    if C < 1:
+        raise InputError(f"C must be >= 1, got {C}")
     if flat.size != C * C:
         raise InputError(f"margins_row_major has {flat.size} entries, expected {C * C}")
     return MarginMatrix(flat.reshape(C, C))

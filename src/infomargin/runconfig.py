@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .trainer import LOSSES, SyntheticSpec, TrainConfig
 
 __all__ = ["ParsedRunConfig", "parse_run_config"]
@@ -70,12 +70,6 @@ def _reject_unknown(section: dict, allowed: set[str], path: str):
         raise InputError(f"{path}.{unknown[0]}: unknown key")
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
-
-
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         raise InputError(f"{path}: expected a number, got {value!r}")
@@ -87,8 +81,8 @@ def _as_number(value, path: str) -> float:
 
 def _as_counts(value, path: str):
     if isinstance(value, list):
-        return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
-    return _as_int(value, path)
+        return tuple(as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return as_int(value, path)
 
 
 def _as_string(value, path: str, choices: tuple[str, ...] | None = None) -> str:
@@ -123,13 +117,13 @@ def parse_run_config(doc) -> ParsedRunConfig:
     spreads = tuple(_as_number(v, f"dataset.spreads[{i}]") for i, v in enumerate(spreads))
 
     spec = SyntheticSpec(
-        C=_as_int(dataset["C"], "dataset.C"),
-        p=_as_int(dataset["p"], "dataset.p"),
+        C=as_int(dataset["C"], "dataset.C"),
+        p=as_int(dataset["p"], "dataset.p"),
         n_train=_as_counts(dataset["n_train"], "dataset.n_train"),
         n_test=_as_counts(dataset["n_test"], "dataset.n_test"),
         spreads=spreads,
         mean_separation=_as_number(dataset["mean_separation"], "dataset.mean_separation"),
-        seed=_as_int(dataset["seed"], "dataset.seed"),
+        seed=as_int(dataset["seed"], "dataset.seed"),
     )
 
     train = dict(_TRAIN_DEFAULTS)
@@ -150,17 +144,17 @@ def parse_run_config(doc) -> ParsedRunConfig:
             raise InputError(f"train.loss: expected one of {LOSSES}, got {name!r}")
 
     common = dict(
-        epochs=_as_int(train["epochs"], "train.epochs"),
+        epochs=as_int(train["epochs"], "train.epochs"),
         lr=_as_number(train["lr"], "train.lr"),
         momentum=_as_number(train["momentum"], "train.momentum"),
         s=_as_number(train["s"], "train.s"),
-        queue_len=_as_int(train["queue_len"], "train.queue_len"),
+        queue_len=as_int(train["queue_len"], "train.queue_len"),
         info_variant=_as_string(train["info_variant"], "train.info_variant"),
         margin_variant=_as_string(train["margin_variant"], "train.margin_variant"),
         margin_direction=_as_string(train["margin_direction"], "train.margin_direction"),
         ibar_mode=_as_string(train["ibar_mode"], "train.ibar_mode"),
-        batch_size=_as_int(train["batch_size"], "train.batch_size"),
-        seed=_as_int(train["seed"], "train.seed"),
+        batch_size=as_int(train["batch_size"], "train.batch_size"),
+        seed=as_int(train["seed"], "train.seed"),
     )
     configs = tuple(TrainConfig(loss=name, **common) for name in losses)
     return ParsedRunConfig(spec=spec, configs=configs)

@@ -1,11 +1,10 @@
 """Per-category embedding statistics over bounded windows, merged exactly.
 
-`EpochAccumulator` keeps a fixed-capacity FIFO queue of the most recent
-`capacity` embeddings. Batches go in as `(n, p)` arrays; every time
-`capacity` new rows have arrived, per-category (count, mean, covariance)
-triples are snapshotted over the queue; at epoch end a final snapshot is
-taken over whatever the queue holds and all snapshots are merged into
-exact dataset-level statistics.
+`EpochAccumulator` cuts an epoch's stream of `(n, p)` embedding batches
+into disjoint windows of `capacity` rows. Each full window is snapshotted
+into per-category (count, mean, covariance) triples as soon as it fills;
+at epoch end the rows still pending form a final partial window, and all
+snapshots are merged into exact statistics of the epoch's records.
 
 Covariances are population-normalized (divisor = count) and accumulated in
 float64 regardless of input precision; the merge is exact in exact
@@ -16,13 +15,12 @@ parallelized or tree-reduced across windows and categories.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 __all__ = [
     "LocalStats",
@@ -58,15 +56,11 @@ class CategoryStats:
 
 @dataclass
 class GlobalStats:
-    """Merged per-category statistics for one epoch.
-
-    `absent` lists expected categories that saw zero records this epoch;
-    downstream consumers keep their previous information amounts.
-    """
+    """Merged per-category statistics for one epoch; a category with no
+    records is missing from `categories`."""
 
     p: int
     categories: dict[int, CategoryStats] = field(default_factory=dict)
-    absent: tuple[int, ...] = ()
 
 
 def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[LocalStats]:
@@ -146,58 +140,38 @@ def merge_stats(windows: Sequence[LocalStats]) -> CategoryStats:
     return CategoryStats(total=total, mean=mean, cov=cov, windows=len(windows))
 
 
-def _stack(pieces, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (X, categories) pieces, oldest first."""
-    if not pieces:
-        return np.empty((0, p)), np.empty(0, dtype=np.int64)
-    X, categories = zip(*pieces)
-    return np.concatenate(X), np.concatenate(categories)
-
-
 class EpochAccumulator:
-    """The queue/snapshot/merge cycle for one stream of embedding batches.
+    """The window/snapshot/merge cycle for one epoch's stream of embedding batches.
 
-    `add` appends an `(n, p)` batch to a FIFO queue of capacity `capacity`.
-    The queue holds views of the added arrays (nothing is copied), trimmed
-    to the most recent `capacity` rows, so callers must not modify a batch
-    in place after adding it. Each time `capacity` rows have arrived since
-    the last snapshot, per-category window statistics are taken over the
-    whole queue; a batch that crosses such a boundary is split there.
+    `add` appends an `(n, p)` batch to the pending window. The window holds
+    views of the added arrays (nothing is copied before the window closes),
+    so callers must not modify a batch in place after adding it. Each time `capacity` rows are
+    pending, per-category window statistics are taken over them and the
+    window empties; a batch that crosses such a boundary is split there.
 
-    `finalize` closes the epoch. A final window is snapshotted over the
-    current queue contents (even when the queue is not full) whenever at
-    least one row arrived since the last snapshot, so a stream of N rows
+    `finalize` closes the epoch. The rows still pending form a final
+    partial window, skipped when none are pending, so a stream of N rows
     against capacity d produces floor(N/d) + 1 windows when d does not
-    divide N. When the stream ends exactly on a snapshot boundary the final
-    window would repeat the previous one verbatim and is skipped (N = d
-    yields statistics identical to a direct full-data computation). Each
-    category's windows are merged oldest first. Categories with no rows
-    this epoch are excluded and, when part of `expected_categories`,
-    reported in `GlobalStats.absent`; their stale rows still in the queue
-    are ignored. Queue contents persist across epochs; only the snapshot
-    counter and the per-epoch windows reset.
+    divide N and N/d when it does. The windows partition the epoch's rows:
+    each category's windows are merged oldest first into the exact
+    statistics of the rows added this epoch, each counted once. Categories
+    with no rows this epoch are missing from the result, and nothing
+    carries over to the next epoch.
 
     This is the exact update loop the trainer runs; the CLI `stats` command
-    uses it too so both paths share one implementation. When
-    `keep_window_contents` is set, the rows covered by every snapshot
-    window are retained so callers can cross-check the merged statistics
-    against a direct pooled computation.
+    uses it too so both paths share one implementation.
     """
 
-    def __init__(self, capacity: int, p: int, keep_window_contents: bool = False):
+    def __init__(self, capacity: int, p: int):
         if capacity < 1:
             raise InputError(f"queue capacity must be >= 1, got {capacity}")
         if p < 1:
             raise InputError(f"embedding dimension must be >= 1, got {p}")
         self.capacity = capacity
         self.p = p
-        self._queue: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self._queued = 0
-        self._since_snapshot = 0
-        self._seen: set[int] = set()
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_rows = 0
         self._windows: dict[int, list[LocalStats]] = {}
-        self._keep = keep_window_contents
-        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     def add(self, X: np.ndarray, categories: np.ndarray) -> None:
         """Append an (n, p) batch with its (n,) integer category ids."""
@@ -220,59 +194,29 @@ class EpochAccumulator:
         if not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise InputError("non-finite coordinate in embedding batch")
         categories = categories.astype(np.int64, copy=False)
-        self._seen.update(np.unique(categories).tolist())
         start = 0
         while start < n:
-            stop = min(n, start + self.capacity - self._since_snapshot)
-            self._push(X[start:stop], categories[start:stop])
-            self._since_snapshot += stop - start
+            stop = min(n, start + self.capacity - self._pending_rows)
+            self._pending.append((X[start:stop], categories[start:stop]))
+            self._pending_rows += stop - start
             start = stop
-            if self._since_snapshot == self.capacity:
-                self._since_snapshot = 0
+            if self._pending_rows == self.capacity:
                 self._snapshot()
 
-    def _push(self, X: np.ndarray, categories: np.ndarray) -> None:
-        self._queue.append((X, categories))
-        self._queued += X.shape[0]
-        while self._queued > self.capacity:
-            X0, c0 = self._queue.popleft()
-            excess = self._queued - self.capacity
-            if X0.shape[0] > excess:
-                self._queue.appendleft((X0[excess:], c0[excess:]))
-                self._queued -= excess
-            else:
-                self._queued -= X0.shape[0]
-
     def _snapshot(self) -> None:
-        for ls in local_stats_from_arrays(*_stack(self._queue, self.p)):
+        X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
+        for ls in local_stats_from_arrays(X, categories):
             self._windows.setdefault(ls.category, []).append(ls)
-        if self._keep:
-            self._kept.extend(self._queue)
+        self._pending = []
+        self._pending_rows = 0
 
-    def finalize(self, expected_categories: Iterable[int] | None = None) -> GlobalStats:
-        """Final snapshot, per-category merge, and reset for the next epoch."""
-        if self._since_snapshot > 0:
+    def finalize(self) -> GlobalStats:
+        """Final partial window, per-category merge, and reset for the next epoch."""
+        if self._pending:
             self._snapshot()
-        merged = {
-            cat: merge_stats(windows)
-            for cat, windows in sorted(self._windows.items())
-            if cat in self._seen
-        }
-        absent: tuple[int, ...] = ()
-        if expected_categories is not None:
-            absent = tuple(c for c in sorted(expected_categories) if c not in merged)
-        self._since_snapshot = 0
-        self._seen = set()
+        merged = {cat: merge_stats(windows) for cat, windows in sorted(self._windows.items())}
         self._windows = {}
-        return GlobalStats(p=self.p, categories=merged, absent=absent)
-
-    def window_records(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, categories) of all rows covered by snapshot windows so far,
-        with multiplicity, oldest window first."""
-        return _stack(self._kept, self.p)
-
-    def reset_window_records(self) -> None:
-        self._kept = []
+        return GlobalStats(p=self.p, categories=merged)
 
 
 def global_stats_to_json(stats: GlobalStats) -> dict:
@@ -293,23 +237,25 @@ def global_stats_to_json(stats: GlobalStats) -> dict:
 
 def global_stats_from_json(doc: dict) -> GlobalStats:
     try:
-        p = int(doc["p"])
+        raw_p = doc["p"]
         entries = doc["categories"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed statistics document: missing {exc}") from exc
+    p = as_int(raw_p, "p")
     if not isinstance(entries, list):
         raise InputError(
             f"malformed statistics document: 'categories' must be a list, got {type(entries).__name__}"
         )
     categories: dict[int, CategoryStats] = {}
-    for entry in entries:
+    for i, entry in enumerate(entries):
         try:
-            cat = int(entry["id"])
-            count = int(entry["count"])
+            raw_id, raw_count = entry["id"], entry["count"]
             mean = np.asarray(entry["mean"], dtype=np.float64)
             cov = np.asarray(entry["cov_row_major"], dtype=np.float64).reshape(p, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
+        cat = as_int(raw_id, f"categories[{i}].id")
+        count = as_int(raw_count, f"categories[{i}].count")
         if cat in categories:
             raise InputError(f"category {cat} appears more than once")
         if count < 1:

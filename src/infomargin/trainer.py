@@ -260,7 +260,7 @@ def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.nda
 
 
 def _pooled_info(X: np.ndarray, categories: np.ndarray, C: int) -> np.ndarray:
-    """Information amounts recomputed directly from the window contents."""
+    """Information amounts computed directly from pooled records, bypassing the merge."""
     out = np.zeros(C, dtype=np.float64)
     for cat in np.unique(categories):
         out[cat] = information_amount_from_embeddings(X[categories == cat])
@@ -275,12 +275,13 @@ def train(
 ) -> TrainResult:
     """Run one training configuration end to end.
 
-    Each SGD batch is added to the queue as one `(batch_size, p)` array.
-    The queue persists across epochs (only its counters reset), matching
-    the streaming contract; with `track_windows` every epoch additionally
-    recomputes information amounts from the raw contents of its snapshot
-    windows, bypassing the merge, and stores them in
-    `EpochReport.info_amounts_pooled` for equivalence checking.
+    Each SGD batch is added to the accumulator as one `(batch_size, p)`
+    array, so every training record is counted once per epoch and each
+    epoch's merged statistics cover exactly the training set. With
+    `track_windows` the information amounts are also computed once
+    directly from the pooled training records, bypassing the merge, and
+    stored in every `EpochReport.info_amounts_pooled` for equivalence
+    checking.
 
     Raises TrainingDivergedError if the loss or weights go non-finite.
     """
@@ -297,8 +298,8 @@ def train(
     margins = MarginMatrix.zeros(C)
     amounts: dict[int, float] = {}
     table = InfoAmountTable(amounts={}, epoch=0)
-    accumulator = EpochAccumulator(capacity=config.queue_len, p=p,
-                                   keep_window_contents=track_windows)
+    accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
+    pooled = _pooled_info(dataset.train_X, dataset.train_y, C) if track_windows else None
 
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
@@ -326,13 +327,10 @@ def train(
                 )
             accumulator.add(Xb, yb)
 
-        stats = accumulator.finalize(expected_categories=range(C))
-        pooled = _pooled_info(*accumulator.window_records(), C) if track_windows else None
-        if track_windows:
-            accumulator.reset_window_records()
+        stats = accumulator.finalize()
         refreshed = information_amounts_from_stats(stats, epoch=epoch)
-        # Absent categories keep their previous amount (or 0 before any
-        # measurement exists); present ones are refreshed.
+        # Categories with no records this epoch keep their previous amount
+        # (or 0 before any measurement exists); present ones are refreshed.
         amounts = {c: amounts.get(c, 0.0) for c in range(C)}
         amounts.update(refreshed.amounts)
         table = InfoAmountTable(amounts=dict(amounts), epoch=epoch)

@@ -301,8 +301,8 @@ def test_criterion_6_bias_reduction():
 
 def test_criterion_7_queue_vs_pooled_equivalence():
     # The bundled equal-spread run (C=5, p=8, 200/class, d=150): per-epoch
-    # information amounts from the streaming merge vs direct recomputation
-    # from the raw window contents.
+    # information amounts from the streaming merge vs direct computation
+    # from the pooled training records.
     t0 = time.perf_counter()
     parsed = parse_run_config(read_json(str(files("infomargin") / "examples" / "equal-spread.json")))
     (config,) = parsed.configs

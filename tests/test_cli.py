@@ -49,6 +49,21 @@ def test_stats_matches_pooled_direct_computation(tmp_path, capsys):
                            rtol=1e-10, atol=1e-12)
 
 
+def test_stats_counts_each_record_once(tmp_path, capsys):
+    # 40 records against queue length 7 (40 mod 7 = 5): the final partial
+    # window holds only the 5 pending records, so the counts sum to 40.
+    path = tmp_path / "e.bin"
+    X, cats = write_sample_embeddings(path, n=40, p=3, C=3)
+    code, out, _ = run(capsys, "stats", str(path), "--queue-len", "7")
+    assert code == 0
+    entries = json.loads(out)["categories"]
+    assert sum(entry["count"] for entry in entries) == 40
+    for entry in entries:
+        rows = X[cats == entry["id"]]
+        assert entry["count"] == rows.shape[0]
+        assert np.allclose(entry["mean"], rows.mean(axis=0), rtol=1e-10, atol=1e-12)
+
+
 def test_stats_csv_and_binary_agree_byte_for_byte(tmp_path, capsys):
     rng = np.random.default_rng(102)
     X = rng.normal(size=(10, 4))
@@ -122,6 +137,8 @@ def test_info_single_instance_category_clipped_closed_form(tmp_path, capsys):
 @pytest.mark.parametrize("second, message", [
     ({"id": 5, "count": 3}, "appears more than once"),
     ({"id": 6, "count": 0}, "count must be >= 1"),
+    ({"id": 2.7}, "categories[1].id: expected an integer, got 2.7"),
+    ({"id": 6, "count": 3.9}, "categories[1].count: expected an integer, got 3.9"),
 ])
 def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, message):
     entry = {"id": 5, "count": 2, "mean": [1.0, -2.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
@@ -135,6 +152,8 @@ def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, mess
 @pytest.mark.parametrize("doc", [
     {"p": 2, "categories": 7},
     {"p": 2, "categories": [{"id": 0, "count": 2, "mean": 1.0, "cov_row_major": [1.0, 0.0, 0.0, 1.0]}]},
+    {"p": 1.5, "categories": [{"id": 0, "count": 2, "mean": [1.0], "cov_row_major": [1.0]}]},
+    {"p": 1, "categories": [{"id": 0, "count": True, "mean": [1.0], "cov_row_major": [1.0]}]},
 ])
 def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
     path = tmp_path / "stats.json"
@@ -210,6 +229,18 @@ def test_margins_info_list_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "margins", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"epoch": 0, "info": {"1": 0.5, "01": 0.7, "2": 0.1}}, "category 1 appears more than once"),
+    ({"epoch": 1.5, "info": {"0": 0.5, "1": 0.7}}, "epoch: expected an integer, got 1.5"),
+])
+def test_margins_rejects_aliased_ids_and_fractional_epoch(tmp_path, capsys, doc, message):
+    path = tmp_path / "info.json"
+    write_json(path, doc)
+    code, out, err = run(capsys, "margins", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_margins_overflow_exits_three(tmp_path, capsys):
@@ -308,6 +339,18 @@ def test_loss_eval_margin_shape_mismatch(loss_files, capsys):
     )
     assert code == 2
     assert "2x2" in err and "3 classes" in err
+
+
+def test_loss_eval_rejects_negative_class_count(loss_files, capsys):
+    # C * C == 1 matches the one entry, so only the C check stops reshape(-1, -1).
+    write_json(loss_files / "m.json", {"C": -1, "margins_row_major": [0.0]})
+    code, out, err = run(
+        capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
+        "--weights", str(loss_files / "w.bin"), "--loss", "igam",
+        "--margins", str(loss_files / "m.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "C must be >= 1" in err
 
 
 # -------------------------------------------------------------------- plan

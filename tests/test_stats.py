@@ -70,11 +70,17 @@ def test_add_rejects_float_category_ids():
 
 
 def test_rejected_batch_leaves_accumulator_unchanged():
-    acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
+    acc = EpochAccumulator(capacity=2, p=1)
+    acc.add(column([5.0]), [1])
     with pytest.raises(InputError):
         acc.add(column([1.0, 2.0, np.nan]), [0, 0, 0])
-    assert acc.finalize().categories == {}
-    assert acc.window_records()[0].shape == (0, 1)
+    # Nothing of the rejected batch is pending or snapshotted: only the
+    # accepted row is counted, in the one final window.
+    stats = acc.finalize()
+    assert list(stats.categories) == [1]
+    cs = stats.categories[1]
+    assert (cs.total, cs.windows) == (1, 1)
+    assert np.array_equal(cs.mean, [5.0])
 
 
 # ---------------------------------------------------------- local statistics
@@ -274,33 +280,31 @@ def test_merge_conserves_counts():
 
 
 def test_queue_flag_fires_exactly_at_capacity():
-    acc = EpochAccumulator(capacity=3, p=2, keep_window_contents=True)
-    covered = []
-    for i in range(3):
-        acc.add(np.full((1, 2), float(i)), [0])
-        covered.append(acc.window_records()[0].shape[0])
-    assert covered == [0, 0, 3]
+    # A window closes when the capacity-th row arrives, never earlier or
+    # later: k single-row adds against capacity 3 give ceil(k/3) windows.
+    windows = []
+    for k in range(1, 8):
+        acc = EpochAccumulator(capacity=3, p=2)
+        for i in range(k):
+            acc.add(np.full((1, 2), float(i)), [0])
+        cs = acc.finalize().categories[0]
+        assert cs.total == k
+        windows.append(cs.windows)
+    assert windows == [1, 1, 1, 2, 2, 2, 3]
 
 
 def test_queue_flag_refires_after_reset():
-    acc = EpochAccumulator(capacity=3, p=1, keep_window_contents=True)
-    covered = []
-    for i in range(7):
-        acc.add(column([float(i)]), [0])
-        covered.append(acc.window_records()[0].shape[0])
-    assert covered == [0, 0, 3, 3, 3, 6, 6]
-    # One row is pending since the last snapshot, so finalize adds a window.
-    assert acc.finalize().categories[0].windows == 3
-
-
-def test_queue_evicts_oldest_when_full():
-    acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
-    acc.add(column([0.0, 1.0, 2.0]), [0, 0, 0])
-    acc.finalize()
-    X, _ = acc.window_records()
-    # Snapshot {0, 1}, then the final window over the queue, which now
-    # holds only the two newest rows.
-    assert X[:, 0].tolist() == [0.0, 1.0, 1.0, 2.0]
+    # Categories mark the windows: rows {0,1,2} and {3,4,5} close two full
+    # windows and row 6 is the final partial one, so each category lies in
+    # exactly one window.
+    acc = EpochAccumulator(capacity=3, p=1)
+    for i, cat in enumerate([0, 0, 0, 1, 1, 1, 2]):
+        acc.add(column([float(i)]), [cat])
+    stats = acc.finalize()
+    assert {c: (cs.total, cs.windows) for c, cs in stats.categories.items()} == {
+        0: (3, 1), 1: (3, 1), 2: (1, 1)
+    }
+    assert np.array_equal(stats.categories[1].mean, [4.0])
 
 
 def test_queue_rejects_dimension_mismatch_and_bad_capacity():
@@ -313,34 +317,39 @@ def test_queue_rejects_dimension_mismatch_and_bad_capacity():
         acc.add(np.zeros((1, 2)), [0])
 
 
-def test_queue_epoch_counters_reset_but_entries_persist():
+def test_nothing_carries_over_between_epochs():
     acc = EpochAccumulator(capacity=4, p=1)
     acc.add(column([0.0, 1.0, 2.0]), [0, 1, 2])
     first = acc.finalize()
     assert {c: cs.total for c, cs in first.categories.items()} == {0: 1, 1: 1, 2: 1}
-    # Counters reset: an epoch with no rows takes no window and sees nothing.
+    # An epoch with no rows takes no window and sees nothing.
     assert acc.finalize().categories == {}
-    # Entries survive the epoch boundary: the next final window covers them.
+    # The next epoch covers only its own row.
     acc.add(column([3.0]), [0])
-    cs = acc.finalize().categories[0]
-    assert cs.total == 2
-    assert np.allclose(cs.mean, [1.5])
+    second = acc.finalize()
+    assert list(second.categories) == [0]
+    cs = second.categories[0]
+    assert (cs.total, cs.windows) == (1, 1)
+    assert np.array_equal(cs.mean, [3.0])
+
+
+def _three_epochs(d, p, seed):
+    """Three epochs with N mod d != 0 in each; the last is shorter than d."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.normal(size=(n, p)), rng.integers(0, C, size=n))
+        for n, C in ((237, 4), (180, 4), (3 * d // 5, 3))
+    ]
 
 
 def test_batch_split_is_invisible():
-    # However the stream is cut into batches, the windows, the merged
-    # statistics and the covered rows are bit-identical. Three consecutive
-    # epochs, none a multiple of the capacity; the last is shorter than the
-    # capacity, so its final window carries stale rows from the previous one.
+    # However the stream is cut into batches, the windows and the merged
+    # statistics are bit-identical, and each epoch counts its own rows.
     d, p = 50, 3
-    rng = np.random.default_rng(23)
-    epochs = [
-        (rng.normal(size=(n, p)), rng.integers(0, C, size=n))
-        for n, C in ((237, 4), (180, 4), (30, 3))
-    ]
+    epochs = _three_epochs(d, p, seed=23)
 
     def run(sizes):
-        acc = EpochAccumulator(capacity=d, p=p, keep_window_contents=True)
+        acc = EpochAccumulator(capacity=d, p=p)
         out = []
         for X, cats in epochs:
             start, k = 0, 0
@@ -348,23 +357,42 @@ def test_batch_split_is_invisible():
                 stop = start + sizes[k % len(sizes)]
                 acc.add(X[start:stop], cats[start:stop])
                 start, k = stop, k + 1
-            out.append((acc.finalize(expected_categories=range(4)), acc.window_records()))
+            out.append(acc.finalize())
         return out
 
     reference = run([max(X.shape[0] for X, _ in epochs)])
     for sizes in ([1], [64], [d + 7], [1, 64, d + 7]):
-        for (got, (gX, gc)), (ref, (rX, rc)) in zip(run(sizes), reference):
-            assert got.p == ref.p and got.absent == ref.absent
+        for got, ref, (X, _) in zip(run(sizes), reference, epochs):
+            assert got.p == ref.p
             assert list(got.categories) == list(ref.categories)
+            assert sum(cs.total for cs in got.categories.values()) == X.shape[0]
             for cat, cs in ref.categories.items():
                 g = got.categories[cat]
                 assert (g.total, g.windows) == (cs.total, cs.windows)
                 assert np.array_equal(g.mean, cs.mean)
                 assert np.array_equal(g.cov, cs.cov)
-            assert np.array_equal(gX, rX) and np.array_equal(gc, rc)
-    last = reference[-1][0]
-    assert last.absent == (3,)
-    assert sum(cs.total for cs in last.categories.values()) > 30
+    assert set(reference[-1].categories) == {0, 1, 2}
+
+
+def test_epoch_windows_partition_distinct_rows():
+    # Merged statistics of each epoch equal the pooled statistics of that
+    # epoch's distinct rows: no row of a full window is counted again by the
+    # final partial window, and no row of an earlier epoch is counted at all.
+    d, p = 50, 3
+    epochs = _three_epochs(d, p, seed=24)
+    assert all(X.shape[0] % d != 0 for X, _ in epochs) and epochs[-1][0].shape[0] < d
+    acc = EpochAccumulator(capacity=d, p=p)
+    for X, cats in epochs:
+        acc.add(X, cats)
+        stats = acc.finalize()
+        assert sum(cs.total for cs in stats.categories.values()) == X.shape[0]
+        assert sorted(stats.categories) == np.unique(cats).tolist()
+        for cat, cs in stats.categories.items():
+            rows = X[cats == cat]
+            mean_ref, cov_ref = two_pass_reference(rows)
+            assert cs.total == rows.shape[0]
+            assert np.allclose(cs.mean, mean_ref, rtol=1e-12, atol=1e-15)
+            assert rel_frobenius(cs.cov, cov_ref) < 1e-12
 
 
 # ----------------------------------------------------------- epoch finalize
@@ -372,16 +400,14 @@ def test_batch_split_is_invisible():
 
 def test_five_pushes_capacity_two_makes_three_windows():
     # 5 insertions against capacity 2: snapshots after records {0,1} and
-    # {2,3}, plus a final partial window over the current contents {3,4}.
-    acc = EpochAccumulator(capacity=2, p=1, keep_window_contents=True)
+    # {2,3}, plus a final partial window over the pending record {4}.
+    acc = EpochAccumulator(capacity=2, p=1)
     acc.add(column(range(5)), [0] * 5)
-    stats = acc.finalize()  # appends the final partial window to the kept records
-    kept = sorted(acc.window_records()[0][:, 0])
+    stats = acc.finalize()
     cs = stats.categories[0]
     assert cs.windows == 3
-    assert cs.total == 6  # record 3 is covered by two windows
-    assert kept == [0.0, 1.0, 2.0, 3.0, 3.0, 4.0]
-    mean_ref, cov_ref = two_pass_reference(np.array(kept).reshape(-1, 1))
+    assert cs.total == 5
+    mean_ref, cov_ref = two_pass_reference(column(range(5)))
     assert np.allclose(cs.mean, mean_ref, rtol=1e-14, atol=1e-15)
     assert np.allclose(cs.cov, cov_ref, rtol=1e-14, atol=1e-15)
 
@@ -413,50 +439,33 @@ def test_window_count_floor_formula_when_not_divisible():
 
 
 def test_finalize_merge_matches_window_multiset():
-    # The merged statistics equal a direct computation over the multiset of
-    # records covered by the snapshot windows (overlap included).
+    # Snapshots cover {0,1,2}, {3,4,5}, {6,7,8} and the final partial window
+    # {9}: the multiset of window rows is X itself, each row once.
     rng = np.random.default_rng(20)
     X = rng.normal(size=(10, 2))
-    acc = EpochAccumulator(capacity=3, p=2, keep_window_contents=True)
+    acc = EpochAccumulator(capacity=3, p=2)
     acc.add(X, [0] * 10)
-    stats = acc.finalize()  # appends the final partial window to the kept records
-    kept, _ = acc.window_records()
-    cs = stats.categories[0]
-    # Snapshots cover {0,1,2}, {3,4,5}, {6,7,8}; the final partial window
-    # holds the current contents {7,8,9}, so records 7 and 8 count twice.
-    assert cs.total == kept.shape[0] == 12
-    mean_ref, cov_ref = two_pass_reference(kept)
+    cs = acc.finalize().categories[0]
+    assert (cs.total, cs.windows) == (10, 4)
+    mean_ref, cov_ref = two_pass_reference(X)
     assert np.allclose(cs.mean, mean_ref, rtol=1e-12, atol=1e-15)
     assert rel_frobenius(cs.cov, cov_ref) < 1e-12
 
 
-def test_finalize_flags_absent_expected_category():
-    acc = EpochAccumulator(capacity=8, p=1)
-    acc.add(column(range(3)), [0] * 3)
-    stats = acc.finalize(expected_categories=[0, 1])
-    assert set(stats.categories) == {0}
-    assert stats.absent == (1,)
-
-
 def test_stale_entries_of_unseen_category_are_ignored():
-    # Epoch 1 fills the queue with categories 0 and 1 exactly to capacity
-    # (so no partial window is pending). Epoch 2 pushes one new category-0
-    # record; its final window still physically contains stale category-1
-    # entries, but category 1 saw no insertions this epoch, so it is
-    # reported absent rather than resurrected from leftovers.
+    # Epoch 1 fills a window with categories 0 and 1 exactly to capacity.
+    # Epoch 2 adds one new category-0 record: it is the only record counted,
+    # and category 1, which saw no records this epoch, is missing.
     acc = EpochAccumulator(capacity=4, p=1)
     acc.add(column([1.0, 2.0, 10.0, 12.0]), [0, 0, 1, 1])
-    first = acc.finalize(expected_categories=[0, 1])
+    first = acc.finalize()
     assert set(first.categories) == {0, 1}
     acc.add(column([3.0]), [0])
-    second = acc.finalize(expected_categories=[0, 1])
+    second = acc.finalize()
     assert set(second.categories) == {0}
-    assert second.absent == (1,)
-    # The surviving category is computed over the full final window, which
-    # legitimately still holds its own older entries: {2.0, 3.0}.
     cs = second.categories[0]
-    assert cs.total == 2
-    assert np.allclose(cs.mean, [2.5])
+    assert cs.total == 1
+    assert np.allclose(cs.mean, [3.0])
 
 
 # -------------------------------------------------------------------- json
