@@ -14,7 +14,6 @@ from .stats import (
     CategoryStats,
     EpochAccumulator,
     GlobalStats,
-    LocalStats,
     local_stats_from_arrays,
     merge_stats,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "TrainingDivergedError",
-    "LocalStats",
     "CategoryStats",
     "GlobalStats",
     "EpochAccumulator",

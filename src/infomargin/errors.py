@@ -19,8 +19,11 @@ class TrainingDivergedError(NumericalError):
     """Training produced a non-finite loss."""
 
 
-def as_int(value, path: str) -> int:
-    """`value` as an int; bools, floats and strings raise InputError naming `path`."""
+def as_int(value, path: str, minimum: int | None = None) -> int:
+    """`value` as an int; bools, floats, strings and values below `minimum`
+    raise InputError naming `path`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{path} must be >= {minimum}, got {value}")
     return int(value)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 __all__ = [
     "MAGIC",
@@ -189,12 +189,14 @@ def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
 def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
     doc = read_json(path)
     try:
-        p = int(doc["p"])
+        raw_p = doc["p"]
         entries = doc["records"]
-        cats = [int(r["category"]) for r in entries]
+        raw_cats = [r["category"] for r in entries]
         rows = [r["vector"] for r in entries]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed embedding document: {exc}") from exc
+    p = as_int(raw_p, f"{path}: p")
+    cats = [as_int(c, f"{path}: records[{i}].category") for i, c in enumerate(raw_cats)]
     if not entries:
         raise InputError(f"{path}: no records")
     X = np.asarray(rows, dtype=np.float64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, as_int
-from .stats import GlobalStats
+from .stats import GlobalStats, local_stats_from_arrays
 
 __all__ = [
     "ShrinkageSpec",
@@ -170,22 +170,14 @@ def information_amount(cov_shrunk: np.ndarray) -> float:
 def information_amount_from_embeddings(X: np.ndarray) -> float:
     """Information amount of one category from raw embeddings.
 
-    Centers the rows of X, forms the population covariance, and reads the
-    amount straight off its spectrum clipped for m = len(X) samples: one
-    eigvalsh, equal to information_amount(shrink_covariance(cov, spec)) to
-    round-off.
+    Takes the population covariance of the rows of X with
+    `local_stats_from_arrays` and reads the amount straight off its
+    spectrum clipped for m = len(X) samples: one eigvalsh, equal to
+    information_amount(shrink_covariance(cov, spec)) to round-off.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InputError(f"expected a nonempty (m, p) embedding matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("non-finite coordinates in embeddings")
-    m, p = X.shape
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / m
-    cov = 0.5 * (cov + cov.T)
-    return _clipped_amount(cov, ShrinkageSpec(p=p, m=m))
+    (cs,) = local_stats_from_arrays(X, np.zeros(X.shape[:1], dtype=np.int64)).values()
+    return _clipped_amount(cs.cov, ShrinkageSpec(p=X.shape[1], m=cs.total))
 
 
 def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAmountTable:
@@ -223,6 +215,7 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
     epoch = as_int(raw_epoch, "epoch")
     amounts: dict[int, float] = {}
     for cat, val in pairs:
+        cat = as_int(cat, "info category id", minimum=0)
         if cat in amounts:
             raise InputError(f"category {cat} appears more than once")
         if not np.isfinite(val) or val < 0:

@@ -422,9 +422,7 @@ def margins_from_json(doc: dict) -> MarginMatrix:
         flat = np.asarray(doc["margins_row_major"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed margin document: {exc}") from exc
-    C = as_int(raw_C, "C")
-    if C < 1:
-        raise InputError(f"C must be >= 1, got {C}")
+    C = as_int(raw_C, "C", minimum=1)
     if flat.size != C * C:
         raise InputError(f"margins_row_major has {flat.size} entries, expected {C * C}")
     return MarginMatrix(flat.reshape(C, C))

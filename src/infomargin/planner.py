@@ -12,6 +12,13 @@ per-real factor p cancels). Small d means frequent snapshots and many
 stored covariances; large d approaches storing everything. The planner
 minimizes R over d.
 
+This is the paper's accounting, and the figures here keep it. The
+package's `EpochAccumulator` stores less: it folds each window into one
+running (count, mean, covariance) per category as the window closes, so it
+holds d*p + C*(p*p + p) reals whatever K is. For it, d no longer trades
+stored covariances against the queue; it trades the number of windows
+(snapshot work) against the d*p pending rows.
+
 Byte figures price each stored real at 4 bytes and megabytes at 2^20
 bytes. Window means (C*K*p reals) ride along with the covariances in a
 real deployment but are excluded from `bytes_new` for comparability; the

@@ -2,15 +2,16 @@
 
 `EpochAccumulator` cuts an epoch's stream of `(n, p)` embedding batches
 into disjoint windows of `capacity` rows. Each full window is snapshotted
-into per-category (count, mean, covariance) triples as soon as it fills;
-at epoch end the rows still pending form a final partial window, and all
-snapshots are merged into exact statistics of the epoch's records.
+into per-category (count, mean, covariance) triples as soon as it fills,
+and each triple is folded at once into its category's running triple; at
+epoch end the rows still pending form a final partial window, and the
+running triples are the exact statistics of the epoch's records.
 
 Covariances are population-normalized (divisor = count) and accumulated in
 float64 regardless of input precision; the merge is exact in exact
-arithmetic for any set of windows. LocalStats values are immutable once
-produced; `merge_stats` is pure and order-insensitive, so merging may be
-parallelized or tree-reduced across windows and categories.
+arithmetic for any set of windows. `merge_stats` is pure and
+order-insensitive, so merging may be parallelized or tree-reduced across
+windows and categories.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import InputError, as_int
 
 __all__ = [
-    "LocalStats",
     "CategoryStats",
     "GlobalStats",
     "EpochAccumulator",
@@ -35,18 +35,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LocalStats:
-    """Count, mean and population covariance of one category in one window."""
-
-    category: int
-    count: int
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
 class CategoryStats:
-    """Dataset-level statistics for one category after merging windows."""
+    """Count, mean and population covariance of one category's records,
+    and the number of windows merged into them."""
 
     total: int
     mean: np.ndarray
@@ -63,7 +54,7 @@ class GlobalStats:
     categories: dict[int, CategoryStats] = field(default_factory=dict)
 
 
-def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[LocalStats]:
+def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, CategoryStats]:
     """Per-category mean and population covariance of one window.
 
     The covariance uses divisor n (population form), so a single-record
@@ -76,7 +67,8 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[Local
 
     Returns
     -------
-    One LocalStats per distinct category, ordered by category id.
+    One single-window CategoryStats per distinct category, keyed and
+    ordered by category id.
     """
     X = np.asarray(X, dtype=np.float64)
     categories = np.asarray(categories)
@@ -88,7 +80,7 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[Local
         )
     if not np.all(np.isfinite(X)):
         raise InputError("non-finite coordinates in embedding batch")
-    out = []
+    out = {}
     for cat in np.unique(categories):
         rows = X[categories == cat]
         n = rows.shape[0]
@@ -96,48 +88,48 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> list[Local
         centered = rows - mean
         cov = centered.T @ centered / n
         cov = 0.5 * (cov + cov.T)
-        out.append(LocalStats(category=int(cat), count=n, mean=mean, cov=cov))
+        out[int(cat)] = CategoryStats(total=n, mean=mean, cov=cov)
     return out
 
 
-def merge_stats(windows: Sequence[LocalStats]) -> CategoryStats:
-    """Merge same-category window statistics into exact global statistics.
+def merge_stats(windows: Sequence[CategoryStats]) -> CategoryStats:
+    """Merge one category's statistics over disjoint record sets exactly.
 
-    With window counts n_k, means mu_k and covariances S_k, the merged
-    mean is the count-weighted mean and the merged covariance is
+    With counts n_k, means mu_k and covariances S_k, the merged mean is the
+    count-weighted mean and the merged covariance is
 
         S = (1/N) * ( sum_k n_k S_k + sum_k n_k (mu_k - mu)(mu_k - mu)^T )
 
     which equals the population covariance of the pooled data exactly in
-    exact arithmetic, for any partition and any window order.
+    exact arithmetic, for any partition and any order (Chan, Golub &
+    LeVeque, 1979). Totals and window counts add, so a merged result can be
+    merged again.
     """
     if len(windows) == 0:
         raise InputError("cannot merge an empty window list")
-    cat = windows[0].category
     p = windows[0].mean.shape[0]
     for w in windows:
-        if w.category != cat:
-            raise InputError(f"mixed categories in merge: {cat} and {w.category}")
         if w.mean.shape[0] != p or w.cov.shape != (p, p):
             raise InputError(
-                f"dimension mismatch in merge for category {cat}: "
-                f"expected p={p}, got mean {w.mean.shape}, cov {w.cov.shape}"
+                f"dimension mismatch in merge: expected p={p}, "
+                f"got mean {w.mean.shape}, cov {w.cov.shape}"
             )
-        if w.count < 1:
-            raise InputError(f"window count must be >= 1, got {w.count}")
-    total = sum(w.count for w in windows)
+        if w.total < 1:
+            raise InputError(f"window count must be >= 1, got {w.total}")
+    total = sum(w.total for w in windows)
     mean = np.zeros(p, dtype=np.float64)
     for w in windows:
-        mean += w.count * w.mean
+        mean += w.total * w.mean
     mean /= total
     cov = np.zeros((p, p), dtype=np.float64)
     for w in windows:
         d = w.mean - mean
-        cov += w.count * w.cov
-        cov += w.count * np.outer(d, d)
+        cov += w.total * w.cov
+        cov += w.total * np.outer(d, d)
     cov /= total
     cov = 0.5 * (cov + cov.T)
-    return CategoryStats(total=total, mean=mean, cov=cov, windows=len(windows))
+    return CategoryStats(total=total, mean=mean, cov=cov,
+                         windows=sum(w.windows for w in windows))
 
 
 class EpochAccumulator:
@@ -146,17 +138,20 @@ class EpochAccumulator:
     `add` appends an `(n, p)` batch to the pending window. The window holds
     views of the added arrays (nothing is copied before the window closes),
     so callers must not modify a batch in place after adding it. Each time `capacity` rows are
-    pending, per-category window statistics are taken over them and the
-    window empties; a batch that crosses such a boundary is split there.
+    pending, per-category window statistics are taken over them, each is
+    folded into its category's running statistics with `merge_stats`, and
+    the window empties; a batch that crosses such a boundary is split
+    there. Memory is at most d pending rows plus one running (count, mean,
+    covariance) per category, O(d*p + C*p^2), however many windows close.
 
     `finalize` closes the epoch. The rows still pending form a final
     partial window, skipped when none are pending, so a stream of N rows
     against capacity d produces floor(N/d) + 1 windows when d does not
-    divide N and N/d when it does. The windows partition the epoch's rows:
-    each category's windows are merged oldest first into the exact
-    statistics of the rows added this epoch, each counted once. Categories
-    with no rows this epoch are missing from the result, and nothing
-    carries over to the next epoch.
+    divide N and N/d when it does. The windows partition the epoch's rows,
+    so each category's running statistics are the exact statistics of the
+    rows added this epoch, each counted once. Categories with no rows this
+    epoch are missing from the result, and nothing carries over to the
+    next epoch.
 
     This is the exact update loop the trainer runs; the CLI `stats` command
     uses it too so both paths share one implementation.
@@ -171,7 +166,7 @@ class EpochAccumulator:
         self.p = p
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_rows = 0
-        self._windows: dict[int, list[LocalStats]] = {}
+        self._running: dict[int, CategoryStats] = {}
 
     def add(self, X: np.ndarray, categories: np.ndarray) -> None:
         """Append an (n, p) batch with its (n,) integer category ids."""
@@ -205,17 +200,18 @@ class EpochAccumulator:
 
     def _snapshot(self) -> None:
         X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
-        for ls in local_stats_from_arrays(X, categories):
-            self._windows.setdefault(ls.category, []).append(ls)
+        for cat, window in local_stats_from_arrays(X, categories).items():
+            running = self._running.get(cat)
+            self._running[cat] = window if running is None else merge_stats([running, window])
         self._pending = []
         self._pending_rows = 0
 
     def finalize(self) -> GlobalStats:
-        """Final partial window, per-category merge, and reset for the next epoch."""
+        """Final partial window, the running statistics, and reset for the next epoch."""
         if self._pending:
             self._snapshot()
-        merged = {cat: merge_stats(windows) for cat, windows in sorted(self._windows.items())}
-        self._windows = {}
+        merged = dict(sorted(self._running.items()))
+        self._running = {}
         return GlobalStats(p=self.p, categories=merged)
 
 
@@ -241,7 +237,7 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
         entries = doc["categories"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed statistics document: missing {exc}") from exc
-    p = as_int(raw_p, "p")
+    p = as_int(raw_p, "p", minimum=1)
     if not isinstance(entries, list):
         raise InputError(
             f"malformed statistics document: 'categories' must be a list, got {type(entries).__name__}"
@@ -254,12 +250,10 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
             cov = np.asarray(entry["cov_row_major"], dtype=np.float64).reshape(p, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
-        cat = as_int(raw_id, f"categories[{i}].id")
-        count = as_int(raw_count, f"categories[{i}].count")
+        cat = as_int(raw_id, f"categories[{i}].id", minimum=0)
+        count = as_int(raw_count, f"categories[{i}].count", minimum=1)
         if cat in categories:
             raise InputError(f"category {cat} appears more than once")
-        if count < 1:
-            raise InputError(f"category {cat}: count must be >= 1, got {count}")
         if mean.shape != (p,):
             raise InputError(
                 f"category {cat}: mean has shape {mean.shape}, expected ({p},)"

@@ -25,12 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, TrainingDivergedError
-from .info import InfoAmountTable, info_table_to_json, information_amount_from_embeddings, \
-    information_amounts_from_stats
+from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
 from .loss import CosineClassifier, MarginMatrix, build_margins, ce_batch, igam_batch, \
     margins_to_json, normalize_info, INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, \
     IBAR_MODES
-from .stats import EpochAccumulator
+from .stats import EpochAccumulator, GlobalStats, local_stats_from_arrays
 
 __all__ = [
     "SyntheticSpec",
@@ -261,9 +260,10 @@ def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.nda
 
 def _pooled_info(X: np.ndarray, categories: np.ndarray, C: int) -> np.ndarray:
     """Information amounts computed directly from pooled records, bypassing the merge."""
+    table = information_amounts_from_stats(
+        GlobalStats(p=X.shape[1], categories=local_stats_from_arrays(X, categories)))
     out = np.zeros(C, dtype=np.float64)
-    for cat in np.unique(categories):
-        out[cat] = information_amount_from_embeddings(X[categories == cat])
+    out[list(table.amounts)] = list(table.amounts.values())
     return out
 
 

@@ -63,8 +63,8 @@ def test_criterion_1_merge_exactness():
         for a, b in zip(bounds, bounds[1:]):
             if a == b:
                 continue
-            for ls in local_stats_from_arrays(X[a:b], cats[a:b]):
-                per_cat.setdefault(ls.category, []).append(ls)
+            for c, ls in local_stats_from_arrays(X[a:b], cats[a:b]).items():
+                per_cat.setdefault(c, []).append(ls)
         merged = GlobalStats(
             p=p, categories={c: merge_stats(w) for c, w in per_cat.items()}
         )

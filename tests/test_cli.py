@@ -84,6 +84,14 @@ def test_stats_empty_input_fails(tmp_path, capsys):
     assert "no records" in err
 
 
+def test_stats_rejects_fractional_json_category(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text('{"p": 1, "records": [{"category": 1.5, "vector": [0.0]}]}')
+    code, out, err = run(capsys, "stats", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "expected an integer" in err
+
+
 def test_stats_writes_out_file(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path)
@@ -139,6 +147,7 @@ def test_info_single_instance_category_clipped_closed_form(tmp_path, capsys):
     ({"id": 6, "count": 0}, "count must be >= 1"),
     ({"id": 2.7}, "categories[1].id: expected an integer, got 2.7"),
     ({"id": 6, "count": 3.9}, "categories[1].count: expected an integer, got 3.9"),
+    ({"id": -3}, "categories[1].id must be >= 0, got -3"),
 ])
 def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, message):
     entry = {"id": 5, "count": 2, "mean": [1.0, -2.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
@@ -154,6 +163,7 @@ def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, mess
     {"p": 2, "categories": [{"id": 0, "count": 2, "mean": 1.0, "cov_row_major": [1.0, 0.0, 0.0, 1.0]}]},
     {"p": 1.5, "categories": [{"id": 0, "count": 2, "mean": [1.0], "cov_row_major": [1.0]}]},
     {"p": 1, "categories": [{"id": 0, "count": True, "mean": [1.0], "cov_row_major": [1.0]}]},
+    {"p": 0, "categories": []},
 ])
 def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
     path = tmp_path / "stats.json"
@@ -234,6 +244,7 @@ def test_margins_info_list_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("doc, message", [
     ({"epoch": 0, "info": {"1": 0.5, "01": 0.7, "2": 0.1}}, "category 1 appears more than once"),
     ({"epoch": 1.5, "info": {"0": 0.5, "1": 0.7}}, "epoch: expected an integer, got 1.5"),
+    ({"epoch": 0, "info": {"-1": 0.5, "2": 0.7}}, "category id must be >= 0, got -1"),
 ])
 def test_margins_rejects_aliased_ids_and_fractional_epoch(tmp_path, capsys, doc, message):
     path = tmp_path / "info.json"

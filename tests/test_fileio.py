@@ -201,6 +201,17 @@ def test_json_embedding_errors(tmp_path):
     path.write_text('{"p": 3, "records": [{"category": 0, "vector": [1.0, 2.0]}]}')
     with pytest.raises(InputError, match="declared length p=3"):
         read_embeddings_json(path)
+    for text, message in [
+        ('{"p": 1, "records": [{"category": 1.5, "vector": [0.0]}]}',
+         r"records\[0\]\.category: expected an integer, got 1\.5"),
+        ('{"p": 1, "records": [{"category": true, "vector": [0.0]}]}',
+         r"records\[0\]\.category: expected an integer, got True"),
+        ('{"p": 2.7, "records": [{"category": 0, "vector": [0.0, 1.0]}]}',
+         r"p: expected an integer, got 2\.7"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            read_embeddings_json(path)
 
 
 def test_read_json_reports_line_and_column(tmp_path):

@@ -1,12 +1,14 @@
 """Window statistics, the exact merge, and the streaming queue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from infomargin.errors import InputError
 from infomargin.stats import (
+    CategoryStats,
     EpochAccumulator,
-    LocalStats,
     global_stats_from_json,
     global_stats_to_json,
     local_stats_from_arrays,
@@ -87,17 +89,18 @@ def test_rejected_batch_leaves_accumulator_unchanged():
 
 
 def test_single_record_gives_zero_covariance():
-    (ls,) = local_stats_from_arrays(np.array([[2.0, -1.0, 3.0]]), [4])
-    assert ls.category == 4
-    assert ls.count == 1
+    out = local_stats_from_arrays(np.array([[2.0, -1.0, 3.0]]), [4])
+    assert list(out) == [4]
+    ls = out[4]
+    assert ls.total == 1
     assert np.array_equal(ls.mean, np.array([2.0, -1.0, 3.0]))
     assert np.array_equal(ls.cov, np.zeros((3, 3)))
 
 
 def test_pair_of_opposite_scalars_has_unit_variance():
     # Population variance of {-1, +1}: mean 0, E[x^2] - mean^2 = 1.
-    (ls,) = local_stats_from_arrays(np.array([[-1.0], [1.0]]), [0, 0])
-    assert ls.count == 2
+    ls = local_stats_from_arrays(np.array([[-1.0], [1.0]]), [0, 0])[0]
+    assert ls.total == 2
     assert np.array_equal(ls.mean, np.array([0.0]))
     assert np.array_equal(ls.cov, np.array([[1.0]]))
 
@@ -105,7 +108,7 @@ def test_pair_of_opposite_scalars_has_unit_variance():
 def test_local_stats_match_extended_precision_reference():
     rng = np.random.default_rng(71)
     X = rng.normal(size=(5, 2)) * 3.0 + 1.5
-    (ls,) = local_stats_from_arrays(X, [7] * 5)
+    ls = local_stats_from_arrays(X, [7] * 5)[7]
     mean_ref, cov_ref = two_pass_reference(X)
     assert np.allclose(ls.mean, mean_ref, rtol=1e-12, atol=1e-15)
     assert rel_frobenius(ls.cov, cov_ref) < 1e-12
@@ -116,10 +119,10 @@ def test_local_stats_split_by_category_sorted():
     X = rng.normal(size=(7, 3))
     cats = [5, 1, 5, 1, 1, 9, 5]
     out = local_stats_from_arrays(X, cats)
-    assert [ls.category for ls in out] == [1, 5, 9]
-    assert [ls.count for ls in out] == [3, 3, 1]
-    for ls in out:
-        rows = X[np.asarray(cats) == ls.category]
+    assert list(out) == [1, 5, 9]
+    assert [ls.total for ls in out.values()] == [3, 3, 1]
+    for cat, ls in out.items():
+        rows = X[np.asarray(cats) == cat]
         mean_ref, cov_ref = two_pass_reference(rows)
         assert np.allclose(ls.mean, mean_ref, rtol=1e-12, atol=1e-15)
         assert np.allclose(ls.cov, cov_ref, rtol=1e-12, atol=1e-15)
@@ -128,7 +131,7 @@ def test_local_stats_split_by_category_sorted():
 def test_local_stats_covariance_is_symmetric_psd():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 6)) @ np.diag([5.0, 2.0, 1.0, 0.5, 0.1, 0.01])
-    (ls,) = local_stats_from_arrays(X, [0] * 40)
+    ls = local_stats_from_arrays(X, [0] * 40)[0]
     assert np.array_equal(ls.cov, ls.cov.T)
     assert np.linalg.eigvalsh(ls.cov).min() > -1e-12
 
@@ -155,7 +158,7 @@ def test_mixed_dimension_batch_rejected():
 def test_merge_single_window_is_identity():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(6, 3))
-    (ls,) = local_stats_from_arrays(X, [2] * 6)
+    ls = local_stats_from_arrays(X, [2] * 6)[2]
     merged = merge_stats([ls])
     assert merged.total == 6
     assert merged.windows == 1
@@ -169,8 +172,8 @@ def test_merge_equal_means_averages_covariances():
     # covariances, (n1*S1 + n2*S2) / (n1 + n2).
     X1 = np.array([[-1.0, 0.0], [1.0, 0.0]])          # mean 0, cov diag(1, 0)
     X2 = np.array([[0.0, -2.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])  # mean 0, cov diag(0, 2)
-    (w1,) = local_stats_from_arrays(X1, [0, 0])
-    (w2,) = local_stats_from_arrays(X2, [0] * 4)
+    w1 = local_stats_from_arrays(X1, [0, 0])[0]
+    w2 = local_stats_from_arrays(X2, [0] * 4)[0]
     merged = merge_stats([w1, w2])
     expected = (2 * w1.cov + 4 * w2.cov) / 6
     assert np.array_equal(merged.mean, np.zeros(2))
@@ -183,7 +186,7 @@ def test_merge_three_windows_equals_pooled():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 5)) * 2.0 - 0.7
     parts = [X[:4], X[4:17], X[17:]]
-    windows = [local_stats_from_arrays(part, [1] * len(part))[0] for part in parts]
+    windows = [local_stats_from_arrays(part, [1] * len(part))[1] for part in parts]
     merged = merge_stats(windows)
     mean_ref, cov_ref = two_pass_reference(X)
     assert merged.total == 30
@@ -192,15 +195,16 @@ def test_merge_three_windows_equals_pooled():
     assert rel_frobenius(merged.cov, cov_ref) < 1e-12
 
 
-def test_merge_rejects_empty_and_mixed_categories():
+def test_merge_rejects_empty_and_mismatched_windows():
     rng = np.random.default_rng(13)
-    X = rng.normal(size=(4, 2))
-    (a,) = local_stats_from_arrays(X[:2], [0, 0])
-    (b,) = local_stats_from_arrays(X[2:], [1, 1])
+    a = local_stats_from_arrays(rng.normal(size=(2, 2)), [0, 0])[0]
+    b = local_stats_from_arrays(rng.normal(size=(2, 3)), [0, 0])[0]
     with pytest.raises(InputError):
         merge_stats([])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="dimension mismatch"):
         merge_stats([a, b])
+    with pytest.raises(InputError, match="count must be >= 1"):
+        merge_stats([a, CategoryStats(total=0, mean=a.mean, cov=a.cov)])
 
 
 def test_merge_result_is_symmetric():
@@ -226,7 +230,7 @@ def test_merge_exactness_randomized():
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
         parts = np.split(X, cuts)
         windows = [
-            local_stats_from_arrays(part, [3] * len(part))[0]
+            local_stats_from_arrays(part, [3] * len(part))[3]
             for part in parts
             if len(part)
         ]
@@ -245,11 +249,9 @@ def test_merge_is_hierarchical():
         p = int(rng.integers(1, 6))
         parts = [rng.normal(size=(int(rng.integers(1, 40)), p)) for _ in range(3)]
         wins = [local_stats_from_arrays(x, [0] * len(x))[0] for x in parts]
-        ab = merge_stats(wins[:2])
-        ab_local = LocalStats(category=0, count=ab.total, mean=ab.mean, cov=ab.cov)
-        two_step = merge_stats([ab_local, wins[2]])
+        two_step = merge_stats([merge_stats(wins[:2]), wins[2]])
         one_step = merge_stats(wins)
-        assert two_step.total == one_step.total
+        assert (two_step.total, two_step.windows) == (one_step.total, one_step.windows)
         assert np.allclose(two_step.mean, one_step.mean, rtol=1e-10, atol=1e-13)
         assert rel_frobenius(two_step.cov, one_step.cov) < 1e-10
 
@@ -393,6 +395,34 @@ def test_epoch_windows_partition_distinct_rows():
             assert cs.total == rows.shape[0]
             assert np.allclose(cs.mean, mean_ref, rtol=1e-12, atol=1e-15)
             assert rel_frobenius(cs.cov, cov_ref) < 1e-12
+
+
+def test_retained_memory_does_not_grow_with_window_count():
+    # Each closed window is folded into one running (count, mean, cov) per
+    # category, so the accumulator retains as much after 200 windows as
+    # after 10, and `windows` counts the windows that held the category.
+    d, p = 8, 16
+    rng = np.random.default_rng(19)
+    # Warm up, so numpy's lazy imports and caches are not counted.
+    EpochAccumulator(capacity=d, p=p).add(rng.normal(size=(3 * d, p)), np.arange(3 * d) % 2)
+    retained = {}
+    for K in (10, 200):
+        X = rng.normal(size=(K * d, p))
+        cats = np.zeros((K, d), dtype=np.int64)
+        cats[::2, ::2] = 1  # category 1 only in the even windows
+        tracemalloc.start()
+        try:
+            acc = EpochAccumulator(capacity=d, p=p)
+            acc.add(X, cats.reshape(-1))
+            retained[K] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stats = acc.finalize()
+        assert stats.categories[0].windows == K
+        assert stats.categories[1].windows == (K + 1) // 2
+        assert stats.categories[0].total + stats.categories[1].total == K * d
+    # Fewer bytes than two p x p float64 covariances.
+    assert retained[200] - retained[10] < 2 * p * p * 8
 
 
 # ----------------------------------------------------------- epoch finalize
