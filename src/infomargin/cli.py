@@ -59,9 +59,12 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _cmd_stats(args) -> int:
-    X, categories = fileio.read_embeddings(args.input, args.format)
-    acc = EpochAccumulator(capacity=args.queue_len, p=X.shape[1])
-    acc.add(X, categories)
+    # A binary file is read one window of records at a time, so only one
+    # window is ever in memory; CSV and JSON come as one whole-file chunk.
+    p, chunks = fileio.iter_embeddings(args.input, args.format, chunk=args.queue_len)
+    acc = EpochAccumulator(capacity=args.queue_len, p=p)
+    for X, categories in chunks:
+        acc.add(X, categories)
     stats = acc.finalize()
     _emit(global_stats_to_json(stats), args.out)
     return 0

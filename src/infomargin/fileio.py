@@ -10,6 +10,13 @@ Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; readers promote to float64. Malformed binary input is reported
 with the byte offset of the problem.
 
+`iter_embeddings` yields a file as (X, categories) chunks. A binary file's
+header and size are checked before any record is read, and then its records
+are read `chunk` at a time, so a caller that folds each chunk away holds one
+chunk of records, never the file; `read_embeddings_binary` is the one-chunk
+case of the same reader. CSV and JSON files are parsed whole and come as a
+single chunk.
+
 JSON emitted here is canonical: sorted keys, two-space indent, shortest
 round-trip float formatting, no NaN/Infinity, trailing newline — so that
 reading an emitted document and re-emitting it is byte-identical.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -28,6 +36,7 @@ from .errors import InputError, as_int
 
 __all__ = [
     "MAGIC",
+    "iter_embeddings",
     "read_embeddings",
     "write_embeddings",
     "read_embeddings_binary",
@@ -79,41 +88,68 @@ def _validate_arrays(X: np.ndarray, categories: np.ndarray, where: str):
         raise InputError(f"{where}: negative category id in record {bad}")
 
 
-def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a binary embedding file; returns (X float64 (n, p), categories int64)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+def _record_dtype(p: int) -> np.dtype:
+    return np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
+
+
+def _iter_binary(path, chunk: int | None):
+    """Check a binary file's header and size; return (p, lazy chunk iterator)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise InputError(
-            f"{path}: truncated header, {len(raw)} bytes at byte offset 0 "
+            f"{path}: truncated header, {len(head)} bytes at byte offset 0 "
             f"(need {_HEADER.size})"
         )
-    magic, p, count = _HEADER.unpack_from(raw, 0)
+    magic, p, count = _HEADER.unpack(head)
     if magic != MAGIC:
         raise InputError(f"{path}: bad magic {magic!r} at byte offset 0 (expected {MAGIC!r})")
     if p < 1:
         raise InputError(f"{path}: embedding dimension {p} at byte offset 8 must be >= 1")
     record_size = 4 + 4 * p
     expected = _HEADER.size + count * record_size
-    if len(raw) != expected:
+    if size != expected:
         raise InputError(
             f"{path}: declared {count} records of {record_size} bytes, expected file "
-            f"size {expected}, got {len(raw)} (mismatch at byte offset "
-            f"{min(expected, len(raw))})"
+            f"size {expected}, got {size} (mismatch at byte offset "
+            f"{min(expected, size)})"
         )
     if count == 0:
         raise InputError(f"{path}: no records after the header")
-    dtype = np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
-    records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
-    X = records["vector"].astype(np.float64)
-    categories = records["category"].astype(np.int64)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        offset = _HEADER.size + bad * record_size + 4
-        raise InputError(
-            f"{path}: non-finite coordinate in record {bad} at byte offset {offset}"
-        )
-    return X, categories
+    return p, _binary_chunks(path, p, count, count if chunk is None else chunk)
+
+
+def _binary_chunks(path, p: int, count: int, chunk: int):
+    if chunk < 1:
+        raise InputError(f"chunk size must be >= 1, got {chunk}")
+    dtype = _record_dtype(p)
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        for start in range(0, count, chunk):
+            n = min(chunk, count - start)
+            records = np.fromfile(fh, dtype=dtype, count=n)
+            if records.shape[0] != n:
+                missing = start + records.shape[0]
+                raise InputError(
+                    f"{path}: file ends early, record {missing} missing at byte offset "
+                    f"{_HEADER.size + missing * dtype.itemsize}"
+                )
+            X = records["vector"].astype(np.float64)
+            # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+            if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+                bad = start + int(np.argmin(np.isfinite(X).all(axis=1)))
+                offset = _HEADER.size + bad * dtype.itemsize + 4
+                raise InputError(
+                    f"{path}: non-finite coordinate in record {bad} at byte offset {offset}"
+                )
+            yield X, records["category"].astype(np.int64)
+
+
+def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a binary embedding file; returns (X float64 (n, p), categories int64)."""
+    _, chunks = _iter_binary(path, None)
+    return next(chunks)
 
 
 def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None:
@@ -123,8 +159,7 @@ def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None
     if np.any(categories > np.iinfo(np.uint32).max):
         raise InputError(f"{path}: category id exceeds the u32 range")
     n, p = X.shape
-    dtype = np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
-    records = np.empty(n, dtype=dtype)
+    records = np.empty(n, dtype=_record_dtype(p))
     records["category"] = categories
     records["vector"] = X.astype(np.float32)
     with open(path, "wb") as fh:
@@ -237,6 +272,20 @@ _WRITERS = {
 def read_embeddings(path, fmt: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Read (X, categories) from any supported embedding format."""
     return _READERS[detect_format(path, fmt)](path)
+
+
+def iter_embeddings(path, fmt: str | None = None, chunk: int | None = None):
+    """(p, chunks): the embedding dimension and an iterator of (X, categories).
+
+    A binary file is checked up front and read lazily, `chunk` records at a
+    time (all at once when `chunk` is None); a CSV or JSON file is read now
+    and comes as one chunk.
+    """
+    fmt = detect_format(path, fmt)
+    if fmt == "bin":
+        return _iter_binary(path, chunk)
+    X, categories = _READERS[fmt](path)
+    return X.shape[1], iter([(X, categories)])
 
 
 def write_embeddings(path, X: np.ndarray, categories: np.ndarray, fmt: str | None = None) -> None:

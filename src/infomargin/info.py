@@ -209,16 +209,21 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
         info = doc["info"]
         if not isinstance(info, dict):
             raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
-        pairs = [(int(cat), float(val)) for cat, val in info.items()]
+        pairs = [(int(key), key, float(val)) for key, val in info.items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
     epoch = as_int(raw_epoch, "epoch")
     amounts: dict[int, float] = {}
-    for cat, val in pairs:
+    for cat, key, val in pairs:
         cat = as_int(cat, "info category id", minimum=0)
         if cat in amounts:
             raise InputError(f"category {cat} appears more than once")
         if not np.isfinite(val) or val < 0:
             raise InputError(f"category {cat}: information amount must be finite >= 0, got {val}")
         amounts[cat] = val
+    # Only the spelling `info` writes: int() also takes "1_0", " 2", "+3" and
+    # "07". Checked last, so a key that aliases another reports as a repeat.
+    for cat, key, _ in pairs:
+        if str(cat) != key:
+            raise InputError(f"info key {key!r} is not a canonical decimal category id")
     return InfoAmountTable(amounts=amounts, epoch=epoch)

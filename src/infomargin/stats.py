@@ -72,13 +72,14 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
     """
     X = np.asarray(X, dtype=np.float64)
     categories = np.asarray(categories)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:
         raise InputError(f"expected a nonempty (n, p) embedding matrix, got shape {X.shape}")
     if categories.shape != (X.shape[0],):
         raise InputError(
             f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
         )
-    if not np.all(np.isfinite(X)):
+    # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise InputError("non-finite coordinates in embedding batch")
     out = {}
     for cat in np.unique(categories):
@@ -199,7 +200,12 @@ class EpochAccumulator:
                 self._snapshot()
 
     def _snapshot(self) -> None:
-        X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
+        # A window that is one slice of one batch is used as it is; a copy
+        # would double the rows in memory while the window is summarized.
+        if len(self._pending) == 1:
+            X, categories = self._pending[0]
+        else:
+            X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
         for cat, window in local_stats_from_arrays(X, categories).items():
             running = self._running.get(cat)
             self._running[cat] = window if running is None else merge_stats([running, window])

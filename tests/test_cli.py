@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: pipelines, flags, and exit codes."""
 
 import json
+import struct
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from infomargin import stats as stats_module
 from infomargin.cli import main
 from infomargin.fileio import canonical_dumps, write_embeddings, write_json
 
@@ -65,14 +68,89 @@ def test_stats_counts_each_record_once(tmp_path, capsys):
 
 
 def test_stats_csv_and_binary_agree_byte_for_byte(tmp_path, capsys):
+    # The binary file is read one window at a time, the CSV whole; the
+    # windows, and so the output, are the same for every queue length,
+    # including one record, N - 1, N and beyond N.
     rng = np.random.default_rng(102)
-    X = rng.normal(size=(10, 4))
-    cats = rng.integers(0, 3, size=10)
+    N = 10
+    X = rng.normal(size=(N, 4))
+    cats = rng.integers(0, 3, size=N)
     write_embeddings(tmp_path / "e.bin", X, cats)
     write_embeddings(tmp_path / "e.csv", X, cats)
-    _, out_bin, _ = run(capsys, "stats", str(tmp_path / "e.bin"), "--queue-len", "4")
-    _, out_csv, _ = run(capsys, "stats", str(tmp_path / "e.csv"), "--queue-len", "4")
-    assert out_bin == out_csv
+    for d in (1, 4, 7, N - 1, N, N + 5):
+        _, out_bin, _ = run(capsys, "stats", str(tmp_path / "e.bin"), "--queue-len", str(d))
+        _, out_csv, _ = run(capsys, "stats", str(tmp_path / "e.csv"), "--queue-len", str(d))
+        assert out_bin and out_bin == out_csv, d
+
+
+def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys):
+    # A binary file is read one window of d records at a time and each
+    # window is folded away, so `stats` peaks at the same traced bytes on
+    # 10*d and on 50*d records; a whole-file read would grow with N.
+    d, p, C = 128, 4, 3
+    rng = np.random.default_rng(103)
+    out = tmp_path / "stats.json"
+    peak = {}
+    for K in (10, 50):
+        path = tmp_path / f"e{K}.bin"
+        write_embeddings(path, rng.normal(size=(K * d, p)), np.arange(K * d) % C)
+        argv = ["stats", str(path), "--queue-len", str(d), "--out", str(out)]
+        assert main(argv) == 0  # warm up numpy's lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak[K] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(entry["count"] for entry in json.loads(out.read_text())["categories"]) == K * d
+    # A tenth of the 40*d extra rows at float64: room for the interpreter's
+    # own few-kB jitter, far below a whole-file read (over 40*d*p*8 bytes).
+    assert peak[50] - peak[10] < 40 * d * p * 8 // 10
+
+
+def test_stats_non_finite_after_first_window_names_file_record(tmp_path, capsys):
+    # Record 17 lies in the fourth window of 5; the error counts records
+    # and bytes across the whole file, not within the window.
+    p, n, bad = 2, 30, 17
+    rng = np.random.default_rng(104)
+    path = tmp_path / "nan.bin"
+    write_embeddings(path, rng.normal(size=(n, p)), np.arange(n) % 2)
+    record_size = 4 + 4 * p
+    offset = 20 + bad * record_size + 4
+    raw = bytearray(path.read_bytes())
+    raw[offset + 4:offset + 8] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(raw))
+    code, out, err = run(capsys, "stats", str(path), "--queue-len", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"non-finite coordinate in record {bad} at byte offset {offset}" in err
+
+
+def test_stats_size_mismatch_fails_before_any_window(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "long.bin"
+    write_sample_embeddings(path, n=12)
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    windows = []
+    real = stats_module.local_stats_from_arrays
+    monkeypatch.setattr(stats_module, "local_stats_from_arrays",
+                        lambda *a: windows.append(1) or real(*a))
+    code, out, err = run(capsys, "stats", str(path), "--queue-len", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "expected file size" in err
+    assert windows == []
+
+
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_stats_bad_queue_len_rejected_before_any_record(tmp_path, capsys, monkeypatch, d):
+    path = tmp_path / "e.bin"
+    write_sample_embeddings(path)
+    reads = []
+    real = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(1) or real(*a, **k))
+    code, out, err = run(capsys, "stats", str(path), "--queue-len", d)
+    assert code == 2 and out == ""
+    assert err == f"error: queue capacity must be >= 1, got {d}\n"
+    assert reads == []
 
 
 def test_stats_empty_input_fails(tmp_path, capsys):
@@ -252,6 +330,17 @@ def test_margins_rejects_aliased_ids_and_fractional_epoch(tmp_path, capsys, doc,
     code, out, err = run(capsys, "margins", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "+3", "07"])
+def test_margins_rejects_non_canonical_category_key(tmp_path, capsys, key):
+    # int() accepts each of these spellings; `info` writes none of them.
+    path = tmp_path / "info.json"
+    write_json(path, {"epoch": 0, "info": {"0": 0.5, key: 0.7}})
+    code, out, err = run(capsys, "margins", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"info key {key!r} is not a canonical decimal category id" in err
 
 
 def test_margins_overflow_exits_three(tmp_path, capsys):

@@ -12,6 +12,7 @@ from infomargin.fileio import (
     MAGIC,
     canonical_dumps,
     detect_format,
+    iter_embeddings,
     read_embeddings,
     read_embeddings_binary,
     read_embeddings_csv,
@@ -84,6 +85,55 @@ def test_detect_format_from_extension(tmp_path):
     with pytest.raises(InputError):
         detect_format("x.bin", fmt="parquet")
     assert FORMATS == ("bin", "csv", "json")
+
+
+# ----------------------------------------------------------- chunked reads
+
+
+def test_binary_chunks_tile_the_file(tmp_path, sample):
+    # 13 records in chunks of 4: 4 + 4 + 4 + 1, concatenating to the whole file.
+    path = tmp_path / "emb.bin"
+    write_embeddings(path, *sample)
+    p, chunks = iter_embeddings(path, chunk=4)
+    chunks = list(chunks)
+    assert p == 5
+    assert [X.shape[0] for X, _ in chunks] == [4, 4, 4, 1]
+    X, cats = read_embeddings(path)
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), X)
+    assert np.array_equal(np.concatenate([c[1] for c in chunks]), cats)
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_text_formats_come_as_one_chunk(tmp_path, sample, ext):
+    path = tmp_path / f"emb.{ext}"
+    write_embeddings(path, *sample)
+    p, chunks = iter_embeddings(path, chunk=4)
+    (X, cats), = list(chunks)
+    assert p == 5 and X.shape == (13, 5)
+
+
+def test_binary_header_checked_before_any_record(tmp_path):
+    # The size check runs when the iterator is made; a bad chunk size is
+    # reported when reading starts.
+    path = tmp_path / "sz.bin"
+    path.write_bytes(struct.pack("<8sIQ", MAGIC, 2, 3) + struct.pack("<Iff", 0, 1.0, 2.0))
+    with pytest.raises(InputError, match="expected file size"):
+        iter_embeddings(path, chunk=2)
+    write_embeddings(path, np.ones((2, 2)), np.array([0, 1]))
+    _, chunks = iter_embeddings(path, chunk=0)
+    with pytest.raises(InputError, match="chunk size must be >= 1"):
+        next(chunks)
+
+
+def test_binary_file_cut_after_the_check_is_reported(tmp_path, sample):
+    # The size is checked before reading; a file cut short afterwards is
+    # reported where its records stop, not passed on as fewer records.
+    path = tmp_path / "emb.bin"
+    write_embeddings(path, *sample)
+    _, chunks = iter_embeddings(path, chunk=4)
+    path.write_bytes(path.read_bytes()[:20 + 6 * 24])
+    with pytest.raises(InputError, match="record 6 missing at byte offset 164"):
+        list(chunks)
 
 
 # ----------------------------------------------------------- binary errors
