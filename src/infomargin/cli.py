@@ -37,6 +37,7 @@ from .loss import (
     margins_from_json,
     margins_to_json,
     normalize_info,
+    normface_batch,
     INFO_VARIANTS,
     MARGIN_VARIANTS,
     MARGIN_DIRECTIONS,
@@ -107,7 +108,7 @@ def _cmd_loss_eval(args) -> int:
     if args.loss == "ce":
         out = ce_batch(clf, X, labels)
     elif args.loss == "normface":
-        out = igam_batch(clf, X, labels, MarginMatrix.zeros(C))
+        out = normface_batch(clf, X, labels)
     else:
         out = igam_batch(clf, X, labels, margins)
     _emit(
@@ -140,10 +141,7 @@ def _cmd_toy_run(args) -> int:
         spec = replace(spec, seed=args.seed)
         configs = tuple(replace(cfg, seed=args.seed) for cfg in configs)
     dataset = generate_dataset(spec)
-    results = [
-        train(spec, cfg, dataset=dataset, track_windows=args.track_windows)
-        for cfg in configs
-    ]
+    results = [train(spec, cfg, dataset=dataset) for cfg in configs]
     _emit(run_report_to_json(spec, results), args.out)
     return 0
 
@@ -240,13 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sub.add_parser("toy", help="synthetic training demos")
     toy_sub = p_toy.add_subparsers(dest="subcommand", required=True)
 
-    p_run = toy_sub.add_parser("run", help="train from a run-config JSON")
+    p_run = toy_sub.add_parser(
+        "run", help="train from a run-config JSON",
+        description="Train one run per configured loss on a shared synthetic dataset. "
+                    "The report echoes the dataset and train sections and gives each "
+                    "epoch's per-class accuracy, information amounts and bias "
+                    "diagnostics.")
     p_run.add_argument("config", help="run-config JSON path")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override both dataset and train seeds")
-    p_run.add_argument("--track-windows", action="store_true",
-                       help="also recompute info amounts from the pooled training records")
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_run.set_defaults(func=_cmd_toy_run)
 
     p_report = toy_sub.add_parser("report", help="summarize a run report")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of
-JSON inputs.
+"""Exception types shared across the package, and the integer and number
+checks of JSON inputs.
 
 The CLI maps these onto exit codes: InputError -> 2, NumericalError -> 3.
 """
@@ -27,3 +27,14 @@ def as_int(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise InputError(f"{path} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def as_float(value, path: str) -> float:
+    """`value` as a finite float; bools, strings and non-finite values raise
+    InputError naming `path`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+        raise InputError(f"{path}: expected a number, got {value!r}")
+    out = float(value)
+    if not np.isfinite(out):
+        raise InputError(f"{path}: expected a finite number, got {value!r}")
+    return out

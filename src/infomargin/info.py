@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_int
+from .errors import InputError, NumericalError, as_float, as_int
 from .stats import GlobalStats, local_stats_from_arrays
 
 __all__ = [
@@ -209,7 +209,7 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
         info = doc["info"]
         if not isinstance(info, dict):
             raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
-        pairs = [(int(key), key, float(val)) for key, val in info.items()]
+        pairs = [(int(key), key, val) for key, val in info.items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
     epoch = as_int(raw_epoch, "epoch")
@@ -218,8 +218,9 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
         cat = as_int(cat, "info category id", minimum=0)
         if cat in amounts:
             raise InputError(f"category {cat} appears more than once")
-        if not np.isfinite(val) or val < 0:
-            raise InputError(f"category {cat}: information amount must be finite >= 0, got {val}")
+        val = as_float(val, f"info.{key}")
+        if val < 0:
+            raise InputError(f"category {cat}: information amount must be >= 0, got {val}")
         amounts[cat] = val
     # Only the spelling `info` writes: int() also takes "1_0", " 2", "+3" and
     # "07". Checked last, so a key that aliases another reports as a repeat.

@@ -83,17 +83,20 @@ class MarginMatrix:
     """Pairwise angular margins in radians; row = true class, column = rival.
 
     The diagonal is exactly zero. Under the default clamped variant every
-    entry is >= 0 and m[i, j] > 0 exactly when I'_i > I'_j.
+    entry is >= 0 and m[i, j] > 0 exactly when I'_i > I'_j. `m` is a
+    read-only copy, so its values stay the checked ones and the losses do
+    not scan it again.
     """
 
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
+        m = np.array(self.m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"margin matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("non-finite margin values")
+        m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
     @classmethod
@@ -297,12 +300,13 @@ def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarr
 
 
 def _margins_array(margins, C: int) -> np.ndarray:
-    M = margins.m if isinstance(margins, MarginMatrix) else np.asarray(margins, dtype=np.float64)
-    if M.shape != (C, C):
-        raise InputError(f"margin matrix must be ({C}, {C}), got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("non-finite margin values")
-    return M
+    # A MarginMatrix checked its values when it was built; a raw array is
+    # checked by building one.
+    if not isinstance(margins, MarginMatrix):
+        margins = MarginMatrix(margins)
+    if margins.C != C:
+        raise InputError(f"margin matrix must be ({C}, {C}), got shape {margins.m.shape}")
+    return margins.m
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

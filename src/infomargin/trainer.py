@@ -7,7 +7,9 @@ three losses — plain cross-entropy, the zero-margin cosine loss, or the
 information-guided margin loss — while every training batch streams
 through the bounded queue as one array; at each epoch end the merged
 statistics refresh the information amounts, which set the margins for the
-next epoch (epoch 1 runs margin-free, since no amounts exist yet).
+next epoch (epoch 1 runs margin-free, since no amounts exist yet). One
+classifier serves the whole run: each SGD step updates its weights in
+place, and the epoch-end evaluation reads the same weights.
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
@@ -19,7 +21,7 @@ balanced benchmark).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from .info import InfoAmountTable, info_table_to_json, information_amounts_from_
 from .loss import CosineClassifier, MarginMatrix, build_margins, ce_batch, igam_batch, \
     margins_to_json, normalize_info, INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, \
     IBAR_MODES
-from .stats import EpochAccumulator, GlobalStats, local_stats_from_arrays
+from .stats import EpochAccumulator
 
 __all__ = [
     "SyntheticSpec",
@@ -166,7 +168,6 @@ class EpochReport:
     pearson_info_acc: float | None
     pearson_count_acc: float | None
     loss_mean: float
-    info_amounts_pooled: np.ndarray | None = None
 
 
 @dataclass
@@ -258,30 +259,17 @@ def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.nda
     return acc
 
 
-def _pooled_info(X: np.ndarray, categories: np.ndarray, C: int) -> np.ndarray:
-    """Information amounts computed directly from pooled records, bypassing the merge."""
-    table = information_amounts_from_stats(
-        GlobalStats(p=X.shape[1], categories=local_stats_from_arrays(X, categories)))
-    out = np.zeros(C, dtype=np.float64)
-    out[list(table.amounts)] = list(table.amounts.values())
-    return out
-
-
 def train(
     spec: SyntheticSpec,
     config: TrainConfig,
     dataset: Dataset | None = None,
-    track_windows: bool = False,
 ) -> TrainResult:
     """Run one training configuration end to end.
 
     Each SGD batch is added to the accumulator as one `(batch_size, p)`
     array, so every training record is counted once per epoch and each
-    epoch's merged statistics cover exactly the training set. With
-    `track_windows` the information amounts are also computed once
-    directly from the pooled training records, bypassing the merge, and
-    stored in every `EpochReport.info_amounts_pooled` for equivalence
-    checking.
+    epoch's merged statistics cover exactly the training set (acceptance
+    criterion 7 compares them with the pooled records' amounts).
 
     Raises TrainingDivergedError if the loss or weights go non-finite.
     """
@@ -293,13 +281,13 @@ def train(
     n_total = dataset.train_X.shape[0]
 
     rng_init = np.random.default_rng([config.seed, 101])
-    W = rng_init.standard_normal((C, p)) / np.sqrt(p)
+    clf = CosineClassifier(rng_init.standard_normal((C, p)) / np.sqrt(p), scale=config.s)
+    W = clf.weights
     velocity = np.zeros_like(W)
     margins = MarginMatrix.zeros(C)
     amounts: dict[int, float] = {}
     table = InfoAmountTable(amounts={}, epoch=0)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
-    pooled = _pooled_info(dataset.train_X, dataset.train_y, C) if track_windows else None
 
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
@@ -309,7 +297,6 @@ def train(
             idx = order[start:start + config.batch_size]
             Xb = dataset.train_X[idx]
             yb = dataset.train_y[idx]
-            clf = CosineClassifier(W, scale=config.s)
             if config.loss == "ce":
                 out = ce_batch(clf, Xb, yb)
             else:
@@ -319,8 +306,11 @@ def train(
                     f"non-finite loss in epoch {epoch} (loss={config.loss}, lr={config.lr})"
                 )
             loss_total += float(out.losses.sum())
-            velocity = config.momentum * velocity + out.grad_weights
-            W = W - config.lr * velocity
+            # In place, so `clf` sees the step; the same operations as
+            # v = momentum * v + g; W = W - lr * v.
+            velocity *= config.momentum
+            velocity += out.grad_weights
+            W -= config.lr * velocity
             if not np.all(np.isfinite(W)):
                 raise TrainingDivergedError(
                     f"non-finite weights in epoch {epoch} (loss={config.loss}, lr={config.lr})"
@@ -339,7 +329,6 @@ def train(
             margins = build_margins(norm, variant=config.margin_variant,
                                     direction=config.margin_direction)
 
-        clf = CosineClassifier(W, scale=config.s)
         if config.loss == "ce":
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         else:
@@ -354,7 +343,6 @@ def train(
             pearson_info_acc=_maybe_pearson(info_vec, acc),
             pearson_count_acc=_maybe_pearson(dataset.train_counts, acc),
             loss_mean=loss_total / n_total,
-            info_amounts_pooled=pooled,
         ))
 
     return TrainResult(
@@ -367,35 +355,6 @@ def train(
     )
 
 
-def _spec_to_json(spec: SyntheticSpec) -> dict:
-    return {
-        "C": spec.C,
-        "p": spec.p,
-        "n_train": list(spec.n_train),
-        "n_test": list(spec.n_test),
-        "spreads": list(spec.spreads),
-        "mean_separation": spec.mean_separation,
-        "seed": spec.seed,
-    }
-
-
-def _config_to_json(config: TrainConfig) -> dict:
-    return {
-        "loss": config.loss,
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "momentum": config.momentum,
-        "s": config.s,
-        "queue_len": config.queue_len,
-        "info_variant": config.info_variant,
-        "margin_variant": config.margin_variant,
-        "margin_direction": config.margin_direction,
-        "ibar_mode": config.ibar_mode,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-    }
-
-
 def _report_to_json(report: EpochReport) -> dict:
     return {
         "epoch": report.epoch,
@@ -405,16 +364,12 @@ def _report_to_json(report: EpochReport) -> dict:
         "pearson_info_acc": report.pearson_info_acc,
         "pearson_count_acc": report.pearson_count_acc,
         "loss_mean": report.loss_mean,
-        "info_amounts_pooled": (
-            None if report.info_amounts_pooled is None
-            else [float(v) for v in report.info_amounts_pooled]
-        ),
     }
 
 
 def train_result_to_json(result: TrainResult) -> dict:
     return {
-        "train": _config_to_json(result.config),
+        "train": asdict(result.config),
         "epochs": [_report_to_json(r) for r in result.reports],
         "final_margins": margins_to_json(result.final_margins),
         "final_info": info_table_to_json(result.final_info),
@@ -424,6 +379,6 @@ def train_result_to_json(result: TrainResult) -> dict:
 def run_report_to_json(spec: SyntheticSpec, results: Sequence[TrainResult]) -> dict:
     """Full `toy run` report: dataset echo plus one entry per trained loss."""
     return {
-        "dataset": _spec_to_json(spec),
+        "dataset": asdict(spec),
         "runs": [train_result_to_json(res) for res in results],
     }

@@ -323,6 +323,8 @@ def test_margins_info_list_exits_two(tmp_path, capsys):
     ({"epoch": 0, "info": {"1": 0.5, "01": 0.7, "2": 0.1}}, "category 1 appears more than once"),
     ({"epoch": 1.5, "info": {"0": 0.5, "1": 0.7}}, "epoch: expected an integer, got 1.5"),
     ({"epoch": 0, "info": {"-1": 0.5, "2": 0.7}}, "category id must be >= 0, got -1"),
+    ({"epoch": 0, "info": {"0": "0.5", "1": 0.6, "2": 0.7}}, "info.0: expected a number, got '0.5'"),
+    ({"epoch": 0, "info": {"0": 0.5, "1": True, "2": 0.7}}, "info.1: expected a number, got True"),
 ])
 def test_margins_rejects_aliased_ids_and_fractional_epoch(tmp_path, capsys, doc, message):
     path = tmp_path / "info.json"
@@ -551,21 +553,6 @@ def test_toy_run_seed_override_and_determinism(tmp_path, capsys):
     doc = json.loads(out_a)
     assert doc["dataset"]["seed"] == 7
     assert doc["runs"][0]["train"]["seed"] == 7
-
-
-def test_toy_run_track_windows_populates_pooled(tmp_path, capsys):
-    config = {
-        "dataset": {"C": 2, "p": 3, "n_train": 30, "n_test": 20,
-                    "spreads": [1.0, 2.0], "mean_separation": 3.0},
-        "train": {"loss": "normface", "epochs": 2, "queue_len": 25, "batch_size": 16},
-    }
-    path = tmp_path / "cfg.json"
-    write_json(path, config)
-    _, out, _ = run(capsys, "toy", "run", str(path), "--track-windows")
-    epochs = json.loads(out)["runs"][0]["epochs"]
-    for ep in epochs:
-        assert ep["info_amounts_pooled"] is not None
-        assert np.allclose(ep["info_amounts_pooled"], ep["info_amounts"], rtol=1e-6)
 
 
 def test_toy_run_loss_sweep_reports_bias_variance(tmp_path, capsys):

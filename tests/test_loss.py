@@ -533,6 +533,26 @@ def test_batch_shape_and_label_validation():
         igam_batch(clf, np.ones((2, 2)), [0, 1], np.zeros((3, 3)))  # margin shape
 
 
+def test_margin_matrix_values_cannot_change_after_the_check():
+    raw = np.zeros((2, 2))
+    M = MarginMatrix(raw)
+    with pytest.raises(ValueError):
+        M.m[0, 1] = np.nan
+    raw[0, 1] = np.nan  # the caller's array stays theirs
+    assert M.m[0, 1] == 0.0
+
+
+def test_raw_margin_array_is_checked():
+    # A raw array is validated as a MarginMatrix would be; only a
+    # MarginMatrix argument skips the scan.
+    clf = make_clf([[1.0, 0.0], [0.0, 1.0]])
+    X = np.ones((2, 2))
+    with pytest.raises(InputError, match="non-finite margin values"):
+        igam_batch(clf, X, [0, 1], np.array([[0.0, np.nan], [0.1, 0.0]]))
+    with pytest.raises(InputError, match="margin matrix must be"):
+        igam_batch(clf, X, [0, 1], np.zeros((2, 3)))
+
+
 def test_losses_are_positive_and_finite():
     rng = np.random.default_rng(55)
     for _ in range(10):
