@@ -116,7 +116,7 @@ def _cmd_loss_eval(args) -> int:
             "loss": args.loss,
             "n": int(out.losses.shape[0]),
             "loss_mean": out.mean,
-            "losses": [float(v) for v in out.losses],
+            "losses": out.losses.tolist(),
             "saturated": out.saturated,
         },
         args.out,

@@ -20,6 +20,11 @@ single chunk.
 JSON emitted here is canonical: sorted keys, two-space indent, shortest
 round-trip float formatting, no NaN/Infinity, trailing newline — so that
 reading an emitted document and re-emitting it is byte-identical.
+`canonical_dumps` gives the same bytes as the stdlib's `json.dumps` with
+`sort_keys=True, indent=2, allow_nan=False` plus a newline, but spells
+each float once with `float.__repr__` (the spelling `json` uses) and
+joins a list of scalars in one `str.join`, instead of taking one step of
+the stdlib's pure-Python indent encoder per value. Dict keys must be `str`.
 """
 
 from __future__ import annotations
@@ -250,8 +255,8 @@ def write_embeddings_json(path, X: np.ndarray, categories: np.ndarray) -> None:
     doc = {
         "p": int(X.shape[1]),
         "records": [
-            {"category": int(cat), "vector": [float(v) for v in row]}
-            for cat, row in zip(categories, X32)
+            {"category": cat, "vector": row}
+            for cat, row in zip(categories.tolist(), X32.tolist())
         ],
     }
     write_json(path, doc)
@@ -292,9 +297,84 @@ def write_embeddings(path, X: np.ndarray, categories: np.ndarray, fmt: str | Non
     _WRITERS[detect_format(path, fmt)](path, X, categories)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        if "n" in text:  # nan, inf, -inf
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        return text
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _join_scalars(items, sep: str) -> str | None:
+    """`items` spelled and joined by `sep`, or None if any item is a container."""
+    try:
+        # float.__repr__ raises TypeError on any item that is not a float.
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:
+        if any(isinstance(v, (dict, list, tuple)) for v in items):
+            return None
+        return sep.join(map(_scalar, items))
+    if "n" in text:  # nan or inf: _scalar raises on the first one
+        return sep.join(map(_scalar, items))
+    return text
+
+
+def _chunks(o, indent: str):
+    """The canonical text of `o` in pieces; `indent` is its nesting prefix."""
+    if isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + _encode_str(key) + ": "
+            sep = ",\n" + inner
+            yield from _chunks(value, inner)
+        yield "\n" + indent + "}"
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        yield "[\n" + inner
+        text = _join_scalars(o, sep)
+        if text is not None:
+            yield text
+        else:
+            for i, value in enumerate(o):
+                if i:
+                    yield sep
+                yield from _chunks(value, inner)
+        yield "\n" + indent + "]"
+    else:
+        yield _scalar(o)
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, 2-space indent, shortest-round-trip floats."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON: sorted keys, 2-space indent, shortest-round-trip floats.
+
+    Raises ValueError on NaN or infinity and TypeError on a value that is not
+    a dict, list, tuple, str, int, float, bool or None, or a non-str key.
+    """
+    return "".join([*_chunks(obj, ""), "\n"])
 
 
 def write_json(path, obj) -> None:

@@ -20,6 +20,7 @@ sample is a one-row batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,8 @@ def normalize_info(
 
     All-zero input is degenerate (i_bar = 0): the x_i are taken as zero by
     convention, every I'_i comes out equal, and the result is flagged.
+    Amounts so large that i_bar or i_bar * sqrt(C) overflows raise
+    NumericalError.
     """
     if variant not in INFO_VARIANTS:
         raise InputError(f"variant must be one of {INFO_VARIANTS}, got {variant!r}")
@@ -207,12 +210,19 @@ def normalize_info(
     if np.any(I < 0):
         raise InputError(f"information amounts must be >= 0, got min {I.min():.6g}")
     C = I.size
-    i_bar = float(I.sum() if ibar == "sum" else I.mean())
+    with np.errstate(over="ignore"):
+        i_bar = float(I.sum() if ibar == "sum" else I.mean())
+    scale = i_bar * math.sqrt(C)
+    if not math.isfinite(scale):
+        raise NumericalError(
+            f"information amounts overflow the normalization: i_bar = {i_bar:.6g}, "
+            f"i_bar * sqrt(C) = {scale:.6g} for C = {C}"
+        )
     degenerate = i_bar == 0.0
     if degenerate:
         x = np.zeros(C, dtype=np.float64)
     else:
-        x = I / (i_bar * np.sqrt(C))
+        x = I / scale
     ex = np.exp(x)
     if variant == "double-exp":
         if np.any(ex > _EXP_MAX):
@@ -416,7 +426,7 @@ def margins_to_json(margins: MarginMatrix) -> dict:
     """JSON-ready form: {"C": int, "margins_row_major": [f64...]}."""
     return {
         "C": margins.C,
-        "margins_row_major": [float(v) for v in margins.m.reshape(-1)],
+        "margins_row_major": margins.m.reshape(-1).tolist(),
     }
 
 

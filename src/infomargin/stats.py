@@ -229,8 +229,8 @@ def global_stats_to_json(stats: GlobalStats) -> dict:
             {
                 "id": cat,
                 "count": cs.total,
-                "mean": [float(v) for v in cs.mean],
-                "cov_row_major": [float(v) for v in cs.cov.reshape(-1)],
+                "mean": cs.mean.tolist(),
+                "cov_row_major": cs.cov.reshape(-1).tolist(),
             }
             for cat, cs in sorted(stats.categories.items())
         ],

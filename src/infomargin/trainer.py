@@ -358,8 +358,8 @@ def train(
 def _report_to_json(report: EpochReport) -> dict:
     return {
         "epoch": report.epoch,
-        "per_class_accuracy": [float(a) for a in report.per_class_accuracy],
-        "info_amounts": [float(v) for v in report.info_amounts],
+        "per_class_accuracy": report.per_class_accuracy.tolist(),
+        "info_amounts": report.info_amounts.tolist(),
         "bias_variance": report.bias_variance,
         "pearson_info_acc": report.pearson_info_acc,
         "pearson_count_acc": report.pearson_count_acc,

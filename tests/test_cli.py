@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -343,6 +344,24 @@ def test_margins_rejects_non_canonical_category_key(tmp_path, capsys, key):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"info key {key!r} is not a canonical decimal category id" in err
+
+
+@pytest.mark.parametrize("amounts", [
+    {0: 1e308, 1: 9e307},  # the sum i_bar overflows
+    {0: 1.5e308, 1: 1e307},  # i_bar is finite, i_bar * sqrt(C) is not
+])
+def test_margins_ibar_overflow_exits_three(tmp_path, capsys, amounts):
+    path = tmp_path / "info.json"
+    out_path = tmp_path / "margins.json"
+    write_info(path, amounts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "margins", str(path), "--out", str(out_path))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+    assert "i_bar" in err
+    assert caught == []
+    assert not out_path.exists()
 
 
 def test_margins_overflow_exits_three(tmp_path, capsys):

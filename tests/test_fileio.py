@@ -24,6 +24,8 @@ from infomargin.fileio import (
     write_embeddings_json,
     write_json,
 )
+from infomargin.stats import EpochAccumulator, global_stats_to_json
+from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, run_report_to_json, train
 
 
 @pytest.fixture
@@ -296,9 +298,52 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
 # ---------------------------------------------------------- canonical json
 
 
+def _stdlib_canonical(obj) -> str:
+    # The reference: canonical_dumps must give exactly these bytes.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _stats_document(tmp_path):
+    rng = np.random.default_rng(83)
+    path = tmp_path / "small.bin"
+    write_embeddings(path, rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+    p, chunks = iter_embeddings(path, chunk=16)
+    acc = EpochAccumulator(capacity=16, p=p)
+    for X, categories in chunks:
+        acc.add(X, categories)
+    return global_stats_to_json(acc.finalize())
+
+
+def _toy_report(tmp_path):
+    spec = SyntheticSpec(C=3, p=4, n_train=40, n_test=20, spreads=(0.5, 1.0, 2.0),
+                         mean_separation=3.0, seed=0)
+    dataset = generate_dataset(spec)
+    results = [train(spec, TrainConfig(loss=loss, epochs=2, batch_size=16, queue_len=60),
+                     dataset=dataset)
+               for loss in ("ce", "igam")]
+    return run_report_to_json(spec, results)
+
+
+_CANONICAL_CORPUS = {
+    "mixed-list": lambda _: [1, 2.5, True, None, "s"],
+    "tuples": lambda _: {"t": (1.0, 2.0), "u": (1, (2, "x")), "e": ()},
+    "np-float64": lambda _: {"v": [np.float64(0.5), 1.5], "s": np.float64(-3.25)},
+    "edge-floats": lambda _: [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1 + 0.2],
+    "empty-containers": lambda _: [[], {}, [[]], [{}], {"a": [], "b": {}}],
+    "list-of-containers": lambda _: [[1.0, 2.0], {"k": [3]}, 4.0, "x"],
+    "strings": lambda _: {'q"uote': 'a "b" \\ c\nd\te', "é": "naïve ☃ \U0001f600"},
+    "scalars": lambda _: 7,
+    "bare-string": lambda _: "text",
+    "null": lambda _: None,
+    "stats-document": _stats_document,
+    "toy-report": _toy_report,
+}
+
+
 def test_canonical_dumps_is_stable_and_sorted():
     doc = {"b": 0.1, "a": [1, 2.5], "c": {"y": None, "x": "s"}}
     text = canonical_dumps(doc)
+    assert text == _stdlib_canonical(doc)
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert '"b": 0.1' in text  # shortest round-trip float formatting
@@ -306,9 +351,51 @@ def test_canonical_dumps_is_stable_and_sorted():
     assert canonical_dumps(json.loads(text)) == text
 
 
+@pytest.mark.parametrize("name", sorted(_CANONICAL_CORPUS))
+def test_canonical_dumps_matches_stdlib(tmp_path, name):
+    doc = _CANONICAL_CORPUS[name](tmp_path)
+    text = canonical_dumps(doc)
+    assert text == _stdlib_canonical(doc)
+    assert canonical_dumps(json.loads(text)) == text
+
+
 def test_canonical_dumps_rejects_nan():
-    with pytest.raises(ValueError):
-        canonical_dumps({"x": float("nan")})
+    # NaN and +-inf in a float list, in a mixed list and as a dict value.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for doc in ({"x": [1.0, bad, 2.0]}, {"x": [1, "s", bad]}, {"x": bad}):
+            with pytest.raises(ValueError):
+                _stdlib_canonical(doc)
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [
+    {"x": np.int64(3)},
+    {"x": [1.0, np.int64(3)]},
+    {"x": {1, 2}},
+])
+def test_canonical_dumps_rejects_unserializable(bad):
+    with pytest.raises(TypeError):
+        _stdlib_canonical(bad)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps(bad)
+
+
+def test_canonical_dumps_rejects_non_str_keys():
+    # The stdlib would write {"1": ...}; no document of this package has
+    # such keys, so they are refused.
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_dumps({1: 0.5})
+
+
+@pytest.mark.parametrize("bad", [{"x": [float("nan")]}, {"x": np.int64(1)}])
+def test_write_json_leaves_target_untouched_on_encoding_error(tmp_path, bad):
+    path = tmp_path / "doc.json"
+    write_json(path, {"keep": 1})
+    before = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        write_json(path, bad)
+    assert path.read_bytes() == before
 
 
 def test_write_json_read_json_round_trip(tmp_path):
