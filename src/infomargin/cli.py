@@ -118,6 +118,7 @@ def _cmd_loss_eval(args) -> int:
             "loss_mean": out.mean,
             "losses": out.losses.tolist(),
             "saturated": out.saturated,
+            "clamped": out.clamped,
         },
         args.out,
     )

@@ -88,11 +88,19 @@ class InfoAmountTable:
 
 
 def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
+    """`cov` as float64, itself when it is bitwise symmetric (as every
+    covariance `stats` builds is), else symmetrized if the asymmetry is
+    rounding-sized."""
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise InputError(f"covariance must be square, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
+    if not (np.isfinite(cov.min()) and np.isfinite(cov.max())):
         raise InputError("non-finite entries in covariance")
+    # Compared as bits, not with ==: then 0.5 * (cov + cov.T) is cov itself,
+    # so skipping it changes nothing (short of overflow), even where 0.0
+    # faces -0.0.
+    if np.array_equal(cov.view(np.uint64), cov.T.view(np.uint64)):
+        return cov
     scale = np.abs(cov).max()
     asym = np.abs(cov - cov.T).max()
     if asym > _SYM_RTOL * max(scale, 1.0):

@@ -21,7 +21,9 @@ sample is a one-row batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -86,7 +88,9 @@ class MarginMatrix:
     The diagonal is exactly zero. Under the default clamped variant every
     entry is >= 0 and m[i, j] > 0 exactly when I'_i > I'_j. `m` is a
     read-only copy, so its values stay the checked ones and the losses do
-    not scan it again.
+    not scan it again. The losses read cos and sin of the margins from
+    `_trig`, computed once on first use and read-only; a batch that meets
+    no nonzero margin never computes them.
     """
 
     m: np.ndarray
@@ -107,6 +111,22 @@ class MarginMatrix:
     @property
     def C(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos m, sin m) of the off-diagonal margins.
+
+        The diagonal and zero margins read exactly 1 and +0.0, so the margin
+        formula evaluated there gives the margin-free logit and slope bit for
+        bit.
+        """
+        off = self.m != 0.0
+        np.fill_diagonal(off, False)
+        cos_m = np.where(off, np.cos(self.m), 1.0)
+        sin_m = np.where(off, np.sin(self.m), 0.0)
+        cos_m.flags.writeable = False
+        sin_m.flags.writeable = False
+        return cos_m, sin_m
 
 
 @dataclass
@@ -152,21 +172,30 @@ class CosineClassifier:
 class LossBatch:
     """Batched loss evaluation; gradients are of losses.mean().
 
-    grad_cos is dL/dcos(theta) per sample and class. `saturated` counts
-    margin-active entries whose cosine sat within 1e-9 of +-1, where the
-    exact angle derivative is unbounded and the constant branch was used.
+    grad_cos is dL/dcos(theta) per sample and class, and is read-only.
+    `grad_inputs` is computed on first read, from arrays the batch owns, so
+    a later in-place step on the classifier's weights does not change it.
+    `saturated` counts margin-active entries whose cosine sat within 1e-9
+    of +-1, where the exact angle derivative is unbounded and the constant
+    branch was used. `clamped` counts margin-active entries with
+    theta + m > pi, whose logit was clamped to -s.
     """
 
     losses: np.ndarray
     logits: np.ndarray
     grad_weights: np.ndarray
-    grad_inputs: np.ndarray
     grad_cos: np.ndarray
+    _grad_inputs: Callable[[], np.ndarray] = field(repr=False, compare=False)
     saturated: int = 0
+    clamped: int = 0
 
     @property
     def mean(self) -> float:
         return float(self.losses.mean())
+
+    @cached_property
+    def grad_inputs(self) -> np.ndarray:
+        return self._grad_inputs()
 
 
 def normalize_info(
@@ -284,12 +313,22 @@ def build_margins(norm, variant: str = "clamped", direction: str = "target") -> 
 
 
 def _unit_rows(A: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    if not np.all(np.isfinite(A)):
+    # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
         raise InputError(f"non-finite {what} values")
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0.0):
+    # np.linalg.norm(A, axis=1), keeping the squares as the buffer for the
+    # unit rows.
+    with np.errstate(over="ignore"):
+        buf = A * A
+    norms = np.sqrt(np.add.reduce(buf, axis=1))
+    if (norms == 0.0).any():
         raise InputError(f"zero-norm {what} vector at index {int(np.argmin(norms))}")
-    return A / norms[:, None], norms
+    # Finite rows give no NaN; an overflowing square gives +inf.
+    if (norms == np.inf).any():
+        raise NumericalError(
+            f"the norm of {what} vector at index {int(np.argmax(norms))} overflows float64"
+        )
+    return np.divide(A, norms[:, None], out=buf), norms
 
 
 def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -302,40 +341,81 @@ def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarr
         raise InputError(f"features must be (n, {p}), got shape {X.shape}")
     if labels.shape != (X.shape[0],):
         raise InputError(f"labels shape {labels.shape} does not match {X.shape[0]} features")
-    if np.any((labels < 0) | (labels >= C)):
+    if ((labels < 0) | (labels >= C)).any():
         raise InputError(
             f"labels must lie in [0, {C}), got range [{labels.min()}, {labels.max()}]"
         )
     return X, labels
 
 
-def _margins_array(margins, C: int) -> np.ndarray:
+def _margin_matrix(margins, C: int) -> MarginMatrix:
     # A MarginMatrix checked its values when it was built; a raw array is
     # checked by building one.
     if not isinstance(margins, MarginMatrix):
         margins = MarginMatrix(margins)
     if margins.C != C:
         raise InputError(f"margin matrix must be ({C}, {C}), got shape {margins.m.shape}")
-    return margins.m
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return margins
 
 
 def _ce_from_logits(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy and dL/dz of the mean loss."""
+    """Per-sample cross-entropy and dL/dz of the mean loss (a new array)."""
     n = z.shape[0]
     rows = np.arange(n)
-    diffs = z - z[rows, labels][:, None]
-    ed = np.exp(diffs)
+    ed = z - z[rows, labels][:, None]
+    np.exp(ed, out=ed)
     ed[rows, labels] = 0.0
     losses = np.log1p(ed.sum(axis=1))
-    gz = _softmax_rows(z)
+    gz = np.subtract(z, z.max(axis=1, keepdims=True), out=ed)
+    np.exp(gz, out=gz)
+    gz /= gz.sum(axis=1, keepdims=True)
     gz[rows, labels] -= 1.0
-    return losses, gz / n
+    gz /= n
+    return losses, gz
+
+
+def _margined_logits(cos, m, active, trig, labels, s):
+    """z, dz/dcos, saturated and clamped counts, densely over the (n, C) block.
+
+    Inactive entries have m = 0 and read cos m = 1, sin m = +0.0 from
+    `trig`, so the margin formula gives them z = s * cos and dz/dcos = s
+    exactly; only `saturated` and `clamped` need the active mask.
+    """
+    cos_m = trig[0][labels]
+    sin_m = trig[1][labels]
+    theta = np.arccos(cos)
+    theta += m
+    clamp = theta > np.pi
+    clamp &= active
+    sin_t = cos * cos
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.maximum(sin_t, 0.0, out=sin_t)
+    np.sqrt(sin_t, out=sin_t)
+    z = cos * cos_m
+    z -= np.multiply(sin_t, sin_m, out=theta)
+    np.copyto(z, -1.0, where=clamp)
+    z *= s
+    # |cos| > 1 - eps without an abs temporary; negation is exact.
+    near_one = 1.0 - _SATURATION_EPS
+    sat = (cos > near_one) | (cos < -near_one)
+    sat &= active
+    sat &= ~clamp
+    np.copyto(sin_t, 1.0, where=sin_t == 0.0)
+    dzdc = sin_m  # sin m is not read again
+    dzdc *= cos
+    dzdc /= sin_t
+    dzdc += cos_m
+    dzdc *= s
+    np.copyto(dzdc, 0.0, where=clamp | sat)
+    return z, dzdc, int(np.count_nonzero(sat)), int(np.count_nonzero(clamp))
+
+
+def _cosine_input_grad(gc, gc_cos, U, Wn, xnorms) -> np.ndarray:
+    # c_j = u . w_j with u = x/|x|, so dc_j/dx = (w_j - c_j u) / |x|.
+    g = gc @ Wn
+    g -= gc_cos.sum(axis=1, keepdims=True) * U
+    g /= xnorms[:, None]
+    return g
 
 
 def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBatch:
@@ -343,62 +423,47 @@ def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBat
 
     Cosines are clipped to [-1, 1]. A margined angle theta_j + m_ij past
     pi is clamped there (logit -s, zero gradient) so the logit stays
-    monotone in the angle. Margin-active classes whose |cos| is within
-    1e-9 of 1 get the clamped-branch zero gradient and are tallied in
-    `saturated`.
+    monotone in the angle; such entries are tallied in `clamped`.
+    Margin-active classes whose |cos| is within 1e-9 of 1 get the
+    clamped-branch zero gradient and are tallied in `saturated`. The
+    returned batch computes `grad_inputs` on first read; `grad_cos` is
+    read-only.
     """
     X, labels = _check_batch(clf, X, labels)
-    C = clf.n_classes
-    M = _margins_array(margins, C)
+    margins = _margin_matrix(margins, clf.n_classes)
     s = clf.scale
 
     n = X.shape[0]
     rows = np.arange(n)
     U, xnorms = _unit_rows(X, "feature")
     Wn, wnorms = _unit_rows(clf.weights, "weight")
-    cos = np.clip(U @ Wn.T, -1.0, 1.0)
+    cos = U @ Wn.T
+    np.clip(cos, -1.0, 1.0, out=cos)
 
-    m = M[labels]
+    m = margins.m[labels]
     m[rows, labels] = 0.0
     active = m != 0.0
-
-    z = s * cos
-    dzdc = np.full_like(cos, s)
-    saturated = 0
     if active.any():
-        c_a = cos[active]
-        m_a = m[active]
-        theta = np.arccos(c_a)
-        clamp = theta + m_a > np.pi
-        sin_t = np.sqrt(np.maximum(1.0 - c_a * c_a, 0.0))
-        cos_m = np.cos(m_a)
-        sin_m = np.sin(m_a)
-        phi = c_a * cos_m - sin_t * sin_m
-        sat = (~clamp) & (np.abs(c_a) > 1.0 - _SATURATION_EPS)
-        saturated = int(sat.sum())
-        safe_sin = np.where(sin_t > 0.0, sin_t, 1.0)
-        d_a = s * (cos_m + c_a * sin_m / safe_sin)
-        d_a[clamp | sat] = 0.0
-        z[active] = s * np.where(clamp, -1.0, phi)
-        dzdc[active] = d_a
+        z, dzdc, saturated, clamped = _margined_logits(cos, m, active, margins._trig, labels, s)
+    else:
+        z, dzdc, saturated, clamped = s * cos, s, 0, 0
 
-    losses, gz = _ce_from_logits(z, labels)
-    gc = gz * dzdc
-    # c_j = u . w_j with u = x/|x| and w_j = W_j/|W_j|, so
-    #   dc_j/dx   = (w_j - c_j u) / |x|
-    #   dc_j/dW_j = (u - c_j w_j) / |W_j|
-    gc_cos = gc * cos
-    row_mix = gc_cos.sum(axis=1, keepdims=True)
-    grad_X = (gc @ Wn - row_mix * U) / xnorms[:, None]
-    col_mix = gc_cos.sum(axis=0)[:, None]
-    grad_W = (gc.T @ U - col_mix * Wn) / wnorms[:, None]
+    losses, gc = _ce_from_logits(z, labels)
+    gc *= dzdc
+    gc.flags.writeable = False
+    # c_j = u . w_j with w_j = W_j/|W_j|, so dc_j/dW_j = (u - c_j w_j) / |W_j|.
+    gc_cos = np.multiply(gc, cos, out=cos)  # cos is not read again
+    grad_W = gc.T @ U
+    grad_W -= gc_cos.sum(axis=0)[:, None] * Wn
+    grad_W /= wnorms[:, None]
     return LossBatch(
         losses=losses,
         logits=z,
         grad_weights=grad_W,
-        grad_inputs=grad_X,
         grad_cos=gc,
+        _grad_inputs=partial(_cosine_input_grad, gc, gc_cos, U, Wn, xnorms),
         saturated=saturated,
+        clamped=clamped,
     )
 
 
@@ -408,17 +473,23 @@ def normface_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
 
 
 def ce_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
-    """Plain cross-entropy on raw logits z_j = W_j . x (no normalization)."""
+    """Plain cross-entropy on raw logits z_j = W_j . x (no normalization).
+
+    `grad_inputs` is computed before returning, since it reads
+    `clf.weights`, which a training step may update in place.
+    """
     X, labels = _check_batch(clf, X, labels)
     z = X @ clf.weights.T
     losses, gz = _ce_from_logits(z, labels)
+    grad_inputs = gz @ clf.weights
+    grad_cos = np.zeros_like(z)
+    grad_cos.flags.writeable = False
     return LossBatch(
         losses=losses,
         logits=z,
         grad_weights=gz.T @ X,
-        grad_inputs=gz @ clf.weights,
-        grad_cos=np.zeros_like(z),
-        saturated=0,
+        grad_cos=grad_cos,
+        _grad_inputs=lambda: grad_inputs,
     )
 
 

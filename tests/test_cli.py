@@ -405,7 +405,7 @@ def test_loss_eval_zero_margins_equals_normface(loss_files, capsys):
     assert a["losses"] == b["losses"]
     assert a["n"] == b["n"] == 12
     assert a["loss_mean"] == b["loss_mean"]
-    assert set(a) == {"loss", "n", "loss_mean", "losses", "saturated"}
+    assert set(a) == {"loss", "n", "loss_mean", "losses", "saturated", "clamped"}
 
 
 def test_loss_eval_margins_never_raise_the_loss(loss_files, capsys):
@@ -425,6 +425,33 @@ def test_loss_eval_margins_never_raise_the_loss(loss_files, capsys):
     with_m = json.loads(out_m)["losses"]
     without = json.loads(out_0)["losses"]
     assert all(a <= b + 1e-12 for a, b in zip(with_m, without))
+
+
+def test_loss_eval_reports_clamped_entries(loss_files, capsys):
+    # Margins of 3 rad push most rival angles past pi.
+    margins = np.full((3, 3), 3.0)
+    np.fill_diagonal(margins, 0.0)
+    write_json(loss_files / "m.json", {"C": 3, "margins_row_major": margins.reshape(-1).tolist()})
+    code, out, _ = run(
+        capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
+        "--weights", str(loss_files / "w.bin"), "--loss", "igam",
+        "--margins", str(loss_files / "m.json"), "--s", "10",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert 0 < doc["clamped"] <= 2 * doc["n"]
+    assert doc["saturated"] == 0
+
+
+def test_loss_eval_norm_overflow_exits_3(loss_files, capsys):
+    # Finite coordinates whose squared norm overflows float64.
+    (loss_files / "big.csv").write_text("category,e0,e1,e2,e3\n0,1e200,1e200,0,0\n")
+    code, out, err = run(
+        capsys, "loss-eval", "--features", str(loss_files / "big.csv"),
+        "--weights", str(loss_files / "w.bin"), "--loss", "igam",
+    )
+    assert code == 3 and out == ""
+    assert "feature vector at index 0 overflows" in err
 
 
 def test_loss_eval_ce_ignores_scale(loss_files, capsys):

@@ -333,3 +333,44 @@ def test_info_table_json_rejects_bad_documents():
         info_table_from_json({"epoch": 0, "info": {"0": -1.0}})
     with pytest.raises(InputError):
         info_table_from_json({"epoch": 0, "info": {"x": 1.0}})
+
+
+# ----------------------------------------------------------- symmetry check
+
+
+def _symmetric_cov(seed, p=7):
+    A = np.random.default_rng(seed).normal(size=(p, 3 * p))
+    cov = A @ A.T / A.shape[1]
+    return 0.5 * (cov + cov.T)
+
+
+def test_exactly_symmetric_covariance_is_used_as_given():
+    from infomargin.info import _checked_symmetric
+
+    cov = _symmetric_cov(33)
+    assert _checked_symmetric(cov) is cov
+    # The amounts equal those read off the explicitly symmetrized matrix.
+    sym = 0.5 * (cov + cov.T)
+    assert information_amount(cov) == float(np.sum(np.log2(1.0 + np.linalg.eigvalsh(sym))) / 2)
+    spec = ShrinkageSpec(p=7, m=5)
+    floored = np.maximum(np.linalg.eigvalsh(sym), spec.lambda_minus)
+    stats = GlobalStats(p=7, categories={0: CategoryStats(total=5, mean=np.zeros(7), cov=cov)})
+    assert information_amounts_from_stats(stats).amounts[0] == float(
+        np.sum(np.log2(1.0 + floored)) / 2
+    )
+
+
+def test_rounding_sized_asymmetry_is_still_symmetrized():
+    from infomargin.info import _checked_symmetric
+
+    cov = _symmetric_cov(34)
+    cov[0, 1] += 1e-12
+    out = _checked_symmetric(cov)
+    assert out is not cov
+    assert np.array_equal(out, 0.5 * (cov + cov.T))
+    # Signed zeros compare equal but differ in bits: symmetrized too.
+    signed = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    assert _checked_symmetric(signed) is not signed
+    cov[0, 1] += 1e-3
+    with pytest.raises(InputError, match="not symmetric"):
+        _checked_symmetric(cov)

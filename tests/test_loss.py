@@ -415,6 +415,8 @@ def test_margined_angle_past_pi_clamps_logit():
     assert out.logits[0, 1] == -5.0
     assert out.grad_cos[0, 1] == 0.0
     assert out.saturated == 0  # clamped, not saturated
+    assert out.clamped == 1
+    assert igam_batch(clf, x, [0], 0.1 * M).clamped == 0
 
 
 def test_ce_saturates_to_zero_loss():
@@ -568,3 +570,218 @@ def test_losses_are_positive_and_finite():
             assert np.all(np.isfinite(batch.losses))
             assert np.all(batch.losses >= 0.0)
             assert batch.logits.shape == (n, C)
+
+
+# ------------------------------------------------------- overflowing norms
+
+
+def test_feature_norm_overflow_raises_numerical_error():
+    # Each coordinate is finite but the squared norm overflows; scoring
+    # the row as cosine 0 would give ln C and a zero gradient.
+    clf = make_clf(_W34[:, :4])
+    X = np.array([[0.3, -1.2, 0.7, 2.0], [1e200, 1e200, 0.0, 0.0]])
+    with pytest.raises(NumericalError, match="feature vector at index 1"):
+        igam_batch(clf, X, [0, 1], _M3)
+    with pytest.raises(NumericalError, match="feature vector at index 1"):
+        clf.predict(X)
+
+
+def test_weight_norm_overflow_raises_numerical_error():
+    W = _W34.copy()
+    W[2] = [1e200, -1e200, 0.0, 0.0]
+    clf = make_clf(W)
+    with pytest.raises(NumericalError, match="weight vector at index 2"):
+        normface_batch(clf, _X4, [0])
+    with pytest.raises(NumericalError, match="weight vector at index 2"):
+        clf.predict(_X4)
+
+
+# ------------------------------------------------- bit-identity reference
+
+
+def _igam_reference(clf, X, labels, M):
+    """The masked evaluation the dense kernel replaced, kept to pin its bits."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    M = np.asarray(M, dtype=np.float64)
+    s = clf.scale
+    n = X.shape[0]
+    rows = np.arange(n)
+    xnorms = np.linalg.norm(X, axis=1)
+    U = X / xnorms[:, None]
+    wnorms = np.linalg.norm(clf.weights, axis=1)
+    Wn = clf.weights / wnorms[:, None]
+    cos = np.clip(U @ Wn.T, -1.0, 1.0)
+
+    m = M[labels]
+    m[rows, labels] = 0.0
+    active = m != 0.0
+
+    z = s * cos
+    dzdc = np.full_like(cos, s)
+    saturated = 0
+    if active.any():
+        c_a = cos[active]
+        m_a = m[active]
+        theta = np.arccos(c_a)
+        clamp = theta + m_a > np.pi
+        sin_t = np.sqrt(np.maximum(1.0 - c_a * c_a, 0.0))
+        cos_m = np.cos(m_a)
+        sin_m = np.sin(m_a)
+        phi = c_a * cos_m - sin_t * sin_m
+        sat = (~clamp) & (np.abs(c_a) > 1.0 - 1e-9)
+        saturated = int(sat.sum())
+        safe_sin = np.where(sin_t > 0.0, sin_t, 1.0)
+        d_a = s * (cos_m + c_a * sin_m / safe_sin)
+        d_a[clamp | sat] = 0.0
+        z[active] = s * np.where(clamp, -1.0, phi)
+        dzdc[active] = d_a
+
+    diffs = z - z[rows, labels][:, None]
+    ed = np.exp(diffs)
+    ed[rows, labels] = 0.0
+    losses = np.log1p(ed.sum(axis=1))
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    gz = ez / ez.sum(axis=1, keepdims=True)
+    gz[rows, labels] -= 1.0
+    gz = gz / n
+
+    gc = gz * dzdc
+    gc_cos = gc * cos
+    row_mix = gc_cos.sum(axis=1, keepdims=True)
+    grad_X = (gc @ Wn - row_mix * U) / xnorms[:, None]
+    col_mix = gc_cos.sum(axis=0)[:, None]
+    grad_W = (gc.T @ U - col_mix * Wn) / wnorms[:, None]
+    return {
+        "losses": losses, "logits": z, "grad_weights": grad_W,
+        "grad_inputs": grad_X, "grad_cos": gc, "saturated": saturated,
+    }
+
+
+def _random_problem(seed, C=9, p=12, n=40, s=30.0):
+    rng = np.random.default_rng(seed)
+    clf = make_clf(rng.normal(size=(C, p)), s=s)
+    X = rng.normal(size=(n, p))
+    y = rng.integers(0, C, size=n)
+    norm = normalize_info(rng.uniform(0.0, 50.0, size=C), ibar="mean")
+    return clf, X, y, norm
+
+
+def _margin_cases(norm, C):
+    rival = build_margins(norm, variant="clamped", direction="rival")
+    signed = build_margins(norm, variant="signed", direction="target")
+    dirty = rival.m.copy()
+    np.fill_diagonal(dirty, 0.7)
+    return {
+        "clamped-rival": rival,
+        "signed-target": signed,
+        "zero": MarginMatrix.zeros(C),
+        "x60": MarginMatrix(60.0 * rival.m),
+        "signed-x60": MarginMatrix(60.0 * signed.m),
+        "raw-diagonal": dirty,
+    }
+
+
+def _assert_matches_reference(clf, X, y, margins):
+    out = igam_batch(clf, X, y, margins)
+    ref = _igam_reference(clf, X, y, getattr(margins, "m", margins))
+    for name in ("losses", "logits", "grad_weights", "grad_inputs", "grad_cos"):
+        assert np.array_equal(getattr(out, name), ref[name]), name
+    assert out.saturated == ref["saturated"]
+    return out
+
+
+def _outside_in_clamped(out, y, M, s):
+    # Margin-active entries whose logit sits at exactly -s.
+    active = np.asarray(getattr(M, "m", M))[y] != 0.0
+    active[np.arange(y.shape[0]), y] = False
+    return int(np.count_nonzero(active & (out.logits == -s)))
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+@pytest.mark.parametrize(
+    "case", ["clamped-rival", "signed-target", "zero", "x60", "signed-x60", "raw-diagonal"]
+)
+def test_igam_is_bit_identical_to_masked_reference(seed, case):
+    clf, X, y, norm = _random_problem(seed)
+    margins = _margin_cases(norm, clf.n_classes)[case]
+    out = _assert_matches_reference(clf, X, y, margins)
+    assert out.clamped == _outside_in_clamped(out, y, margins, clf.scale)
+    if case.endswith("x60"):
+        assert out.clamped > 0
+    if case == "zero":
+        assert out.clamped == out.saturated == 0
+
+
+@pytest.mark.parametrize("seed", [64, 65])
+def test_bit_identity_with_saturated_entries(seed):
+    clf, X, y, norm = _random_problem(seed)
+    margins = build_margins(norm, variant="clamped", direction="rival")
+    # Point features along rival weights whose margin against the label is
+    # active, so their cosine is 1 to within rounding.
+    M = margins.m
+    for k in range(X.shape[0]):
+        rivals = np.flatnonzero(M[y[k]])
+        if rivals.size:
+            X[k] = 3.0 * clf.weights[rivals[k % rivals.size]]
+    out = _assert_matches_reference(clf, X, y, margins)
+    assert out.saturated > 0
+
+
+@pytest.mark.parametrize("case", ["clamped-rival", "x60", "raw-diagonal"])
+def test_bit_identity_one_row_batch(case):
+    clf, X, y, norm = _random_problem(66)
+    margins = _margin_cases(norm, clf.n_classes)[case]
+    for k in range(5):
+        _assert_matches_reference(clf, X[k:k + 1], y[k:k + 1], margins)
+
+
+# ------------------------------------------------ laziness and read-only
+
+
+@pytest.mark.parametrize("loss", ["igam", "ce"])
+def test_grad_inputs_unchanged_by_in_place_weight_step(loss):
+    clf, X, y, norm = _random_problem(67)
+    margins = build_margins(norm, variant="clamped", direction="rival")
+
+    def evaluate():
+        if loss == "ce":
+            return ce_batch(clf, X, y)
+        return igam_batch(clf, X, y, margins)
+
+    want = evaluate().grad_inputs
+    out = evaluate()
+    velocity = out.grad_weights.copy()
+    W = clf.weights
+    W -= 0.5 * velocity  # the trainer's in-place step
+    assert np.array_equal(out.grad_inputs, want)
+    assert out.grad_inputs is out.grad_inputs
+
+
+def test_grad_cos_and_cached_trig_are_read_only():
+    clf, X, y, norm = _random_problem(68)
+    margins = build_margins(norm, variant="clamped", direction="rival")
+    for out in (igam_batch(clf, X, y, margins), ce_batch(clf, X, y)):
+        with pytest.raises(ValueError):
+            out.grad_cos[0, 0] = 1.0
+    cos_m, sin_m = margins._trig
+    with pytest.raises(ValueError):
+        cos_m[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        sin_m[0, 1] = 0.0
+    assert margins._trig is margins._trig
+
+
+def test_margin_trig_skipped_for_zero_margins_and_exact_where_inactive():
+    clf, X, y, norm = _random_problem(69)
+    zero = MarginMatrix.zeros(clf.n_classes)
+    igam_batch(clf, X, y, zero)
+    assert "_trig" not in vars(zero)
+    raw = np.array([[0.5, 0.2, -0.0], [0.0, 0.0, -0.3], [1.0, 0.0, 0.0]])
+    cos_m, sin_m = MarginMatrix(raw)._trig
+    inactive = (raw == 0.0) | np.eye(3, dtype=bool)
+    assert np.all(cos_m[inactive] == 1.0)
+    assert np.all(np.signbit(sin_m[inactive]) == 0) and np.all(sin_m[inactive] == 0.0)
+    assert np.array_equal(cos_m[~inactive], np.cos(raw[~inactive]))
+    assert np.array_equal(sin_m[~inactive], np.sin(raw[~inactive]))
