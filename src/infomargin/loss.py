@@ -15,7 +15,10 @@ loss (a zero margin matrix reduces the margined loss to it exactly).
 The losses are array-in/array-out: `igam_batch`, `normface_batch` and
 `ce_batch` take an (n, p) batch and return a LossBatch with per-sample
 losses, logits and the analytic gradients of the mean loss. A single
-sample is a one-row batch.
+sample is a one-row batch. Each checks its batch, normalizes it for the
+cosine losses, and runs one private kernel (`_cosine_kernel` or
+`_ce_kernel`); the trainer runs the same kernels on rows it checked and
+normalized once per run.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ _SATURATION_EPS = 1e-9
 
 # exp(x) overflows float64 just above this.
 _EXP_MAX = 709.0
+
+# The smallest normal float64; a squared norm below it lost bits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -320,15 +326,30 @@ def _unit_rows(A: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     # unit rows.
     with np.errstate(over="ignore"):
         buf = A * A
-    norms = np.sqrt(np.add.reduce(buf, axis=1))
-    if (norms == 0.0).any():
-        raise InputError(f"zero-norm {what} vector at index {int(np.argmin(norms))}")
+    sq = np.add.reduce(buf, axis=1)
+    norms = np.sqrt(sq)
+    # Squares of entries below about 1e-154 underflow, so a nonzero row can
+    # sum to a subnormal or zero square. Only such rows are rescaled by their
+    # max |x| before squaring; every other row keeps its bits.
+    small = sq < _TINY
+    rescale = small.any()
+    if rescale:
+        peak = np.abs(A[small]).max(axis=1)
+        if (peak == 0.0).any():
+            index = int(np.flatnonzero(small)[np.argmin(peak)])
+            raise InputError(f"zero-norm {what} vector at index {index}")
+        scaled = A[small] / peak[:, None]
+        root = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+        norms[small] = peak * root
     # Finite rows give no NaN; an overflowing square gives +inf.
     if (norms == np.inf).any():
         raise NumericalError(
             f"the norm of {what} vector at index {int(np.argmax(norms))} overflows float64"
         )
-    return np.divide(A, norms[:, None], out=buf), norms
+    unit = np.divide(A, norms[:, None], out=buf)
+    if rescale:
+        unit[small] = scaled / root[:, None]
+    return unit, norms
 
 
 def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -358,18 +379,27 @@ def _margin_matrix(margins, C: int) -> MarginMatrix:
     return margins
 
 
-def _ce_from_logits(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy and dL/dz of the mean loss (a new array)."""
+def _label_index(labels: np.ndarray, C: int) -> np.ndarray:
+    """Flat index of each row's label entry in a C-contiguous (n, C) block."""
+    flat = np.arange(0, labels.shape[0] * C, C)
+    flat += labels
+    return flat
+
+
+def _ce_from_logits(z: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample cross-entropy and dL/dz of the mean loss (a new array).
+
+    `flat` is `_label_index` of the labels; `z` is C-contiguous.
+    """
     n = z.shape[0]
-    rows = np.arange(n)
-    ed = z - z[rows, labels][:, None]
+    ed = z - z.take(flat)[:, None]
     np.exp(ed, out=ed)
-    ed[rows, labels] = 0.0
+    ed.put(flat, 0.0)
     losses = np.log1p(ed.sum(axis=1))
     gz = np.subtract(z, z.max(axis=1, keepdims=True), out=ed)
     np.exp(gz, out=gz)
     gz /= gz.sum(axis=1, keepdims=True)
-    gz[rows, labels] -= 1.0
+    gz.reshape(-1)[flat] -= 1.0
     gz /= n
     return losses, gz
 
@@ -418,6 +448,64 @@ def _cosine_input_grad(gc, gc_cos, U, Wn, xnorms) -> np.ndarray:
     return g
 
 
+def _cosine_kernel(U, Wn, wnorms, labels, margins, s):
+    """The scaled-cosine loss on checked, normalized inputs.
+
+    `U` and `Wn` are unit feature and weight rows, `wnorms` the weights'
+    norms, `labels` in [0, C), and `margins` a MarginMatrix of matching C or
+    None for no margins. Returns (losses, grad_weights, logits, grad_cos,
+    grad_cos * cos, saturated, clamped); `grad_cos * cos` is what
+    `_cosine_input_grad` reads besides the inputs.
+    """
+    flat = _label_index(labels, Wn.shape[0])
+    cos = U @ Wn.T
+    np.clip(cos, -1.0, 1.0, out=cos)
+
+    active = None
+    if margins is not None:
+        m = margins.m[labels]
+        m.put(flat, 0.0)
+        active = m != 0.0
+    if active is not None and active.any():
+        z, dzdc, saturated, clamped = _margined_logits(cos, m, active, margins._trig, labels, s)
+    else:
+        z, dzdc, saturated, clamped = s * cos, s, 0, 0
+
+    losses, gc = _ce_from_logits(z, flat)
+    gc *= dzdc
+    # c_j = u . w_j with w_j = W_j/|W_j|, so dc_j/dW_j = (u - c_j w_j) / |W_j|.
+    gc_cos = np.multiply(gc, cos, out=cos)  # cos is not read again
+    grad_W = gc.T @ U
+    grad_W -= gc_cos.sum(axis=0)[:, None] * Wn
+    grad_W /= wnorms[:, None]
+    return losses, grad_W, z, gc, gc_cos, saturated, clamped
+
+
+def _ce_kernel(X, W, labels):
+    """Plain cross-entropy on checked inputs: (losses, grad_weights, logits, dL/dz)."""
+    z = X @ W.T
+    losses, gz = _ce_from_logits(z, _label_index(labels, W.shape[0]))
+    return losses, gz.T @ X, z, gz
+
+
+def _cosine_batch(clf: CosineClassifier, X: np.ndarray, labels: np.ndarray,
+                  margins: MarginMatrix | None) -> LossBatch:
+    U, xnorms = _unit_rows(X, "feature")
+    Wn, wnorms = _unit_rows(clf.weights, "weight")
+    losses, grad_W, z, gc, gc_cos, saturated, clamped = _cosine_kernel(
+        U, Wn, wnorms, labels, margins, clf.scale)
+    gc.flags.writeable = False
+    return LossBatch(
+        losses=losses,
+        logits=z,
+        grad_weights=grad_W,
+        grad_cos=gc,
+        _grad_inputs=partial(_cosine_input_grad, gc, gc_cos, U, Wn, xnorms),
+        saturated=saturated,
+        clamped=clamped,
+    )
+
+
 def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBatch:
     """Information-guided angular-margin loss over a batch.
 
@@ -430,46 +518,16 @@ def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBat
     read-only.
     """
     X, labels = _check_batch(clf, X, labels)
-    margins = _margin_matrix(margins, clf.n_classes)
-    s = clf.scale
-
-    n = X.shape[0]
-    rows = np.arange(n)
-    U, xnorms = _unit_rows(X, "feature")
-    Wn, wnorms = _unit_rows(clf.weights, "weight")
-    cos = U @ Wn.T
-    np.clip(cos, -1.0, 1.0, out=cos)
-
-    m = margins.m[labels]
-    m[rows, labels] = 0.0
-    active = m != 0.0
-    if active.any():
-        z, dzdc, saturated, clamped = _margined_logits(cos, m, active, margins._trig, labels, s)
-    else:
-        z, dzdc, saturated, clamped = s * cos, s, 0, 0
-
-    losses, gc = _ce_from_logits(z, labels)
-    gc *= dzdc
-    gc.flags.writeable = False
-    # c_j = u . w_j with w_j = W_j/|W_j|, so dc_j/dW_j = (u - c_j w_j) / |W_j|.
-    gc_cos = np.multiply(gc, cos, out=cos)  # cos is not read again
-    grad_W = gc.T @ U
-    grad_W -= gc_cos.sum(axis=0)[:, None] * Wn
-    grad_W /= wnorms[:, None]
-    return LossBatch(
-        losses=losses,
-        logits=z,
-        grad_weights=grad_W,
-        grad_cos=gc,
-        _grad_inputs=partial(_cosine_input_grad, gc, gc_cos, U, Wn, xnorms),
-        saturated=saturated,
-        clamped=clamped,
-    )
+    return _cosine_batch(clf, X, labels, _margin_matrix(margins, clf.n_classes))
 
 
 def normface_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
-    """Normalized-cosine softmax loss: z_j = s cos(theta_j), no margins."""
-    return igam_batch(clf, X, labels, MarginMatrix.zeros(clf.n_classes))
+    """Normalized-cosine softmax loss: z_j = s cos(theta_j), no margins.
+
+    The same as `igam_batch` under an all-zero margin matrix, bit for bit.
+    """
+    X, labels = _check_batch(clf, X, labels)
+    return _cosine_batch(clf, X, labels, None)
 
 
 def ce_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
@@ -479,15 +537,14 @@ def ce_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
     `clf.weights`, which a training step may update in place.
     """
     X, labels = _check_batch(clf, X, labels)
-    z = X @ clf.weights.T
-    losses, gz = _ce_from_logits(z, labels)
+    losses, grad_W, z, gz = _ce_kernel(X, clf.weights, labels)
     grad_inputs = gz @ clf.weights
     grad_cos = np.zeros_like(z)
     grad_cos.flags.writeable = False
     return LossBatch(
         losses=losses,
         logits=z,
-        grad_weights=gz.T @ X,
+        grad_weights=grad_W,
         grad_cos=grad_cos,
         _grad_inputs=lambda: grad_inputs,
     )

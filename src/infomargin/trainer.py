@@ -4,12 +4,15 @@ Synthetic classes are isotropic Gaussians with per-class spread sigma_c,
 so intra-class diversity (and with it the measured information amount) is
 controlled directly. A linear cosine classifier is trained under one of
 three losses — plain cross-entropy, the zero-margin cosine loss, or the
-information-guided margin loss — while every training batch streams
-through the bounded queue as one array; at each epoch end the merged
-statistics refresh the information amounts, which set the margins for the
-next epoch (epoch 1 runs margin-free, since no amounts exist yet). One
-classifier serves the whole run: each SGD step updates its weights in
-place, and the epoch-end evaluation reads the same weights.
+information-guided margin loss. The dataset is checked and its feature
+rows are normalized once per run, so each SGD step normalizes only the
+weights and runs the loss kernel. Each epoch's rows, in SGD order, stream
+through the bounded queue as one array, which cuts the same windows as
+adding them batch by batch; at each epoch end the merged statistics
+refresh the information amounts, which set the margins for the next epoch
+(epoch 1 runs margin-free, since no amounts exist yet). One weight matrix
+serves the whole run: each SGD step updates it in place, and the
+epoch-end evaluation reads the same weights.
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
@@ -28,9 +31,9 @@ import numpy as np
 
 from .errors import InputError, TrainingDivergedError
 from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
-from .loss import CosineClassifier, MarginMatrix, build_margins, ce_batch, igam_batch, \
-    margins_to_json, normalize_info, INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, \
-    IBAR_MODES
+from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
+    INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, \
+    _cosine_kernel, _unit_rows
 from .stats import EpochAccumulator
 
 __all__ = [
@@ -259,6 +262,25 @@ def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.nda
     return acc
 
 
+def _check_dataset(dataset: Dataset, C: int, p: int) -> None:
+    """Shapes, finite features and labels in [0, C), naming the first bad row."""
+    for part in ("train", "test"):
+        X = getattr(dataset, f"{part}_X")
+        y = getattr(dataset, f"{part}_y")
+        if X.ndim != 2 or X.shape[1] != p or X.dtype != np.float64:
+            raise InputError(f"{part}_X must be a float64 (n, {p}) array")
+        if y.shape != (X.shape[0],) or y.dtype.kind not in "iu":
+            raise InputError(f"{part}_y must be an integer array of {X.shape[0]} labels")
+        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+            row = int(np.argmin(np.isfinite(X).all(axis=1)))
+            raise InputError(f"non-finite {part} feature at row {row}")
+        bad = (y < 0) | (y >= C)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InputError(f"{part} label {y[row]} at row {row} is outside [0, {C})")
+
+
 def train(
     spec: SyntheticSpec,
     config: TrainConfig,
@@ -266,10 +288,19 @@ def train(
 ) -> TrainResult:
     """Run one training configuration end to end.
 
-    Each SGD batch is added to the accumulator as one `(batch_size, p)`
-    array, so every training record is counted once per epoch and each
-    epoch's merged statistics cover exactly the training set (acceptance
-    criterion 7 compares them with the pooled records' amounts).
+    The dataset is checked once, before any SGD step: finite features,
+    labels in [0, C), and for the cosine losses no zero-norm feature row.
+    Errors name the dataset row. The cosine losses normalize the train and
+    test rows once per run; each step gathers its unit rows, normalizes the
+    weights and runs the loss kernel, with the same bits as `igam_batch`
+    and `normface_batch` on the raw rows.
+
+    Each epoch's rows are added to the accumulator as one array in SGD
+    order. Since the features do not depend on the weights, this cuts the
+    same windows as adding each batch after its step, and every training
+    record is counted once per epoch, so each epoch's merged statistics
+    cover exactly the training set (acceptance criterion 7 compares them
+    with the pooled records' amounts).
 
     Raises TrainingDivergedError if the loss or weights go non-finite.
     """
@@ -278,13 +309,18 @@ def train(
     elif dataset.spec != spec:
         raise InputError("dataset was generated from a different spec")
     C, p = spec.C, spec.p
+    _check_dataset(dataset, C, p)
     n_total = dataset.train_X.shape[0]
+    cosine = config.loss != "ce"
+    if cosine:
+        train_U, _ = _unit_rows(dataset.train_X, "train feature")
+        test_U, _ = _unit_rows(dataset.test_X, "test feature")
 
     rng_init = np.random.default_rng([config.seed, 101])
-    clf = CosineClassifier(rng_init.standard_normal((C, p)) / np.sqrt(p), scale=config.s)
-    W = clf.weights
+    W = rng_init.standard_normal((C, p)) / np.sqrt(p)
     velocity = np.zeros_like(W)
-    margins = MarginMatrix.zeros(C)
+    # None, read by the kernel as no margins, until a refresh builds them.
+    margins = None
     amounts: dict[int, float] = {}
     table = InfoAmountTable(amounts={}, epoch=0)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
@@ -292,30 +328,35 @@ def train(
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
         order = np.random.default_rng([config.seed, 202, epoch]).permutation(n_total)
+        X_epoch = dataset.train_X[order]
+        y_epoch = dataset.train_y[order]
+        if cosine:
+            U_epoch = train_U[order]
         loss_total = 0.0
         for start in range(0, n_total, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb = dataset.train_X[idx]
-            yb = dataset.train_y[idx]
-            if config.loss == "ce":
-                out = ce_batch(clf, Xb, yb)
+            stop = start + config.batch_size
+            yb = y_epoch[start:stop]
+            if cosine:
+                Wn, wnorms = _unit_rows(W, "weight")
+                losses, grad_W = _cosine_kernel(
+                    U_epoch[start:stop], Wn, wnorms, yb, margins, config.s)[:2]
             else:
-                out = igam_batch(clf, Xb, yb, margins)
-            if not np.all(np.isfinite(out.losses)):
+                losses, grad_W = _ce_kernel(X_epoch[start:stop], W, yb)[:2]
+            if not np.isfinite(losses).all():
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch} (loss={config.loss}, lr={config.lr})"
                 )
-            loss_total += float(out.losses.sum())
-            # In place, so `clf` sees the step; the same operations as
-            # v = momentum * v + g; W = W - lr * v.
+            loss_total += float(losses.sum())
+            # In place, the same operations as v = momentum * v + g;
+            # W = W - lr * v.
             velocity *= config.momentum
-            velocity += out.grad_weights
+            velocity += grad_W
             W -= config.lr * velocity
-            if not np.all(np.isfinite(W)):
+            if not np.isfinite(W).all():
                 raise TrainingDivergedError(
                     f"non-finite weights in epoch {epoch} (loss={config.loss}, lr={config.lr})"
                 )
-            accumulator.add(Xb, yb)
+        accumulator.add(X_epoch, y_epoch)
 
         stats = accumulator.finalize()
         refreshed = information_amounts_from_stats(stats, epoch=epoch)
@@ -329,10 +370,11 @@ def train(
             margins = build_margins(norm, variant=config.margin_variant,
                                     direction=config.margin_direction)
 
-        if config.loss == "ce":
-            preds = np.argmax(dataset.test_X @ W.T, axis=1)
+        if cosine:
+            Wn, _ = _unit_rows(W, "weight")
+            preds = np.argmax(np.clip(test_U @ Wn.T, -1.0, 1.0), axis=1)
         else:
-            preds = clf.predict(dataset.test_X)
+            preds = np.argmax(dataset.test_X @ W.T, axis=1)
         acc = _per_class_accuracy(preds, dataset.test_y, C)
         info_vec = np.array([amounts[c] for c in range(C)], dtype=np.float64)
         reports.append(EpochReport(
@@ -347,7 +389,7 @@ def train(
 
     return TrainResult(
         reports=reports,
-        final_margins=margins,
+        final_margins=MarginMatrix.zeros(C) if margins is None else margins,
         final_info=table,
         weights=W,
         config=config,

@@ -454,6 +454,22 @@ def test_loss_eval_norm_overflow_exits_3(loss_files, capsys):
     assert "feature vector at index 0 overflows" in err
 
 
+def test_loss_eval_tiny_norm_row_scores_like_its_direction(loss_files, capsys):
+    # Each square of 1e-200 underflows to 0; the row is rescaled, not
+    # rejected as zero-norm.
+    (loss_files / "tiny.csv").write_text("category,e0,e1,e2,e3\n0,1e-200,1e-200,0,0\n")
+    (loss_files / "unit.csv").write_text("category,e0,e1,e2,e3\n0,1,1,0,0\n")
+    docs = []
+    for name in ("tiny.csv", "unit.csv"):
+        code, out, err = run(
+            capsys, "loss-eval", "--features", str(loss_files / name),
+            "--weights", str(loss_files / "w.bin"), "--loss", "igam",
+        )
+        assert code == 0 and err == ""
+        docs.append(json.loads(out))
+    assert docs[0]["losses"] == docs[1]["losses"]
+
+
 def test_loss_eval_ce_ignores_scale(loss_files, capsys):
     _, out_a, _ = run(
         capsys, "loss-eval", "--features", str(loss_files / "x.bin"),

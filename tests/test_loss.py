@@ -596,6 +596,43 @@ def test_weight_norm_overflow_raises_numerical_error():
         clf.predict(_X4)
 
 
+def test_tiny_norm_row_scores_like_its_direction():
+    # Every square of 1e-200 underflows to 0, so without the rescale the
+    # first row reads as zero-norm; the second row's squares are subnormal.
+    clf = make_clf(_W34)
+    tiny = np.array([[1e-200, 1e-200, 0.0, 0.0], [1e-160, 2e-160, 0.0, 0.0]])
+    plain = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]])
+    for evaluate in (lambda X: igam_batch(clf, X, [0, 0], _M3),
+                     lambda X: normface_batch(clf, X, [0, 0])):
+        got, want = evaluate(tiny), evaluate(plain)
+        assert np.array_equal(got.logits[0], want.logits[0])
+        np.testing.assert_allclose(got.logits[1], want.logits[1], rtol=1e-15, atol=1e-14)
+        np.testing.assert_allclose(got.grad_weights, want.grad_weights,
+                                   rtol=1e-14, atol=1e-15)
+    assert np.array_equal(clf.predict(tiny), clf.predict(plain))
+
+
+def test_tiny_weight_row_is_rescaled():
+    W = _W34.copy()
+    W[1] = [0.0, 3e-170, -4e-170, 0.0]
+    plain = _W34.copy()
+    plain[1] = [0.0, 3.0, -4.0, 0.0]
+    got = normface_batch(make_clf(W), _X4, [1])
+    want = normface_batch(make_clf(plain), _X4, [1])
+    np.testing.assert_allclose(got.logits, want.logits, rtol=1e-15, atol=1e-14)
+
+
+def test_all_zero_row_still_raises_with_its_index():
+    clf = make_clf(_W34)
+    X = np.array([[1e-200, 0.0, 0.0, 0.0], [0.3, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(InputError, match="zero-norm feature vector at index 2"):
+        igam_batch(clf, X, [0, 1, 2], _M3)
+    W = _W34.copy()
+    W[1] = 0.0
+    with pytest.raises(InputError, match="zero-norm weight vector at index 1"):
+        normface_batch(make_clf(W), _X4, [0])
+
+
 # ------------------------------------------------- bit-identity reference
 
 

@@ -6,9 +6,23 @@ import re
 import numpy as np
 import pytest
 
+import infomargin.trainer as trainer_mod
 from infomargin.errors import InputError, TrainingDivergedError
 from infomargin.fileio import canonical_dumps
-from infomargin.loss import MarginMatrix
+from infomargin.info import InfoAmountTable, information_amounts_from_stats
+from infomargin.loss import (
+    CosineClassifier,
+    MarginMatrix,
+    _ce_kernel,
+    _cosine_kernel,
+    _unit_rows,
+    build_margins,
+    ce_batch,
+    igam_batch,
+    normalize_info,
+    normface_batch,
+)
+from infomargin.stats import EpochAccumulator
 from infomargin.trainer import (
     LOSSES,
     SyntheticSpec,
@@ -321,3 +335,200 @@ def test_train_result_json_margin_block_round_trips():
     assert doc["final_margins"]["C"] == 3
     flat = np.asarray(doc["final_margins"]["margins_row_major"]).reshape(3, 3)
     assert np.array_equal(flat, result.final_margins.m)
+
+
+# ------------------------------------------- kernel path against the API
+
+
+@pytest.mark.parametrize("case", ["zero", "clamped-rival", "signed"])
+def test_kernel_on_rows_normalized_whole_equals_public_api(case):
+    # The trainer normalizes the whole training set once and gathers unit
+    # rows per step; that must give the bits of the public losses on the
+    # raw batch.
+    C, p = 5, 7
+    spec = small_spec(C=C, p=p, n_train=40, spreads=(0.5, 1.0, 1.5, 2.0, 3.0))
+    ds = generate_dataset(spec)
+    rng = np.random.default_rng(71)
+    W = rng.normal(size=(C, p))
+    clf = CosineClassifier(W, scale=12.0)
+    norm = normalize_info(rng.uniform(1.0, 50.0, size=C), ibar="mean")
+    margins = {
+        "zero": MarginMatrix.zeros(C),
+        "clamped-rival": build_margins(norm, variant="clamped", direction="rival"),
+        "signed": build_margins(norm, variant="signed", direction="target"),
+    }[case]
+    U, _ = _unit_rows(ds.train_X, "feature")
+    Wn, wnorms = _unit_rows(W, "weight")
+    idx = rng.permutation(ds.train_y.shape[0])[:23]
+    Xb, Ub, yb = ds.train_X[idx], U[idx], ds.train_y[idx]
+
+    public = [igam_batch(clf, Xb, yb, margins)]
+    kernel = [_cosine_kernel(Ub, Wn, wnorms, yb, margins, clf.scale)]
+    if case == "zero":
+        public.append(normface_batch(clf, Xb, yb))
+        kernel.append(_cosine_kernel(Ub, Wn, wnorms, yb, None, clf.scale))
+    public.append(ce_batch(clf, Xb, yb))
+    kernel.append(_ce_kernel(Xb, W, yb))
+    for want, got in zip(public, kernel):
+        assert np.array_equal(got[0], want.losses)
+        assert np.array_equal(got[1], want.grad_weights)
+
+
+def _reference_train(spec, config, dataset):
+    """The per-batch public-API loop `train` replaced, kept to pin its bits."""
+    C, p = spec.C, spec.p
+    n_total = dataset.train_X.shape[0]
+    rng_init = np.random.default_rng([config.seed, 101])
+    clf = CosineClassifier(rng_init.standard_normal((C, p)) / np.sqrt(p), scale=config.s)
+    W = clf.weights
+    velocity = np.zeros_like(W)
+    margins = MarginMatrix.zeros(C)
+    amounts = {}
+    accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
+    reports = []
+    for epoch in range(1, config.epochs + 1):
+        order = np.random.default_rng([config.seed, 202, epoch]).permutation(n_total)
+        loss_total = 0.0
+        for start in range(0, n_total, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            Xb, yb = dataset.train_X[idx], dataset.train_y[idx]
+            if config.loss == "ce":
+                out = ce_batch(clf, Xb, yb)
+            else:
+                out = igam_batch(clf, Xb, yb, margins)
+            loss_total += float(out.losses.sum())
+            velocity *= config.momentum
+            velocity += out.grad_weights
+            W -= config.lr * velocity
+            accumulator.add(Xb, yb)
+        refreshed = information_amounts_from_stats(accumulator.finalize(), epoch=epoch)
+        amounts = {c: amounts.get(c, 0.0) for c in range(C)}
+        amounts.update(refreshed.amounts)
+        if config.loss == "igam":
+            table = InfoAmountTable(amounts=dict(amounts), epoch=epoch)
+            norm = normalize_info(table, variant=config.info_variant, ibar=config.ibar_mode)
+            margins = build_margins(norm, variant=config.margin_variant,
+                                    direction=config.margin_direction)
+        if config.loss == "ce":
+            preds = np.argmax(dataset.test_X @ W.T, axis=1)
+        else:
+            preds = clf.predict(dataset.test_X)
+        acc = np.array([np.mean(preds[dataset.test_y == c] == c) for c in range(C)])
+        info = np.array([amounts[c] for c in range(C)])
+        reports.append((acc, info, loss_total / n_total))
+    return W, margins, reports
+
+
+# batch_size 16 does not divide n = 180; queue lengths below the batch
+# size, not dividing n, and above n.
+_QUEUE_LENS = [12, 77, 500]
+
+
+@pytest.mark.parametrize("queue_len", _QUEUE_LENS)
+@pytest.mark.parametrize("loss", LOSSES)
+def test_train_equals_per_batch_public_api_loop(loss, queue_len):
+    spec = small_spec(p=5, spreads=(0.5, 1.0, 2.0))
+    ds = generate_dataset(spec)
+    config = TrainConfig(loss=loss, epochs=3, lr=0.1, batch_size=16,
+                         queue_len=queue_len, margin_direction="rival", seed=7)
+    result = train(spec, config, dataset=ds)
+    W, margins, reports = _reference_train(spec, config, ds)
+    assert np.array_equal(result.weights, W)
+    assert np.array_equal(result.final_margins.m, margins.m)
+    if loss == "igam":
+        assert np.abs(margins.m).max() > 0.0
+    assert len(result.reports) == len(reports) == 3
+    for got, (acc, info, loss_mean) in zip(result.reports, reports):
+        assert np.array_equal(got.per_class_accuracy, acc)
+        assert np.array_equal(got.info_amounts, info)
+        assert got.loss_mean == loss_mean
+
+
+@pytest.mark.parametrize("queue_len", _QUEUE_LENS)
+def test_one_add_per_epoch_cuts_the_same_windows(queue_len):
+    spec = small_spec(p=5, spreads=(0.5, 1.0, 2.0))
+    ds = generate_dataset(spec)
+    order = np.random.default_rng(8).permutation(ds.train_y.shape[0])
+    X, y = ds.train_X[order], ds.train_y[order]
+    whole = EpochAccumulator(capacity=queue_len, p=spec.p)
+    whole.add(X, y)
+    batched = EpochAccumulator(capacity=queue_len, p=spec.p)
+    for start in range(0, X.shape[0], 16):
+        batched.add(ds.train_X[order[start:start + 16]], ds.train_y[order[start:start + 16]])
+    got, want = whole.finalize(), batched.finalize()
+    assert list(got.categories) == list(want.categories) == [0, 1, 2]
+    for c, w in want.categories.items():
+        g = got.categories[c]
+        assert (g.total, g.windows) == (w.total, w.windows)
+        assert np.array_equal(g.mean, w.mean)
+        assert np.array_equal(g.cov, w.cov)
+
+
+# ------------------------------------------------- boundary validation
+
+
+def _set(part, row, value):
+    def mutate(ds):
+        getattr(ds, part)[row] = value
+    return mutate
+
+
+_BAD_DATASETS = {
+    "nan-train-feature": (LOSSES, _set("train_X", (37, 2), np.nan),
+                          "non-finite train feature at row 37"),
+    "inf-test-feature": (LOSSES, _set("test_X", (5, 0), -np.inf),
+                         "non-finite test feature at row 5"),
+    "zero-norm-train-row": (("normface", "igam"), _set("train_X", 41, 0.0),
+                            "zero-norm train feature vector at index 41"),
+    "zero-norm-test-row": (("normface", "igam"), _set("test_X", 3, 0.0),
+                           "zero-norm test feature vector at index 3"),
+    "label-at-C": (LOSSES, _set("train_y", 50, 3),
+                   re.escape("train label 3 at row 50 is outside [0, 3)")),
+    "negative-label": (LOSSES, _set("train_y", 7, -1),
+                       re.escape("train label -1 at row 7 is outside [0, 3)")),
+    "negative-test-label": (LOSSES, _set("test_y", 2, -4),
+                            re.escape("test label -4 at row 2 is outside [0, 3)")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATASETS))
+def test_bad_dataset_rejected_before_any_step(monkeypatch, case):
+    losses, mutate, message = _BAD_DATASETS[case]
+
+    def no_step(*args):
+        raise AssertionError("an SGD step ran on an unchecked dataset")
+
+    monkeypatch.setattr(trainer_mod, "_cosine_kernel", no_step)
+    monkeypatch.setattr(trainer_mod, "_ce_kernel", no_step)
+    spec = small_spec()
+    for loss in losses:
+        ds = generate_dataset(spec)
+        mutate(ds)
+        config = TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90)
+        with pytest.raises(InputError, match=message):
+            train(spec, config, dataset=ds)
+
+
+def test_ce_accepts_zero_norm_rows():
+    # Raw inner products need no normalization, so a zero row is a valid
+    # plain cross-entropy input.
+    spec = small_spec()
+    ds = generate_dataset(spec)
+    ds.train_X[41] = 0.0
+    ds.test_X[3] = 0.0
+    result = train(spec, TrainConfig(loss="ce", epochs=1, batch_size=16, queue_len=90),
+                   dataset=ds)
+    assert np.isfinite(result.reports[0].loss_mean)
+
+
+def test_dataset_shapes_and_dtypes_checked():
+    spec = small_spec()
+    config = TrainConfig(epochs=1, batch_size=16, queue_len=90)
+    ds = generate_dataset(spec)
+    ds.train_X = ds.train_X[:, :3]
+    with pytest.raises(InputError, match=re.escape("train_X must be a float64 (n, 4) array")):
+        train(spec, config, dataset=ds)
+    ds = generate_dataset(spec)
+    ds.test_y = ds.test_y.astype(np.float64)
+    with pytest.raises(InputError, match="test_y must be an integer array of 90 labels"):
+        train(spec, config, dataset=ds)
