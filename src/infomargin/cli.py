@@ -62,10 +62,13 @@ def _emit(doc, out: str | None) -> None:
 def _cmd_stats(args) -> int:
     # A binary file is read one window of records at a time, so only one
     # window is ever in memory; CSV and JSON come as one whole-file chunk.
+    # Each chunk is dropped before the next is read (the accumulator keeps
+    # none once its window closes), so two are never held at once.
     p, chunks = fileio.iter_embeddings(args.input, args.format, chunk=args.queue_len)
     acc = EpochAccumulator(capacity=args.queue_len, p=p)
     for X, categories in chunks:
         acc.add(X, categories)
+        del X, categories
     stats = acc.finalize()
     _emit(global_stats_to_json(stats), args.out)
     return 0

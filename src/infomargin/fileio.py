@@ -25,6 +25,11 @@ reading an emitted document and re-emitting it is byte-identical.
 each float once with `float.__repr__` (the spelling `json` uses) and
 joins a list of scalars in one `str.join`, instead of taking one step of
 the stdlib's pure-Python indent encoder per value. Dict keys must be `str`.
+Wherever it takes a list of floats it also takes a 1-D float64 `ndarray`,
+written as that list would be: each distinct bit pattern in the array is
+spelled once and the spellings are joined in array order, so the mirror
+entries of a symmetric covariance cost no second spelling and the array
+is never turned into Python floats.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
 
 FORMATS = ("bin", "csv", "json")
+
+# Category ids are held as int64 once read.
+_MAX_ID = int(np.iinfo(np.int64).max)
 
 _EXTENSIONS = {".bin": "bin", ".csv": "csv", ".json": "json"}
 
@@ -141,6 +149,10 @@ def _binary_chunks(path, p: int, count: int, chunk: int):
                     f"{_HEADER.size + missing * dtype.itemsize}"
                 )
             X = records["vector"].astype(np.float64)
+            categories = records["category"].astype(np.int64)
+            # Only one chunk is held at a time: the raw records go before the
+            # yield, and the yielded arrays before the next chunk is read.
+            del records
             # min and max propagate NaN and expose +-inf without an (n, p) temporary.
             if not (np.isfinite(X.min()) and np.isfinite(X.max())):
                 bad = start + int(np.argmin(np.isfinite(X).all(axis=1)))
@@ -148,7 +160,8 @@ def _binary_chunks(path, p: int, count: int, chunk: int):
                 raise InputError(
                     f"{path}: non-finite coordinate in record {bad} at byte offset {offset}"
                 )
-            yield X, records["category"].astype(np.int64)
+            yield X, categories
+            del X, categories
 
 
 def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +216,8 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise InputError(f"{path}: line {lineno}: {exc}") from exc
             if cat < 0:
                 raise InputError(f"{path}: line {lineno}: negative category id {cat}")
+            if cat > _MAX_ID:
+                raise InputError(f"{path}: line {lineno}: category id {cat} exceeds {_MAX_ID}")
             if not all(np.isfinite(vec)):
                 raise InputError(f"{path}: line {lineno}: non-finite coordinate")
             cats.append(cat)
@@ -236,7 +251,11 @@ def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed embedding document: {exc}") from exc
     p = as_int(raw_p, f"{path}: p")
-    cats = [as_int(c, f"{path}: records[{i}].category") for i, c in enumerate(raw_cats)]
+    cats = [as_int(c, f"{path}: records[{i}].category", minimum=0)
+            for i, c in enumerate(raw_cats)]
+    for i, cat in enumerate(cats):
+        if cat > _MAX_ID:
+            raise InputError(f"{path}: records[{i}].category: category id {cat} exceeds {_MAX_ID}")
     if not entries:
         raise InputError(f"{path}: no records")
     X = np.asarray(rows, dtype=np.float64)
@@ -325,12 +344,23 @@ def _join_scalars(items, sep: str) -> str | None:
         # float.__repr__ raises TypeError on any item that is not a float.
         text = sep.join(map(float.__repr__, items))
     except TypeError:
-        if any(isinstance(v, (dict, list, tuple)) for v in items):
+        if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
             return None
         return sep.join(map(_scalar, items))
     if "n" in text:  # nan or inf: _scalar raises on the first one
         return sep.join(map(_scalar, items))
     return text
+
+
+def _join_floats(a: np.ndarray, sep: str) -> str:
+    """A nonempty 1-D float64 array spelled as a list of its floats and joined by `sep`."""
+    # Unique bit patterns, not values, so 0.0 and -0.0 keep their own spellings.
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        _scalar(float(a[~np.isfinite(a)][0]))  # raises, naming the first in array order
+    spelled = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    return sep.join(spelled[inverse].tolist())
 
 
 def _chunks(o, indent: str):
@@ -364,6 +394,15 @@ def _chunks(o, indent: str):
                     yield sep
                 yield from _chunks(value, inner)
         yield "\n" + indent + "]"
+    elif isinstance(o, np.ndarray):
+        if o.dtype != np.float64 or o.ndim != 1:
+            raise TypeError(f"Object of type ndarray with dtype {o.dtype} and shape "
+                            f"{o.shape} is not JSON serializable (only 1-D float64 is)")
+        if not o.size:
+            yield "[]"
+            return
+        inner = indent + "  "
+        yield "[\n" + inner + _join_floats(o, ",\n" + inner) + "\n" + indent + "]"
     else:
         yield _scalar(o)
 
@@ -371,8 +410,10 @@ def _chunks(o, indent: str):
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, 2-space indent, shortest-round-trip floats.
 
-    Raises ValueError on NaN or infinity and TypeError on a value that is not
-    a dict, list, tuple, str, int, float, bool or None, or a non-str key.
+    A 1-D float64 array is written as the list of its floats. Raises
+    ValueError on NaN or infinity and TypeError on a value that is not a
+    dict, list, tuple, str, int, float, bool, None or 1-D float64 array,
+    or on a non-str key.
     """
     return "".join([*_chunks(obj, ""), "\n"])
 

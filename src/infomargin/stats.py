@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, as_int
+from .errors import InputError, NumericalError, as_int
 
 __all__ = [
     "CategoryStats",
@@ -81,15 +81,21 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
     # min and max propagate NaN and expose +-inf without an (n, p) temporary.
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise InputError("non-finite coordinates in embedding batch")
+    # One stable sort groups the rows: each category's rows are a contiguous
+    # run of `order`, in their original order, so `X[order[a:b]]` is the
+    # same matrix a boolean mask would select, and the same bits follow.
+    order = np.argsort(categories, kind="stable")
+    ordered = categories[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    bounds = [0, *starts.tolist(), ordered.shape[0]]
     out = {}
-    for cat in np.unique(categories):
-        rows = X[categories == cat]
-        n = rows.shape[0]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rows = X[order[a:b]]
         mean = rows.mean(axis=0)
-        centered = rows - mean
-        cov = centered.T @ centered / n
+        rows -= mean
+        cov = rows.T @ rows / (b - a)
         cov = 0.5 * (cov + cov.T)
-        out[int(cat)] = CategoryStats(total=n, mean=mean, cov=cov)
+        out[int(ordered[a])] = CategoryStats(total=b - a, mean=mean, cov=cov)
     return out
 
 
@@ -206,31 +212,50 @@ class EpochAccumulator:
             X, categories = self._pending[0]
         else:
             X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
-        for cat, window in local_stats_from_arrays(X, categories).items():
-            running = self._running.get(cat)
-            self._running[cat] = window if running is None else merge_stats([running, window])
+        # Overflow shows as inf or NaN in the statistics, which `finalize`
+        # reports once per category; a warning per window would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cat, window in local_stats_from_arrays(X, categories).items():
+                running = self._running.get(cat)
+                self._running[cat] = window if running is None else merge_stats([running, window])
         self._pending = []
         self._pending_rows = 0
 
     def finalize(self) -> GlobalStats:
-        """Final partial window, the running statistics, and reset for the next epoch."""
+        """Final partial window, the running statistics, and reset for the next epoch.
+
+        Raises NumericalError naming the first category whose mean or
+        covariance overflowed float64 (finite records such as +-1e308).
+        """
         if self._pending:
             self._snapshot()
         merged = dict(sorted(self._running.items()))
         self._running = {}
+        for cat, cs in merged.items():
+            if not (np.isfinite(cs.mean).all() and np.isfinite(cs.cov).all()):
+                raise NumericalError(
+                    f"category {cat}: its mean or covariance overflows float64"
+                )
         return GlobalStats(p=self.p, categories=merged)
 
 
 def global_stats_to_json(stats: GlobalStats) -> dict:
-    """JSON-ready form: {"p": ..., "categories": [{id, count, mean, cov_row_major}]}."""
+    """The statistics document {"p": ..., "categories": [{id, count, mean, cov_row_major}]},
+    ready for `fileio.canonical_dumps`.
+
+    `mean` and `cov_row_major` are 1-D float64 arrays that share memory with
+    the statistics, not lists. `canonical_dumps` writes them as float lists,
+    spelling each distinct value once; `json.dumps` needs
+    `default=np.ndarray.tolist`.
+    """
     return {
         "p": stats.p,
         "categories": [
             {
                 "id": cat,
                 "count": cs.total,
-                "mean": cs.mean.tolist(),
-                "cov_row_major": cs.cov.reshape(-1).tolist(),
+                "mean": cs.mean,
+                "cov_row_major": cs.cov.reshape(-1),
             }
             for cat, cs in sorted(stats.categories.items())
         ],

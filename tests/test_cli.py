@@ -171,6 +171,35 @@ def test_stats_rejects_fractional_json_category(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "expected an integer" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_rejects_category_id_beyond_int64(tmp_path, capsys, fmt):
+    path = tmp_path / f"e.{fmt}"
+    if fmt == "csv":
+        path.write_text("category,e0\n0,1.0\n99999999999999999999,2.0\n")
+        where = "line 3"
+    else:
+        path.write_text('{"p": 1, "records": [{"category": 0, "vector": [1.0]}, '
+                        '{"category": 99999999999999999999, "vector": [2.0]}]}')
+        where = "records[1].category"
+    code, out, err = run(capsys, "stats", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{where}: category id 99999999999999999999 exceeds" in err
+
+
+@pytest.mark.parametrize("rows", [["1e308,2.0", "-1e308,3.0"], ["1e308,2.0", "1e308,3.0"]])
+def test_stats_overflowing_statistics_exit_three(tmp_path, capsys, rows):
+    # Finite records whose covariance (or mean) overflows float64: one
+    # `numerical error:` line naming the category, and no output file.
+    path = tmp_path / "big.csv"
+    path.write_text("category,e0,e1\n" + "".join(f"5,{r}\n" for r in rows))
+    out_path = tmp_path / "stats.json"
+    code, out, err = run(capsys, "stats", str(path), "--out", str(out_path))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error: category 5") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_stats_writes_out_file(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path)

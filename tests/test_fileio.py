@@ -214,6 +214,23 @@ def test_csv_rejects_non_numeric_and_negative(tmp_path):
         read_embeddings_csv(path)
 
 
+@pytest.mark.parametrize("cat", [2**63, 99999999999999999999])
+def test_readers_reject_category_ids_beyond_int64(tmp_path, cat):
+    # The largest int64 id still reads; one more names the CSV line or the
+    # JSON record instead of overflowing in numpy.
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n{cat},2.0\n")
+    with pytest.raises(InputError, match=f"line 3: category id {cat} exceeds {2**63 - 1}"):
+        read_embeddings_csv(csv_path)
+    json_path = tmp_path / "big.json"
+    json_path.write_text(f'{{"p": 1, "records": [{{"category": {2**63 - 1}, "vector": [1.0]}}, '
+                         f'{{"category": {cat}, "vector": [2.0]}}]}}')
+    with pytest.raises(InputError, match=rf"records\[1\]\.category: category id {cat} exceeds"):
+        read_embeddings_json(json_path)
+    csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n")
+    assert read_embeddings_csv(csv_path)[1].tolist() == [2**63 - 1]
+
+
 def test_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("category,e0\n0,inf\n")
@@ -260,6 +277,8 @@ def test_json_embedding_errors(tmp_path):
          r"records\[0\]\.category: expected an integer, got True"),
         ('{"p": 2.7, "records": [{"category": 0, "vector": [0.0, 1.0]}]}',
          r"p: expected an integer, got 2\.7"),
+        ('{"p": 1, "records": [{"category": -2, "vector": [0.0]}]}',
+         r"records\[0\]\.category must be >= 0, got -2"),
     ]:
         path.write_text(text)
         with pytest.raises(InputError, match=message):
@@ -299,8 +318,10 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
 
 
 def _stdlib_canonical(obj) -> str:
-    # The reference: canonical_dumps must give exactly these bytes.
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # The reference: canonical_dumps must give exactly these bytes. Arrays
+    # (the statistics document holds them) are encoded as their float lists.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=np.ndarray.tolist) + "\n"
 
 
 def _stats_document(tmp_path):
@@ -386,6 +407,65 @@ def test_canonical_dumps_rejects_non_str_keys():
     # such keys, so they are refused.
     with pytest.raises(TypeError, match="keys must be str"):
         canonical_dumps({1: 0.5})
+
+
+def _both_paths(values: np.ndarray):
+    """canonical_dumps of `values` as an array and as a list of floats, in a
+    dict, in a list next to other values, and bare."""
+    return [(canonical_dumps(wrap(values)), canonical_dumps(wrap(values.tolist())))
+            for wrap in (lambda v: {"v": v, "w": 1}, lambda v: [v, "s", v], lambda v: v)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_dumps_array_matches_list(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=200) * 10.0 ** rng.integers(-30, 30, size=200)
+    values[::7] = values[3]  # repeats: one spelling serves many entries
+    sym = rng.normal(size=(9, 9))
+    for a in (values, (sym + sym.T).reshape(-1), values[::3]):
+        for array_text, list_text in _both_paths(a):
+            assert array_text == list_text
+            assert array_text == _stdlib_canonical(json.loads(list_text))
+
+
+def test_canonical_dumps_array_edge_floats():
+    edge = np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e16, 1e-5, 1e-4, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1 + 0.2, 1.0, -1.0, 1.0])
+    for array_text, list_text in _both_paths(edge):
+        assert array_text == list_text
+    text = canonical_dumps(edge)
+    assert text.split(",\n  ")[:4] == ["[\n  0.0", "-0.0", "0.0", "-0.0"]
+    assert text == _stdlib_canonical(edge)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_dumps_array_rejects_non_finite(bad):
+    values = np.array([1.0, bad, 2.0, float("nan")])
+    with pytest.raises(ValueError, match="not JSON compliant") as from_array:
+        canonical_dumps({"x": values})
+    with pytest.raises(ValueError, match="not JSON compliant") as from_list:
+        canonical_dumps({"x": values.tolist()})
+    assert str(from_array.value) == str(from_list.value)
+
+
+def test_canonical_dumps_empty_array():
+    empty = np.zeros(0)
+    assert canonical_dumps(empty) == "[]\n"
+    assert canonical_dumps({"e": empty}) == canonical_dumps({"e": []})
+
+
+@pytest.mark.parametrize("bad", [
+    np.arange(3),
+    np.arange(3, dtype=np.float32),
+    np.zeros((2, 2)),
+    np.array(1.0),
+])
+def test_canonical_dumps_rejects_other_arrays(bad):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps({"x": bad})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps([1.0, bad])
 
 
 @pytest.mark.parametrize("bad", [{"x": [float("nan")]}, {"x": np.int64(1)}])

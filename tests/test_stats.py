@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infomargin.errors import InputError
+from infomargin import stats as stats_module
+from infomargin.errors import InputError, NumericalError
 from infomargin.stats import (
     CategoryStats,
     EpochAccumulator,
@@ -134,6 +135,62 @@ def test_local_stats_covariance_is_symmetric_psd():
     ls = local_stats_from_arrays(X, [0] * 40)[0]
     assert np.array_equal(ls.cov, ls.cov.T)
     assert np.linalg.eigvalsh(ls.cov).min() > -1e-12
+
+
+def _mask_loop_reference(X, categories):
+    """The window statistics as one boolean mask per category selected them
+    before rows were grouped by a sort: {id: (count, mean, cov)}."""
+    out = {}
+    for cat in np.unique(categories):
+        rows = X[categories == cat]
+        n = rows.shape[0]
+        mean = rows.mean(axis=0)
+        centered = rows - mean
+        cov = centered.T @ centered / n
+        cov = 0.5 * (cov + cov.T)
+        out[int(cat)] = (n, mean, cov)
+    return out
+
+
+_rng = np.random.default_rng(31)
+_GROUPING_CASES = {
+    "interleaved-unsorted": _rng.permutation(np.arange(300) % 7 * 3 + 2),
+    "sparse-large": _rng.choice([9, 2**31 + 5, 4_000_000_000, 2**62, 0], size=300),
+    "single-row-categories": _rng.permutation(np.concatenate([np.arange(50, 60), [4] * 290])),
+    "int32": _rng.integers(0, 12, size=300).astype(np.int32),
+    "uint32": _rng.choice(np.array([7, 2**32 - 1, 1203, 3], dtype=np.uint32), size=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPING_CASES))
+def test_local_stats_same_bits_as_mask_loop(name):
+    categories = _GROUPING_CASES[name]
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(categories.shape[0], 9)) * 10.0 ** rng.integers(-3, 4, size=9)
+    before = X.copy()
+    out = local_stats_from_arrays(X, categories)
+    assert np.array_equal(X, before)
+    reference = _mask_loop_reference(before, categories)
+    assert list(out) == sorted(reference)
+    for cat, (count, mean, cov) in reference.items():
+        assert type(cat) is int
+        assert out[cat].total == count and out[cat].windows == 1
+        assert np.array_equal(out[cat].mean, mean)
+        assert np.array_equal(out[cat].cov, cov)
+
+
+def test_snapshot_reaches_module_local_stats(monkeypatch):
+    # Each window goes through the module-level function, so a wrapper
+    # installed on the module (as a tracer does) sees every window.
+    windows = []
+    real = stats_module.local_stats_from_arrays
+    monkeypatch.setattr(stats_module, "local_stats_from_arrays",
+                        lambda X, c: windows.append(X.shape[0]) or real(X, c))
+    acc = EpochAccumulator(capacity=10, p=2)
+    acc.add(np.ones((14, 2)), np.zeros(14, dtype=np.int64))
+    acc.add(np.ones((11, 2)), np.ones(11, dtype=np.int64))
+    acc.finalize()
+    assert windows == [10, 10, 5]
 
 
 def test_empty_batch_rejected():
@@ -496,6 +553,17 @@ def test_stale_entries_of_unseen_category_are_ignored():
     cs = second.categories[0]
     assert cs.total == 1
     assert np.allclose(cs.mean, [3.0])
+
+
+def test_finalize_rejects_overflowing_statistics():
+    # Finite records whose covariance overflows float64 in category 5; the
+    # accumulator is still reset, so the next epoch starts clean.
+    acc = EpochAccumulator(capacity=2, p=2)
+    acc.add(np.array([[0.0, 1.0], [1e308, 2.0], [-1e308, 3.0], [2.0, 2.0]]), [1, 5, 5, 1])
+    with pytest.raises(NumericalError, match="category 5:.*overflows"):
+        acc.finalize()
+    acc.add(np.array([[0.0, 1.0], [2.0, 3.0]]), [5, 5])
+    assert acc.finalize().categories[5].total == 2
 
 
 # -------------------------------------------------------------------- json
