@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -45,18 +44,22 @@ from .loss import (
 )
 from .planner import PlanInput, memory_report, optimal_queue_length, plan_result_to_json
 from .runconfig import parse_run_config
-from .stats import EpochAccumulator, global_stats_from_json, global_stats_to_json
+from .stats import (
+    EpochAccumulator,
+    global_stats_from_json,
+    global_stats_to_json,
+    stats_entry_arrays,
+)
 from .trainer import LOSSES, generate_dataset, run_report_to_json, train
 
 _MODES = {"grid": "coarse-grid", "exact": "exact-integer"}
 
 
 def _emit(doc, out: str | None) -> None:
-    text = fileio.canonical_dumps(doc)
     if out:
-        Path(out).write_text(text)
+        fileio.write_json(out, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.canonical_dumps(doc))
 
 
 def _cmd_stats(args) -> int:
@@ -75,7 +78,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    stats = global_stats_from_json(fileio.read_json(args.stats))
+    stats = global_stats_from_json(fileio.read_json(args.stats, object_hook=stats_entry_arrays))
     table = information_amounts_from_stats(stats)
     _emit(info_table_to_json(table), args.out)
     return 0

@@ -30,6 +30,12 @@ written as that list would be: each distinct bit pattern in the array is
 spelled once and the spellings are joined in array order, so the mirror
 entries of a symmetric covariance cost no second spelling and the array
 is never turned into Python floats.
+
+One encoder makes the text in pieces: `canonical_dumps` joins them, and
+`write_json` writes each to the file as it is made, so a document written
+to disk is never held whole in memory. `read_json` passes an optional
+`object_hook` to `json.loads`, which lets a reader turn each entry's float
+lists into arrays as the entry is parsed.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -419,16 +426,54 @@ def canonical_dumps(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj))
+    """Write `canonical_dumps(obj)` to `path`, one piece at a time as it is made.
+
+    The text is never held whole: each piece of the encoder's output goes
+    to the file as soon as it is made. It goes to a temporary file beside
+    `path`, which replaces `path` only once the whole document is written,
+    so an error mid-write (NaN, an unserializable value, a full disk)
+    leaves no partial file and an earlier file at `path` untouched, with
+    its permission bits kept for the new one. A symlink, or a path that
+    exists and is not a regular file (such as `/dev/stdout`), is opened and
+    written directly instead, as `open` would; an error there can leave
+    part of the document.
+    """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w") as fh:
+            _write_chunks(fh, obj)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            _write_chunks(fh, obj)
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def read_json(path):
+def _write_chunks(fh, obj) -> None:
+    fh.writelines(_chunks(obj, ""))
+    fh.write("\n")
+
+
+def read_json(path, object_hook=None):
+    """Parse the JSON file at `path`, passing `object_hook` to `json.loads`.
+
+    The hook sees each decoded object as soon as it closes, so a caller can
+    turn an entry's float lists into arrays before the next entry is parsed
+    (`stats.stats_entry_arrays`). An unreadable file or invalid JSON raises
+    InputError naming the path (and the line and column).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc

@@ -31,6 +31,7 @@ __all__ = [
     "merge_stats",
     "global_stats_to_json",
     "global_stats_from_json",
+    "stats_entry_arrays",
 ]
 
 
@@ -54,6 +55,14 @@ class GlobalStats:
     categories: dict[int, CategoryStats] = field(default_factory=dict)
 
 
+def _check_ids(categories: np.ndarray) -> None:
+    """Nonempty category ids must be integers >= 0."""
+    if categories.dtype.kind not in "iu":
+        raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
+    if categories.min() < 0:
+        raise InputError(f"category must be >= 0, got {categories.min()}")
+
+
 def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, CategoryStats]:
     """Per-category mean and population covariance of one window.
 
@@ -63,7 +72,8 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
     Parameters
     ----------
     X : (n, p) float64 array of embeddings.
-    categories : (n,) integer array of category ids.
+    categories : (n,) integer array of category ids >= 0; any other dtype
+        or a negative id raises InputError.
 
     Returns
     -------
@@ -78,6 +88,7 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
         raise InputError(
             f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
         )
+    _check_ids(categories)
     # min and max propagate NaN and expose +-inf without an (n, p) temporary.
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         raise InputError("non-finite coordinates in embedding batch")
@@ -188,10 +199,7 @@ class EpochAccumulator:
         n = X.shape[0]
         if n == 0:
             return
-        if categories.dtype.kind not in "iu":
-            raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
-        if categories.min() < 0:
-            raise InputError(f"category must be >= 0, got {categories.min()}")
+        _check_ids(categories)
         # min and max propagate NaN and expose +-inf without an (n, p) temporary.
         if not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise InputError("non-finite coordinate in embedding batch")
@@ -262,6 +270,27 @@ def global_stats_to_json(stats: GlobalStats) -> dict:
     }
 
 
+def stats_entry_arrays(obj: dict) -> dict:
+    """`json.loads` object hook for the statistics document: an entry's
+    `mean` and `cov_row_major` lists become float64 arrays as soon as the
+    entry closes, so its Python floats are freed before the next entry is
+    parsed.
+
+    It never raises. A value that does not convert (a string, a ragged
+    list, an integer beyond float64) is left as it was, and
+    `global_stats_from_json`, which takes lists or arrays, rejects it with
+    the same message as without the hook.
+    """
+    for key in ("mean", "cov_row_major"):
+        value = obj.get(key)
+        if isinstance(value, list):
+            try:
+                obj[key] = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 def global_stats_from_json(doc: dict) -> GlobalStats:
     try:
         raw_p = doc["p"]
@@ -279,7 +308,7 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
             raw_id, raw_count = entry["id"], entry["count"]
             mean = np.asarray(entry["mean"], dtype=np.float64)
             cov = np.asarray(entry["cov_row_major"], dtype=np.float64).reshape(p, p)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
         cat = as_int(raw_id, f"categories[{i}].id", minimum=0)
         count = as_int(raw_count, f"categories[{i}].count", minimum=1)

@@ -9,6 +9,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from infomargin import cli as cli_module
 from infomargin import stats as stats_module
 from infomargin.cli import main
 from infomargin.fileio import canonical_dumps, write_embeddings, write_json
@@ -279,6 +280,84 @@ def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stats_out_peaks_below_document_size(tmp_path):
+    # `--out` JSON is written as it is made, so `stats` never holds the
+    # document text: its traced peak (a window, the running statistics, one
+    # entry's text) stays below the size of the file it writes. Building the
+    # text whole, then encoding it, peaked at over twice the file size.
+    rng = np.random.default_rng(105)
+    N, p, C = 4000, 64, 40
+    path = tmp_path / "e.bin"
+    write_embeddings(path, rng.normal(size=(N, p)), rng.integers(0, C, size=N))
+    out = tmp_path / "stats.json"
+    argv = ["stats", str(path), "--queue-len", "1000", "--out", str(out)]
+    assert main(argv) == 0  # warm up numpy's lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 4_000_000
+    assert peak < size
+
+
+_HAND_WRITTEN_STATS = """{"categories":[ {"cov_row_major":[2,0.5,
+   0.5, 1e0], "mean":[1, -0], "id":7, "count":3},
+ {"id": 2, "count": 1,   "mean": [0.25, 3], "cov_row_major": [0,0,0,0]} ],
+ "p":2}
+"""
+
+
+def _info_without_hook(monkeypatch, capsys, path):
+    with monkeypatch.context() as m:
+        m.setattr(cli_module, "stats_entry_arrays", None)
+        return run(capsys, "info", str(path))
+
+
+@pytest.mark.parametrize("source", ["canonical", "hand-written"])
+def test_info_same_bytes_with_and_without_entry_hook(tmp_path, capsys, monkeypatch, source):
+    path = tmp_path / "stats.json"
+    if source == "canonical":
+        write_sample_embeddings(tmp_path / "e.bin", n=40, p=3, C=3)
+        run(capsys, "stats", str(tmp_path / "e.bin"), "--queue-len", "7", "--out", str(path))
+    else:
+        path.write_text(_HAND_WRITTEN_STATS)
+    seen = []
+
+    def counting_hook(obj):
+        seen.append("mean" in obj)
+        return stats_module.stats_entry_arrays(obj)
+
+    # `info` reads through the hook, which sees each entry and then the document.
+    with monkeypatch.context() as m:
+        m.setattr(cli_module, "stats_entry_arrays", counting_hook)
+        code, out, err = run(capsys, "info", str(path))
+    assert code == 0 and err == ""
+    assert seen == [True] * len(json.loads(out)["info"]) + [False]
+    assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("mean", '["a", 1.0]', "could not convert string to float: 'a'"),
+    ("cov_row_major", "[1.0, [0.0, 0.0], 1.0]", "inhomogeneous shape"),
+    ("cov_row_major", "[1.0, 0.0, 1.0]", "cannot reshape array of size 3 into shape (2,2)"),
+    ("mean", "[1" + "0" * 400 + ", 1.0]", "int too large to convert to float"),
+], ids=["string", "ragged", "wrong-length", "huge-int"])
+def test_info_malformed_entry_same_error_with_and_without_hook(
+        tmp_path, capsys, monkeypatch, field, text, message):
+    values = {"mean": "[0.0, 1.0]", "cov_row_major": "[1.0, 0.0, 0.0, 1.0]", field: text}
+    path = tmp_path / "stats.json"
+    path.write_text('{"p": 2, "categories": [{"id": 0, "count": 2, "mean": %(mean)s, '
+                    '"cov_row_major": %(cov_row_major)s}]}' % values)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed statistics entry: ") and err.count("\n") == 1
+    assert message in err
+    assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
 def test_stats_info_pipeline_round_trips(tmp_path, capsys):

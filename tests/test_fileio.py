@@ -1,7 +1,10 @@
 """Embedding file formats and canonical JSON emission."""
 
 import json
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from infomargin.fileio import (
     write_embeddings_json,
     write_json,
 )
+from infomargin.planner import PlanInput, optimal_queue_length, plan_result_to_json
 from infomargin.stats import EpochAccumulator, global_stats_to_json
 from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, run_report_to_json, train
 
@@ -358,6 +362,8 @@ _CANONICAL_CORPUS = {
     "null": lambda _: None,
     "stats-document": _stats_document,
     "toy-report": _toy_report,
+    "plan-result": lambda _: plan_result_to_json(
+        optimal_queue_length(PlanInput(N=55_800, p=128, C=20))),
 }
 
 
@@ -476,6 +482,59 @@ def test_write_json_leaves_target_untouched_on_encoding_error(tmp_path, bad):
     with pytest.raises((TypeError, ValueError)):
         write_json(path, bad)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL_CORPUS))
+def test_write_json_gives_canonical_dumps_bytes(tmp_path, name):
+    # The streamed writer and canonical_dumps share one encoder; the file
+    # holds exactly the joined text, and no temporary file is left.
+    doc = _CANONICAL_CORPUS[name](tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_json(out / "doc.json", doc)
+    assert (out / "doc.json").read_bytes() == canonical_dumps(doc).encode()
+    assert os.listdir(out) == ["doc.json"]
+
+
+def test_write_json_nan_deep_in_document_leaves_no_file(tmp_path):
+    # The statistics document is written before the NaN is reached ("a" sorts
+    # first), so the error comes mid-write; neither the target nor a
+    # temporary file is left behind.
+    doc = {"a": _stats_document(tmp_path),
+           "z": [{"deep": [1.0, [0.5, float("nan")]]}]}
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValueError, match="not JSON compliant: nan"):
+        write_json(out / "doc.json", doc)
+    assert os.listdir(out) == []
+
+
+def test_write_json_replaces_file_and_keeps_mode_and_links(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("old")
+    path.chmod(0o640)
+    write_json(path, {"k": 1})
+    assert path.read_text() == canonical_dumps({"k": 1})
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    write_json(link, [2.5])
+    assert link.is_symlink() and path.read_text() == canonical_dumps([2.5])
+
+
+def test_write_json_writes_through_a_pipe(tmp_path):
+    # A path that is not a regular file (a FIFO here, /dev/stdout in use) is
+    # written directly, not replaced by a regular file.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_json(fifo, {"k": [1.5]})
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [canonical_dumps({"k": [1.5]}).encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_write_json_read_json_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from infomargin.stats import (
     global_stats_to_json,
     local_stats_from_arrays,
     merge_stats,
+    stats_entry_arrays,
 )
 
 
@@ -127,6 +128,18 @@ def test_local_stats_split_by_category_sorted():
         mean_ref, cov_ref = two_pass_reference(rows)
         assert np.allclose(ls.mean, mean_ref, rtol=1e-12, atol=1e-15)
         assert np.allclose(ls.cov, cov_ref, rtol=1e-12, atol=1e-15)
+
+
+def test_local_stats_rejects_float_and_negative_ids():
+    # Float ids were once grouped by int(id): [2.2, 2.7, 2.7] came back as
+    # {2: total 2}, and the record with id 2.2 was silently lost.
+    X = np.array([[1.0], [3.0], [10.0]])
+    with pytest.raises(InputError, match="category ids must be integers, got dtype float64"):
+        local_stats_from_arrays(X, np.array([2.2, 2.7, 2.7]))
+    with pytest.raises(InputError, match="must be integers"):
+        local_stats_from_arrays(X, np.array([True, False, True]))
+    with pytest.raises(InputError, match="category must be >= 0, got -1"):
+        local_stats_from_arrays(X, np.array([2, -1, 2]))
 
 
 def test_local_stats_covariance_is_symmetric_psd():
@@ -606,3 +619,30 @@ def test_global_stats_from_json_rejects_count_below_one():
     entry = {"id": 3, "count": 0, "mean": [0.0, 1.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
     with pytest.raises(InputError, match="count must be >= 1"):
         global_stats_from_json({"p": 2, "categories": [entry]})
+
+
+# ------------------------------------------------------- statistics reader hook
+
+
+def test_stats_entry_arrays_converts_entry_lists():
+    entry = {"id": 3, "count": 2, "mean": [1, 2.5], "cov_row_major": [1.0, 0, 0, 4e-300]}
+    out = stats_entry_arrays(entry)
+    assert out is entry and (out["id"], out["count"]) == (3, 2)
+    for key, values in (("mean", [1.0, 2.5]), ("cov_row_major", [1.0, 0.0, 0.0, 4e-300])):
+        assert out[key].dtype == np.float64
+        assert np.array_equal(out[key], values)
+    assert stats_entry_arrays({"p": 2}) == {"p": 2}  # the document itself
+    assert stats_entry_arrays({"mean": "text", "cov_row_major": 7}) == {
+        "mean": "text", "cov_row_major": 7}
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, "a"],           # a string
+    [1.0, [2.0, 3.0]],    # ragged
+    [1.0, {"x": 1}],      # an object
+    [10**400],            # an integer beyond float64
+])
+def test_stats_entry_arrays_leaves_unconvertible_values(bad):
+    for key in ("mean", "cov_row_major"):
+        entry = {"id": 0, key: bad}
+        assert stats_entry_arrays(entry)[key] is bad
