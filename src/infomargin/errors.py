@@ -32,9 +32,28 @@ def as_int(value, path: str, minimum: int | None = None) -> int:
 def as_float(value, path: str) -> float:
     """`value` as a finite float; bools, strings and non-finite values raise
     InputError naming `path`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{path}: expected a number, got {value!r}")
     out = float(value)
     if not np.isfinite(out):
         raise InputError(f"{path}: expected a finite number, got {value!r}")
+    return out
+
+
+def as_choice(value, path: str, choices: tuple[str, ...]) -> str:
+    """`value` if it is one of the strings `choices`, else InputError naming `path`."""
+    if not isinstance(value, str) or value not in choices:
+        raise InputError(f"{path} must be one of {choices}, got {value!r}")
+    return value
+
+
+def as_number_array(value, path: str) -> np.ndarray:
+    """A JSON list of numbers as an array of the dtype numpy finds; strings (which
+    `dtype=np.float64` parses), nulls, all-boolean and ragged lists raise InputError."""
+    try:
+        out = np.asarray(value)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if out.dtype.kind not in "iuf":
+        raise InputError(f"{path}: expected a list of numbers")
     return out

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_int
+from .errors import InputError, as_choice, as_int, as_number_array
 
 __all__ = [
     "MAGIC",
@@ -82,9 +82,7 @@ _EXTENSIONS = {".bin": "bin", ".csv": "csv", ".json": "json"}
 def detect_format(path, fmt: str | None = None) -> str:
     """Resolve an embedding-file format from an explicit flag or extension."""
     if fmt is not None:
-        if fmt not in FORMATS:
-            raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
-        return fmt
+        return as_choice(fmt, "format", FORMATS)
     suffix = Path(path).suffix.lower()
     if suffix in _EXTENSIONS:
         return _EXTENSIONS[suffix]
@@ -221,6 +219,13 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 vec = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from exc
+            # int() and float() also take "1_0", "+0" and " 7": an id must be
+            # spelled as `str(int)` spells it, and no coordinate holds a "_".
+            if str(cat) != row[0]:
+                raise InputError(f"{path}: line {lineno}: category {row[0]!r} is not a "
+                                 "canonical decimal id")
+            if any("_" in v for v in row[1:]):
+                raise InputError(f"{path}: line {lineno}: '_' in a coordinate")
             if cat < 0:
                 raise InputError(f"{path}: line {lineno}: negative category id {cat}")
             if cat > _MAX_ID:
@@ -265,7 +270,7 @@ def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
             raise InputError(f"{path}: records[{i}].category: category id {cat} exceeds {_MAX_ID}")
     if not entries:
         raise InputError(f"{path}: no records")
-    X = np.asarray(rows, dtype=np.float64)
+    X = as_number_array(rows, f"{path}: vectors").astype(np.float64, copy=False)
     if X.ndim != 2 or X.shape[1] != p:
         raise InputError(f"{path}: vectors do not all have declared length p={p}")
     categories = np.asarray(cats, dtype=np.int64)

@@ -15,10 +15,10 @@ loss (a zero margin matrix reduces the margined loss to it exactly).
 The losses are array-in/array-out: `igam_batch`, `normface_batch` and
 `ce_batch` take an (n, p) batch and return a LossBatch with per-sample
 losses, logits and the analytic gradients of the mean loss. A single
-sample is a one-row batch. Each checks its batch, normalizes it for the
-cosine losses, and runs one private kernel (`_cosine_kernel` or
-`_ce_kernel`); the trainer runs the same kernels on rows it checked and
-normalized once per run.
+sample is a one-row batch. Each checks its batch once (shapes, labels,
+finite features and weights), normalizes it for the cosine losses, and runs
+one private kernel (`_cosine_kernel` or `_ce_kernel`); the trainer runs the
+same kernels on rows it checked and normalized once per run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_int
+from .errors import InputError, NumericalError, as_choice, as_int, as_number_array
 from .info import InfoAmountTable
 
 __all__ = [
@@ -166,6 +166,8 @@ class CosineClassifier:
     def cosines(self, X: np.ndarray) -> np.ndarray:
         """(n, C) matrix of cos(theta) between each input row and each class."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        _check_finite(X, "feature")
+        _check_finite(self.weights, "weight")
         U, _ = _unit_rows(X, "feature")
         Wn, _ = _unit_rows(self.weights, "weight")
         return np.clip(U @ Wn.T, -1.0, 1.0)
@@ -230,10 +232,8 @@ def normalize_info(
     Amounts so large that i_bar or i_bar * sqrt(C) overflows raise
     NumericalError.
     """
-    if variant not in INFO_VARIANTS:
-        raise InputError(f"variant must be one of {INFO_VARIANTS}, got {variant!r}")
-    if ibar not in IBAR_MODES:
-        raise InputError(f"ibar must be one of {IBAR_MODES}, got {ibar!r}")
+    as_choice(variant, "variant", INFO_VARIANTS)
+    as_choice(ibar, "ibar", IBAR_MODES)
     if isinstance(table, InfoAmountTable):
         _, I = table.as_arrays()
     else:
@@ -296,12 +296,8 @@ def build_margins(norm, variant: str = "clamped", direction: str = "target") -> 
     accuracy variance in the bundled benchmark (the "target" direction
     measurably increases it; see README).
     """
-    if variant not in MARGIN_VARIANTS:
-        raise InputError(f"variant must be one of {MARGIN_VARIANTS}, got {variant!r}")
-    if direction not in MARGIN_DIRECTIONS:
-        raise InputError(
-            f"direction must be one of {MARGIN_DIRECTIONS}, got {direction!r}"
-        )
+    as_choice(variant, "variant", MARGIN_VARIANTS)
+    as_choice(direction, "direction", MARGIN_DIRECTIONS)
     I = norm.normalized if isinstance(norm, InfoNormalization) else norm
     I = np.asarray(I, dtype=np.float64).reshape(-1)
     if I.size < 2:
@@ -318,12 +314,15 @@ def build_margins(norm, variant: str = "clamped", direction: str = "target") -> 
     return MarginMatrix(m)
 
 
-def _unit_rows(A: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _check_finite(A: np.ndarray, what: str) -> None:
     # min and max propagate NaN and expose +-inf without an (n, p) temporary.
     if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
         raise InputError(f"non-finite {what} values")
-    # np.linalg.norm(A, axis=1), keeping the squares as the buffer for the
-    # unit rows.
+
+
+def _unit_rows(A: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    # Callers check that A is finite. np.linalg.norm(A, axis=1), keeping the
+    # squares as the buffer for the unit rows.
     with np.errstate(over="ignore"):
         buf = A * A
     sq = np.add.reduce(buf, axis=1)
@@ -366,6 +365,8 @@ def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarr
         raise InputError(
             f"labels must lie in [0, {C}), got range [{labels.min()}, {labels.max()}]"
         )
+    _check_finite(X, "feature")
+    _check_finite(clf.weights, "weight")
     return X, labels
 
 
@@ -561,8 +562,8 @@ def margins_to_json(margins: MarginMatrix) -> dict:
 def margins_from_json(doc: dict) -> MarginMatrix:
     try:
         raw_C = doc["C"]
-        flat = np.asarray(doc["margins_row_major"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        flat = as_number_array(doc["margins_row_major"], "margins_row_major")
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed margin document: {exc}") from exc
     C = as_int(raw_C, "C", minimum=1)
     if flat.size != C * C:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_choice, as_int
 
 __all__ = [
     "PlanInput",
@@ -63,14 +63,9 @@ class PlanInput:
     search: str = "coarse-grid"
 
     def __post_init__(self):
-        if self.N < 1:
-            raise InputError(f"N must be >= 1, got {self.N}")
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
-        if self.C < 1:
-            raise InputError(f"C must be >= 1, got {self.C}")
-        if self.search not in SEARCH_MODES:
-            raise InputError(f"search must be one of {SEARCH_MODES}, got {self.search!r}")
+        for name in ("N", "p", "C"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
+        as_choice(self.search, "search", SEARCH_MODES)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ balanced benchmark).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, TrainingDivergedError
+from .errors import InputError, TrainingDivergedError, as_choice, as_float, as_int
 from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
     INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, \
@@ -54,16 +55,25 @@ __all__ = [
 LOSSES = ("ce", "normface", "igam")
 
 
-def _as_counts(value, C: int, what: str) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        counts = (int(value),) * C
-    else:
-        counts = tuple(int(v) for v in value)
-        if len(counts) != C:
-            raise InputError(f"{what} must have one entry per class ({C}), got {len(counts)}")
-    if any(c < 1 for c in counts):
-        raise InputError(f"{what} entries must be >= 1, got {counts}")
-    return counts
+def _as_bounded(value, path: str, rule: str) -> float:
+    """`value` as a finite float obeying `rule`: "> 0", ">= 0" or "in [0, 1)"."""
+    out = as_float(value, path)
+    if not {"> 0": out > 0, ">= 0": out >= 0, "in [0, 1)": 0 <= out < 1}[rule]:
+        raise InputError(f"{path} must be {rule}, got {out}")
+    return out
+
+
+def _per_class(value, C: int, path: str, check, broadcast: bool = False) -> tuple:
+    """`check` of each of C entries; with `broadcast`, one value serves all C."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if broadcast and not isinstance(value, (list, tuple)):
+        return (check(value, path),) * C
+    if not isinstance(value, (list, tuple)) or not value:
+        raise InputError(f"{path}: expected a nonempty list, got {value!r}")
+    if len(value) != C:
+        raise InputError(f"{path} must have one entry per class ({C}), got {len(value)}")
+    return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,9 @@ class SyntheticSpec:
     sequence; `spreads` gives each class's isotropic sigma_c. Class means
     are unit vectors drawn deterministically from (seed, class) streams
     and scaled by `mean_separation`.
+
+    Every field is type- and range-checked here, for config files and library
+    callers alike, and stored as Python ints, floats and tuples.
     """
 
     C: int
@@ -85,27 +98,23 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.C < 2:
-            raise InputError(f"C must be >= 2, got {self.C}")
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
-        object.__setattr__(self, "n_train", _as_counts(self.n_train, self.C, "n_train"))
-        object.__setattr__(self, "n_test", _as_counts(self.n_test, self.C, "n_test"))
-        spreads = tuple(float(s) for s in self.spreads)
-        if len(spreads) != self.C:
-            raise InputError(f"spreads must have {self.C} entries, got {len(spreads)}")
-        if any(not np.isfinite(s) or s <= 0 for s in spreads):
-            raise InputError(f"spreads must be finite and > 0, got {spreads}")
-        object.__setattr__(self, "spreads", spreads)
-        if not np.isfinite(self.mean_separation) or self.mean_separation < 0:
-            raise InputError(f"mean_separation must be finite >= 0, got {self.mean_separation}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        C = as_int(self.C, "C", minimum=2)
+        count = partial(as_int, minimum=1)
+        for name, value in dict(
+            C=C,
+            p=as_int(self.p, "p", minimum=1),
+            n_train=_per_class(self.n_train, C, "n_train", count, broadcast=True),
+            n_test=_per_class(self.n_test, C, "n_test", count, broadcast=True),
+            spreads=_per_class(self.spreads, C, "spreads", partial(_as_bounded, rule="> 0")),
+            mean_separation=_as_bounded(self.mean_separation, "mean_separation", ">= 0"),
+            seed=as_int(self.seed, "seed", minimum=0),
+        ).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization and refresh settings for one training run."""
+    """Optimization and refresh settings for one run, checked as in SyntheticSpec."""
 
     loss: str = "igam"
     epochs: int = 30
@@ -121,30 +130,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise InputError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if not np.isfinite(self.lr) or self.lr <= 0:
-            raise InputError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not np.isfinite(self.s) or self.s <= 0:
-            raise InputError(f"s must be finite and > 0, got {self.s}")
-        if self.queue_len < 1:
-            raise InputError(f"queue_len must be >= 1, got {self.queue_len}")
-        if self.info_variant not in INFO_VARIANTS:
-            raise InputError(f"info_variant must be one of {INFO_VARIANTS}")
-        if self.margin_variant not in MARGIN_VARIANTS:
-            raise InputError(f"margin_variant must be one of {MARGIN_VARIANTS}")
-        if self.margin_direction not in MARGIN_DIRECTIONS:
-            raise InputError(f"margin_direction must be one of {MARGIN_DIRECTIONS}")
-        if self.ibar_mode not in IBAR_MODES:
-            raise InputError(f"ibar_mode must be one of {IBAR_MODES}")
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        for name, value in dict(
+            loss=as_choice(self.loss, "loss", LOSSES),
+            epochs=as_int(self.epochs, "epochs", minimum=1),
+            lr=_as_bounded(self.lr, "lr", "> 0"),
+            momentum=_as_bounded(self.momentum, "momentum", "in [0, 1)"),
+            s=_as_bounded(self.s, "s", "> 0"),
+            queue_len=as_int(self.queue_len, "queue_len", minimum=1),
+            info_variant=as_choice(self.info_variant, "info_variant", INFO_VARIANTS),
+            margin_variant=as_choice(self.margin_variant, "margin_variant", MARGIN_VARIANTS),
+            margin_direction=as_choice(self.margin_direction, "margin_direction",
+                                       MARGIN_DIRECTIONS),
+            ibar_mode=as_choice(self.ibar_mode, "ibar_mode", IBAR_MODES),
+            batch_size=as_int(self.batch_size, "batch_size", minimum=1),
+            seed=as_int(self.seed, "seed", minimum=0),
+        ).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -398,15 +399,8 @@ def train(
 
 
 def _report_to_json(report: EpochReport) -> dict:
-    return {
-        "epoch": report.epoch,
-        "per_class_accuracy": report.per_class_accuracy.tolist(),
-        "info_amounts": report.info_amounts.tolist(),
-        "bias_variance": report.bias_variance,
-        "pearson_info_acc": report.pearson_info_acc,
-        "pearson_count_acc": report.pearson_count_acc,
-        "loss_mean": report.loss_mean,
-    }
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def train_result_to_json(result: TrainResult) -> dict:

@@ -201,6 +201,22 @@ def test_stats_overflowing_statistics_exit_three(tmp_path, capsys, rows):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("s.json", '{"p": 2, "records": [{"category": 0, "vector": [true, "1.5"]}]}',
+     "vectors: expected a list of numbers"),
+    ("s.csv", "category,e0,e1\n1_0,0.5,1_0.5\n+0,1.0,2.0\n",
+     "line 2: category '1_0' is not a canonical decimal id"),
+    ("s.csv", "category,e0,e1\n0,0.5,1_0.5\n", "line 2: '_' in a coordinate"),
+    ("s.csv", "category,e0,e1\n-3,0.5,1.5\n", "line 2: negative category id -3"),
+], ids=["json-strings", "csv-category", "csv-coordinate", "csv-negative"])
+def test_stats_rejects_lenient_number_spellings(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "stats", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
 def test_stats_writes_out_file(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path)
@@ -611,6 +627,22 @@ def test_loss_eval_margin_shape_mismatch(loss_files, capsys):
     )
     assert code == 2
     assert "2x2" in err and "3 classes" in err
+
+
+@pytest.mark.parametrize("flat", [
+    ["0", True, "0.25", 0],  # numpy would parse the strings as floats
+    [0.0, None, 0.25, 0.0],
+    [False, True, True, False],
+])
+def test_loss_eval_margins_must_be_numbers(loss_files, capsys, flat):
+    write_json(loss_files / "m.json", {"C": 2, "margins_row_major": flat})
+    code, out, err = run(
+        capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
+        "--weights", str(loss_files / "w.bin"), "--loss", "igam",
+        "--margins", str(loss_files / "m.json"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: margins_row_major: expected a list of numbers\n"
 
 
 def test_loss_eval_rejects_negative_class_count(loss_files, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import struct
 import threading
@@ -218,6 +219,23 @@ def test_csv_rejects_non_numeric_and_negative(tmp_path):
         read_embeddings_csv(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # int() takes each of these category spellings; only str(int) is kept.
+    (["1_0,0.5,1.5", "0,1.0,2.0"], "line 2: category '1_0' is not a canonical decimal id"),
+    (["0,0.5,1.5", "+0,1.0,2.0"], "line 3: category '+0' is not a canonical decimal id"),
+    (["07,0.5,1.5"], "line 2: category '07' is not a canonical decimal id"),
+    ([" 7,0.5,1.5"], "line 2: category ' 7' is not a canonical decimal id"),
+    (["-0,0.5,1.5"], "line 2: category '-0' is not a canonical decimal id"),
+    # float() takes "1_0.5" as 10.5.
+    (["0,0.5,1.5", "1,1.0,1_0.5"], "line 3: '_' in a coordinate"),
+])
+def test_csv_takes_only_plain_spellings(tmp_path, rows, message):
+    path = tmp_path / "s.csv"
+    path.write_text("category,e0,e1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InputError, match=re.escape(message)):
+        read_embeddings_csv(path)
+
+
 @pytest.mark.parametrize("cat", [2**63, 99999999999999999999])
 def test_readers_reject_category_ids_beyond_int64(tmp_path, cat):
     # The largest int64 id still reads; one more names the CSV line or the
@@ -283,10 +301,27 @@ def test_json_embedding_errors(tmp_path):
          r"p: expected an integer, got 2\.7"),
         ('{"p": 1, "records": [{"category": -2, "vector": [0.0]}]}',
          r"records\[0\]\.category must be >= 0, got -2"),
+        # Strings are not parsed as numbers, and nulls, all-boolean and
+        # ragged lists are not numbers.
+        ('{"p": 2, "records": [{"category": 0, "vector": [true, "1.5"]}]}',
+         "d.json: vectors: expected a list of numbers"),
+        ('{"p": 1, "records": [{"category": 0, "vector": [null]}]}',
+         "d.json: vectors: expected a list of numbers"),
+        ('{"p": 2, "records": [{"category": 0, "vector": [true, false]}]}',
+         "d.json: vectors: expected a list of numbers"),
+        ('{"p": 2, "records": [{"category": 0, "vector": [1.0, 2.0]}, '
+         '{"category": 1, "vector": [3.0]}]}', "d.json: vectors: setting an array element"),
     ]:
         path.write_text(text)
         with pytest.raises(InputError, match=message):
             read_embeddings_json(path)
+
+
+def test_json_embedding_integer_vectors_read_as_floats(tmp_path):
+    path = tmp_path / "i.json"
+    path.write_text('{"p": 2, "records": [{"category": 0, "vector": [1, -2]}]}')
+    X, cats = read_embeddings_json(path)
+    assert X.dtype == np.float64 and X.tolist() == [[1.0, -2.0]]
 
 
 def test_read_json_reports_line_and_column(tmp_path):

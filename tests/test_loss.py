@@ -5,6 +5,8 @@ High-precision reference values in this file were computed with mpmath at
 then rounded to the nearest float64.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -553,6 +555,34 @@ def test_raw_margin_array_is_checked():
         igam_batch(clf, X, [0, 1], np.array([[0.0, np.nan], [0.1, 0.0]]))
     with pytest.raises(InputError, match="margin matrix must be"):
         igam_batch(clf, X, [0, 1], np.zeros((2, 3)))
+
+
+_NON_FINITE_BATCHES = {
+    "nan-feature": ([[np.nan, 1, 0, 0], [1, 0, 0, 0]], None, "non-finite feature values"),
+    "inf-feature": ([[np.inf, 1, 0, 0], [1, 0, 0, 0]], None, "non-finite feature values"),
+    "inf-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (0, 0, np.inf), "non-finite weight values"),
+    "nan-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (2, 3, np.nan), "non-finite weight values"),
+}
+
+
+@pytest.mark.parametrize("loss", ["ce", "normface", "igam"])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_BATCHES))
+def test_non_finite_batch_rejected_by_every_loss(loss, case):
+    # Plain cross-entropy used to return a nan or inf loss here; all three
+    # losses now share the same check and message.
+    X, weight_entry, message = _NON_FINITE_BATCHES[case]
+    W = np.eye(3, 4)
+    if weight_entry is not None:
+        W[weight_entry[:2]] = weight_entry[2]
+    clf = CosineClassifier(W)
+    call = {"ce": ce_batch, "normface": normface_batch,
+            "igam": lambda c, x, y: igam_batch(c, x, y, MarginMatrix.zeros(3))}[loss]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=message):
+            call(clf, X, [0, 1])
+    with pytest.raises(InputError, match=message):
+        clf.cosines(X)
 
 
 def test_losses_are_positive_and_finite():

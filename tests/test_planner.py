@@ -1,5 +1,7 @@
 """Queue-length planning and the storage-ratio model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,22 @@ def test_plan_input_validation():
     with pytest.raises(InputError):
         PlanInput(N=10, p=1, C=1, search="hill-climb")
     assert SEARCH_MODES == ("coarse-grid", "exact-integer")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(N=55800.0), "N: expected an integer, got 55800.0"),
+    (dict(p=True), "p: expected an integer, got True"),
+    (dict(C="20"), "C: expected an integer, got '20'"),
+    (dict(search=None), "search must be one of"),
+])
+def test_plan_input_checks_types(kwargs, message):
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        PlanInput(**{**dict(N=55800, p=128, C=20), **kwargs})
+
+
+def test_plan_input_stores_python_ints():
+    inp = PlanInput(N=np.int64(55800), p=np.int32(128), C=np.uint8(20))
+    assert inp == EX1 and all(type(v) is int for v in (inp.N, inp.p, inp.C))
 
 
 # ------------------------------------------------------------ memory report

@@ -1,9 +1,13 @@
 """Run-configuration parsing and schema validation."""
 
+import dataclasses
+import re
+
 import pytest
 
 from infomargin.errors import InputError
 from infomargin.runconfig import parse_run_config
+from infomargin.trainer import SyntheticSpec, TrainConfig
 
 
 def minimal():
@@ -146,3 +150,65 @@ def test_dataclass_invariants_still_apply():
     doc["train"] = {"lr": -0.5}
     with pytest.raises(InputError):
         parse_run_config(doc)
+
+
+# One wrong-type and one out-of-range value per field. The dataclasses check
+# every value, so each message starts with the section and the field name.
+_BAD_VALUES = {
+    ("dataset", "C"): (3.0, 1),
+    ("dataset", "p"): ("4", 0),
+    ("dataset", "n_train"): (2.5, 0),
+    ("dataset", "n_test"): ([5, True, 5], [5, 0, 5]),
+    ("dataset", "spreads"): ("wide", [1.0, -1.0, 2.0]),
+    ("dataset", "mean_separation"): (None, -1.0),
+    ("dataset", "seed"): (0.5, -1),
+    ("train", "loss"): (7, "focal"),
+    ("train", "epochs"): (True, 0),
+    ("train", "lr"): ("0.1", 0.0),
+    ("train", "momentum"): ([0.9], 1.0),
+    ("train", "s"): (False, -30.0),
+    ("train", "queue_len"): (100.0, 0),
+    ("train", "info_variant"): (1, "triple-exp"),
+    ("train", "margin_variant"): (None, "soft"),
+    ("train", "margin_direction"): (["target"], "sideways"),
+    ("train", "ibar_mode"): (0, "max"),
+    ("train", "batch_size"): (2.5, 0),
+    ("train", "seed"): ("0", -1),
+}
+
+
+def test_bad_values_cover_every_field():
+    assert {key for section, key in _BAD_VALUES if section == "dataset"} == {
+        f.name for f in dataclasses.fields(SyntheticSpec)}
+    assert {key for section, key in _BAD_VALUES if section == "train"} == {
+        f.name for f in dataclasses.fields(TrainConfig)}
+
+
+@pytest.mark.parametrize("kind", ["type", "range"])
+@pytest.mark.parametrize("section, key", sorted(_BAD_VALUES))
+def test_bad_value_names_section_and_field(section, key, kind):
+    doc = minimal()
+    doc.setdefault(section, {})[key] = _BAD_VALUES[section, key][kind == "range"]
+    with pytest.raises(InputError) as info:
+        parse_run_config(doc)
+    # "train.s" is also the start of "train.seed", so the name must end there.
+    assert re.match(rf"{section}\.{key}[ :\[]", str(info.value)), str(info.value)
+
+
+def test_range_errors_carry_the_section_path():
+    doc = minimal()
+    doc["train"] = {"epochs": 0}
+    with pytest.raises(InputError, match=r"^train\.epochs must be >= 1, got 0$"):
+        parse_run_config(doc)
+    doc = minimal()
+    doc["dataset"]["spreads"] = [1.0, 0.0, 2.0]
+    with pytest.raises(InputError, match=r"^dataset\.spreads\[1\] must be > 0, got 0\.0$"):
+        parse_run_config(doc)
+
+
+def test_loss_list_must_be_nonempty_names():
+    for loss in ([], ["ce", 3], None):
+        doc = minimal()
+        doc["train"] = {"loss": loss}
+        with pytest.raises(InputError, match="train.loss: expected a loss name or list"):
+            parse_run_config(doc)

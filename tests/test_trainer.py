@@ -1,6 +1,7 @@
 """Synthetic benchmark generation and the toy training loop."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -126,6 +127,59 @@ def test_config_validation():
         TrainConfig(ibar_mode="max")
     with pytest.raises(InputError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(epochs=True), "epochs: expected an integer, got True"),
+    (dict(seed=2.0), "seed: expected an integer, got 2.0"),
+    (dict(batch_size=2.5), "batch_size: expected an integer, got 2.5"),
+    (dict(lr="0.1"), "lr: expected a number, got '0.1'"),
+    (dict(momentum=1.0), "momentum must be in [0, 1), got 1.0"),
+    (dict(s=float("inf")), "s: expected a finite number, got inf"),
+    (dict(ibar_mode=None), "ibar_mode must be one of ('sum', 'mean'), got None"),
+])
+def test_config_checks_types_for_library_callers(kwargs, message):
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(C=3.0), "C: expected an integer, got 3.0"),
+    (dict(p=np.float64(4.0)), "p: expected an integer"),
+    (dict(n_train=[10, 10.5, 10]), "n_train[1]: expected an integer, got 10.5"),
+    (dict(n_test=[10, 0, 10]), "n_test[1] must be >= 1, got 0"),
+    (dict(spreads="wide"), "spreads: expected a nonempty list"),
+    (dict(spreads=(1.0, "2", 1.0)), "spreads[1]: expected a number, got '2'"),
+    (dict(mean_separation=-1.0), "mean_separation must be >= 0, got -1.0"),
+    (dict(seed=True), "seed: expected an integer, got True"),
+])
+def test_spec_checks_types_for_library_callers(kwargs, message):
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        small_spec(**kwargs)
+
+
+def test_spec_and_config_accept_arrays_and_numpy_scalars():
+    spec = small_spec(C=np.int64(3), n_train=np.array([5, 6, 7]), n_test=np.int32(4),
+                      spreads=np.array([0.5, 1.0, 2.0]), mean_separation=np.float32(2.0))
+    assert spec == small_spec(n_train=(5, 6, 7), n_test=4, spreads=[0.5, 1.0, 2.0],
+                              mean_separation=2.0)
+    assert type(spec.C) is int and all(type(n) is int for n in spec.n_train + spec.n_test)
+    assert all(type(v) is float for v in spec.spreads + (spec.mean_separation,))
+    config = TrainConfig(epochs=np.int64(2), lr=np.int64(1), momentum=np.float32(0.5))
+    assert config == TrainConfig(epochs=2, lr=1.0, momentum=0.5)
+    assert type(config.epochs) is int and type(config.lr) is float
+
+
+def test_report_with_numpy_scalar_settings_is_json():
+    # Settings are stored as Python numbers, so the report's echo of them
+    # serializes like any other.
+    spec = small_spec(n_train=np.array([20, 30, 40]), seed=np.int64(0))
+    config = TrainConfig(loss="igam", epochs=np.int64(1), batch_size=np.int64(16),
+                         queue_len=np.int64(90))
+    result = train(spec, config)
+    doc = json.loads(canonical_dumps(run_report_to_json(spec, [result])))
+    assert doc["runs"][0]["train"]["epochs"] == 1
+    assert doc["dataset"]["n_train"] == [20, 30, 40]
 
 
 # -------------------------------------------------------------- diagnostics
