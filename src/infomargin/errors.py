@@ -34,7 +34,13 @@ def as_float(value, path: str) -> float:
     InputError naming `path`."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        # A Python int beyond float64; its digits could run to thousands.
+        raise InputError(
+            f"{path}: expected a finite number, got an integer too large for float64"
+        ) from None
     if not np.isfinite(out):
         raise InputError(f"{path}: expected a finite number, got {value!r}")
     return out
@@ -49,11 +55,19 @@ def as_choice(value, path: str, choices: tuple[str, ...]) -> str:
 
 def as_number_array(value, path: str) -> np.ndarray:
     """A JSON list of numbers as an array of the dtype numpy finds; strings (which
-    `dtype=np.float64` parses), nulls, all-boolean and ragged lists raise InputError."""
+    `dtype=np.float64` parses), nulls, booleans (which numpy promotes to 0 and 1
+    among numbers) and ragged lists raise InputError."""
     try:
         out = np.asarray(value)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if out.dtype.kind not in "iuf":
+    if out.dtype.kind not in "iuf" or _has_bool(value):
         raise InputError(f"{path}: expected a list of numbers")
     return out
+
+
+def _has_bool(value) -> bool:
+    """Whether `value` is a bool or a (nested) list holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)

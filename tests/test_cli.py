@@ -1,10 +1,16 @@
 """End-to-end command-line behavior: pipelines, flags, and exit codes."""
 
 import json
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,9 @@ import pytest
 from infomargin import cli as cli_module
 from infomargin import stats as stats_module
 from infomargin.cli import main
-from infomargin.fileio import canonical_dumps, write_embeddings, write_json
+from infomargin.fileio import canonical_dumps, read_json, write_embeddings, write_json
+from infomargin.runconfig import parse_run_config
+from infomargin.trainer import generate_dataset, run_report_to_json, train
 
 EQUAL_SPREAD = files("infomargin") / "examples" / "equal-spread.json"
 HETEROGENEOUS = files("infomargin") / "examples" / "heterogeneous.json"
@@ -798,6 +806,60 @@ def test_toy_run_unknown_key_exits_two_with_path(tmp_path, capsys):
     assert "dataset.sigma: unknown key" in err
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_toy_run_report_matches_in_process_training(tmp_path, capsys, seed):
+    # Each loss trains in its own worker process; the report must be the
+    # bytes of training the configs one after another in this process.
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "toy", "run", str(HETEROGENEOUS), "--seed", str(seed),
+                       "--out", str(out_path))
+    assert code == 0, err
+    assert multiprocessing.active_children() == []
+    parsed = parse_run_config(read_json(str(HETEROGENEOUS)))
+    spec = replace(parsed.spec, seed=seed)
+    configs = [replace(cfg, seed=seed) for cfg in parsed.configs]
+    dataset = generate_dataset(spec)
+    expected = run_report_to_json(spec, [train(spec, c, dataset=dataset) for c in configs])
+    assert out_path.read_bytes() == canonical_dumps(expected).encode()
+
+
+def test_toy_run_reports_first_configs_error(tmp_path, capsys):
+    # All three losses diverge (ce with a non-finite loss, the cosine losses
+    # with an overflowing weight norm); the error is the first config's, as
+    # when the configs train one after another.
+    config = {
+        "dataset": {"C": 3, "p": 4, "n_train": 40, "n_test": 30,
+                    "spreads": [0.5, 1.0, 2.0], "mean_separation": 3.0},
+        "train": {"loss": ["ce", "normface", "igam"], "epochs": 2,
+                  "queue_len": 60, "batch_size": 16, "lr": 1e300},
+    }
+    path = tmp_path / "cfg.json"
+    write_json(path, config)
+    code, out, err = run(capsys, "toy", "run", str(path))
+    assert code == 3 and out == ""
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("numerical error:")]
+    assert "loss=ce" in line
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("subcommand, section", [("toy", "train"), ("margins", "info")])
+def test_integer_beyond_float64_exits_two(tmp_path, capsys, subcommand, section):
+    path = tmp_path / "doc.json"
+    huge = "1" + "0" * 400
+    if subcommand == "toy":
+        path.write_text('{"dataset": {"C": 2, "p": 2, "n_train": 4, "n_test": 4, '
+                        '"spreads": [1.0, 1.0], "mean_separation": 1.0}, '
+                        '"train": {"loss": "ce", "epochs": 1, "lr": %s}}' % huge)
+        argv = ("toy", "run", str(path))
+    else:
+        path.write_text('{"epoch": 0, "info": {"0": 0.5, "1": %s}}' % huge)
+        argv = ("margins", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {section}.") and err.count("\n") == 1
+    assert "expected a finite number" in err and huge not in err
+
+
 def test_toy_report_rejects_malformed(tmp_path, capsys):
     path = tmp_path / "r.json"
     write_json(path, {"runs": [{"train": {}}]})
@@ -821,6 +883,18 @@ def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "stats", str(tmp_path / "absent.bin"))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_import_leaves_out_multiprocessing():
+    # Only `toy run` starts a pool; every other subcommand would pay the
+    # import of `concurrent.futures` at start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, infomargin.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_outputs_are_canonical_json(tmp_path, capsys):

@@ -301,9 +301,14 @@ def test_json_embedding_errors(tmp_path):
          r"p: expected an integer, got 2\.7"),
         ('{"p": 1, "records": [{"category": -2, "vector": [0.0]}]}',
          r"records\[0\]\.category must be >= 0, got -2"),
-        # Strings are not parsed as numbers, and nulls, all-boolean and
-        # ragged lists are not numbers.
+        # Strings are not parsed as numbers, and nulls, booleans (alone or
+        # among numbers, in any row) and ragged lists are not numbers.
         ('{"p": 2, "records": [{"category": 0, "vector": [true, "1.5"]}]}',
+         "d.json: vectors: expected a list of numbers"),
+        ('{"p": 2, "records": [{"category": 0, "vector": [0.5, true]}]}',
+         "d.json: vectors: expected a list of numbers"),
+        ('{"p": 2, "records": [{"category": 0, "vector": [0.5, 1.0]}, '
+         '{"category": 1, "vector": [false, 2]}]}',
          "d.json: vectors: expected a list of numbers"),
         ('{"p": 1, "records": [{"category": 0, "vector": [null]}]}',
          "d.json: vectors: expected a list of numbers"),

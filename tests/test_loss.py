@@ -245,6 +245,15 @@ def test_margins_json_round_trip():
         margins_from_json({"C": 2})
 
 
+@pytest.mark.parametrize("flat", [
+    [0, True, 0.25, 0],  # numpy would promote the boolean to 1.0
+    [0.0, 0.5, False, 0.0],
+])
+def test_margins_from_json_rejects_booleans_among_numbers(flat):
+    with pytest.raises(InputError, match="^margins_row_major: expected a list of numbers$"):
+        margins_from_json({"C": 2, "margins_row_major": flat})
+
+
 # -------------------------------------------------------------- classifier
 
 
