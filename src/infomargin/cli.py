@@ -153,18 +153,18 @@ def _cmd_toy_run(args) -> int:
         spec = replace(spec, seed=args.seed)
         configs = tuple(replace(cfg, seed=args.seed) for cfg in configs)
     dataset = generate_dataset(spec)
-    # Imported here: the import costs every other subcommand about 26 ms.
-    from concurrent.futures import ProcessPoolExecutor
+    # Imported here: the import costs every other subcommand about 19 ms.
+    from multiprocessing import Pool
 
     # One worker per loss (at most len(LOSSES), as the names are distinct),
     # started the platform's default way: forked workers start at once, while
     # spawned ones re-import the package and measured no faster than one
-    # process. `map` yields in config order, so the report and the first
-    # error raised are those of training the configs one after another.
+    # process. `imap` yields in config order, so the report and first error are as
+    # if trained one by one; leaving the `with` block stops the workers still running.
     # `trainer.train` goes to the workers by its import path, which a wrapper
     # rebound over a name in this module (by a tracer, say) would not have.
-    with ProcessPoolExecutor(max_workers=len(configs)) as pool:
-        results = list(pool.map(partial(trainer.train, spec, dataset=dataset), configs))
+    with Pool(len(configs)) as pool:
+        results = list(pool.imap(partial(trainer.train, spec, dataset=dataset), configs))
     _emit(run_report_to_json(spec, results), args.out)
     return 0
 

@@ -91,7 +91,10 @@ def detect_format(path, fmt: str | None = None) -> str:
     )
 
 
-def _validate_arrays(X: np.ndarray, categories: np.ndarray, where: str):
+def _checked_arrays(X, categories, where) -> tuple[np.ndarray, np.ndarray]:
+    """(X float64 (n, p), categories int64 (n,)), with finite X and ids >= 0."""
+    X = np.asarray(X, dtype=np.float64)
+    categories = np.asarray(categories, dtype=np.int64)
     if X.ndim != 2:
         raise InputError(f"{where}: embeddings must be (n, p), got shape {X.shape}")
     if categories.shape != (X.shape[0],):
@@ -104,6 +107,7 @@ def _validate_arrays(X: np.ndarray, categories: np.ndarray, where: str):
     if np.any(categories < 0):
         bad = int(np.argmin(categories))
         raise InputError(f"{where}: negative category id in record {bad}")
+    return X, categories
 
 
 def _record_dtype(p: int) -> np.dtype:
@@ -176,9 +180,7 @@ def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories, dtype=np.int64)
-    _validate_arrays(X, categories, str(path))
+    X, categories = _checked_arrays(X, categories, path)
     if np.any(categories > np.iinfo(np.uint32).max):
         raise InputError(f"{path}: category id exceeds the u32 range")
     n, p = X.shape
@@ -240,9 +242,7 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories, dtype=np.int64)
-    _validate_arrays(X, categories, str(path))
+    X, categories = _checked_arrays(X, categories, path)
     # Round-trip through the on-disk f32 precision so CSV and binary
     # encodings of the same data load identically.
     X32 = X.astype(np.float32)
@@ -273,15 +273,11 @@ def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
     X = as_number_array(rows, f"{path}: vectors").astype(np.float64, copy=False)
     if X.ndim != 2 or X.shape[1] != p:
         raise InputError(f"{path}: vectors do not all have declared length p={p}")
-    categories = np.asarray(cats, dtype=np.int64)
-    _validate_arrays(X, categories, str(path))
-    return X, categories
+    return _checked_arrays(X, cats, path)
 
 
 def write_embeddings_json(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories, dtype=np.int64)
-    _validate_arrays(X, categories, str(path))
+    X, categories = _checked_arrays(X, categories, path)
     X32 = X.astype(np.float32)
     doc = {
         "p": int(X.shape[1]),

@@ -15,6 +15,9 @@ itself for callers who need it.
 The floor is the raw square, never clamped: for m < p it grows past 1, and
 a single-sample category (zero covariance, m=1) is deliberately inflated
 to lambda_- in every direction rather than special-cased.
+
+An `InfoAmountTable` holds one epoch's amounts as parallel `ids` and
+`amounts` arrays, sorted and checked once, when the table is built.
 """
 
 from __future__ import annotations
@@ -71,20 +74,41 @@ class ShrinkageSpec:
 
 @dataclass(frozen=True)
 class InfoAmountTable:
-    """Information amounts keyed by category id, tagged with the epoch."""
+    """Information amounts of categories `ids`, tagged with the epoch: (C,)
+    int64 `ids` and (C,) float64 `amounts`, read-only copies sorted by id. A
+    table is ordered and checked only here: a repeated or negative id, a
+    negative or non-finite amount, or mismatched arrays raise InputError."""
 
-    amounts: dict[int, float]
+    ids: np.ndarray
+    amounts: np.ndarray
     epoch: int = 0
 
-    def ordered(self) -> list[tuple[int, float]]:
-        return sorted(self.amounts.items())
+    def __post_init__(self):
+        ids = np.asarray(self.ids)
+        amounts = np.asarray(self.amounts, dtype=np.float64)
+        if ids.ndim != 1 or amounts.shape != ids.shape or ids.size and not (
+                ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
+            raise InputError(f"ids and amounts must be matching 1-D arrays of int64 ids and "
+                             f"amounts, got {ids.dtype} {ids.shape} and {amounts.shape}")
+        order = np.argsort(ids, kind="stable")
+        ids, amounts = ids[order].astype(np.int64, copy=False), amounts[order]
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        bad = ~np.isfinite(amounts) | (amounts < 0)
+        if ids.size and ids[0] < 0:
+            raise InputError(f"category id must be >= 0, got {ids[0]}")
+        if repeated.size:
+            raise InputError(f"category {repeated[0]} appears more than once")
+        if bad.any():
+            cat, val = ids[bad][0], amounts[bad][0]
+            rule = "must be >= 0" if np.isfinite(val) else "must be finite"
+            raise InputError(f"category {cat}: information amount {rule}, got {val}")
+        for name, arr in (("ids", ids), ("amounts", amounts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(category ids, amounts) as parallel arrays sorted by id."""
-        items = self.ordered()
-        ids = np.array([c for c, _ in items], dtype=np.int64)
-        vals = np.array([v for _, v in items], dtype=np.float64)
-        return ids, vals
+        """(ids, amounts); kept only because `bench/worker.py` calls it."""
+        return self.ids, self.amounts
 
 
 def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
@@ -196,43 +220,33 @@ def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAm
     merged sample count N_i, since the merged covariance represents N_i
     samples regardless of how the windows sliced them.
     """
-    amounts = {
-        cat: _clipped_amount(cs.cov, ShrinkageSpec(p=stats.p, m=cs.total))
-        for cat, cs in stats.categories.items()
-    }
-    return InfoAmountTable(amounts=amounts, epoch=epoch)
+    amounts = [_clipped_amount(cs.cov, ShrinkageSpec(p=stats.p, m=cs.total))
+               for cs in stats.categories.values()]
+    return InfoAmountTable(list(stats.categories), amounts, epoch=epoch)
 
 
 def info_table_to_json(table: InfoAmountTable) -> dict:
     """JSON-ready form: {"epoch": int, "info": {"<category-id>": amount}}."""
     return {
         "epoch": table.epoch,
-        "info": {str(cat): float(val) for cat, val in table.ordered()},
+        "info": dict(zip(map(str, table.ids.tolist()), table.amounts.tolist())),
     }
 
 
 def info_table_from_json(doc: dict) -> InfoAmountTable:
     try:
-        raw_epoch = doc["epoch"]
-        info = doc["info"]
+        raw_epoch, info = doc["epoch"], doc["info"]
         if not isinstance(info, dict):
             raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
-        pairs = [(int(key), key, val) for key, val in info.items()]
+        ids = [int(key) for key in info]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
     epoch = as_int(raw_epoch, "epoch")
-    amounts: dict[int, float] = {}
-    for cat, key, val in pairs:
-        cat = as_int(cat, "info category id", minimum=0)
-        if cat in amounts:
-            raise InputError(f"category {cat} appears more than once")
-        val = as_float(val, f"info.{key}")
-        if val < 0:
-            raise InputError(f"category {cat}: information amount must be >= 0, got {val}")
-        amounts[cat] = val
+    amounts = [as_float(val, f"info.{key}") for key, val in info.items()]
+    table = InfoAmountTable(ids, amounts, epoch=epoch)
     # Only the spelling `info` writes: int() also takes "1_0", " 2", "+3" and
     # "07". Checked last, so a key that aliases another reports as a repeat.
-    for cat, key, _ in pairs:
+    for cat, key in zip(ids, info):
         if str(cat) != key:
             raise InputError(f"info key {key!r} is not a canonical decimal category id")
-    return InfoAmountTable(amounts=amounts, epoch=epoch)
+    return table

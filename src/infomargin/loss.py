@@ -69,7 +69,7 @@ class InfoNormalization:
 
     Attributes
     ----------
-    raw : the input amounts I_i, ordered by category index.
+    raw : the input amounts I_i, ordered by category id.
     i_bar : the reference level the amounts were scaled by.
     normalized : the I'_i values (each > 1 under the double-exp variant).
     variant : "double-exp" or "softmax-single-exp".
@@ -215,9 +215,9 @@ def normalize_info(
 
     Parameters
     ----------
-    table : InfoAmountTable or 1-D array of amounts. Table entries are
-        taken in sorted category-id order, which fixes the row/column
-        order of the downstream margin matrix.
+    table : InfoAmountTable or 1-D array of amounts, which is checked as
+        the table of categories 0..C-1. The table's id order fixes the
+        row/column order of the downstream margin matrix.
     variant : "double-exp" maps the scaled amounts x_i through
 
             I'_i = C * exp(exp(x_i)) / sum_j exp(x_j) + 1
@@ -234,16 +234,11 @@ def normalize_info(
     """
     as_choice(variant, "variant", INFO_VARIANTS)
     as_choice(ibar, "ibar", IBAR_MODES)
-    if isinstance(table, InfoAmountTable):
-        _, I = table.as_arrays()
-    else:
-        I = np.asarray(table, dtype=np.float64).reshape(-1)
+    if not isinstance(table, InfoAmountTable):
+        table = InfoAmountTable(np.arange(np.size(table)), np.ravel(table))
+    I = table.amounts
     if I.size < 2:
         raise InputError(f"need at least two categories, got {I.size}")
-    if not np.all(np.isfinite(I)):
-        raise InputError("non-finite information amount")
-    if np.any(I < 0):
-        raise InputError(f"information amounts must be >= 0, got min {I.min():.6g}")
     C = I.size
     with np.errstate(over="ignore"):
         i_bar = float(I.sum() if ibar == "sum" else I.mean())

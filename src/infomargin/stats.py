@@ -55,12 +55,26 @@ class GlobalStats:
     categories: dict[int, CategoryStats] = field(default_factory=dict)
 
 
-def _check_ids(categories: np.ndarray) -> None:
-    """Nonempty category ids must be integers >= 0."""
-    if categories.dtype.kind not in "iu":
-        raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
-    if categories.min() < 0:
-        raise InputError(f"category must be >= 0, got {categories.min()}")
+def _checked_batch(X, categories, p: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, p) embedding batch as float64, with its (n,) category ids; a
+    nonempty batch must have integer ids >= 0 and finite coordinates."""
+    X = np.asarray(X, dtype=np.float64)
+    categories = np.asarray(categories)
+    if X.ndim != 2 or p not in (None, X.shape[1]):
+        raise InputError(f"expected an (n, {p or 'p'}) embedding batch, got shape {X.shape}")
+    if categories.shape != (X.shape[0],):
+        raise InputError(
+            f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
+        )
+    if X.size:
+        if categories.dtype.kind not in "iu":
+            raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
+        if categories.min() < 0:
+            raise InputError(f"category must be >= 0, got {categories.min()}")
+        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+            raise InputError("non-finite coordinate in embedding batch")
+    return X, categories
 
 
 def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, CategoryStats]:
@@ -80,18 +94,9 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
     One single-window CategoryStats per distinct category, keyed and
     ordered by category id.
     """
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories)
-    if X.ndim != 2 or X.size == 0:
+    X, categories = _checked_batch(X, categories)
+    if X.size == 0:
         raise InputError(f"expected a nonempty (n, p) embedding matrix, got shape {X.shape}")
-    if categories.shape != (X.shape[0],):
-        raise InputError(
-            f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
-        )
-    _check_ids(categories)
-    # min and max propagate NaN and expose +-inf without an (n, p) temporary.
-    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-        raise InputError("non-finite coordinates in embedding batch")
     # One stable sort groups the rows: each category's rows are a contiguous
     # run of `order`, in their original order, so `X[order[a:b]]` is the
     # same matrix a boolean mask would select, and the same bits follow.
@@ -188,21 +193,10 @@ class EpochAccumulator:
 
     def add(self, X: np.ndarray, categories: np.ndarray) -> None:
         """Append an (n, p) batch with its (n,) integer category ids."""
-        X = np.asarray(X, dtype=np.float64)
-        categories = np.asarray(categories)
-        if X.ndim != 2 or X.shape[1] != self.p:
-            raise InputError(f"expected an (n, {self.p}) embedding batch, got shape {X.shape}")
-        if categories.shape != (X.shape[0],):
-            raise InputError(
-                f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
-            )
+        X, categories = _checked_batch(X, categories, self.p)
         n = X.shape[0]
         if n == 0:
             return
-        _check_ids(categories)
-        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
-        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-            raise InputError("non-finite coordinate in embedding batch")
         categories = categories.astype(np.int64, copy=False)
         start = 0
         while start < n:
@@ -270,14 +264,24 @@ def global_stats_to_json(stats: GlobalStats) -> dict:
     }
 
 
+def _float_array(value, path: str) -> np.ndarray:
+    """A list of numbers as float64. `dtype=np.float64` alone would read "0.5"
+    as 0.5 and null as NaN; a `true` among numbers still reads as 1.0."""
+    out = np.asarray(value)
+    if out.dtype.kind not in "iuf":
+        np.asarray(value, dtype=np.float64)  # numpy's error, if it has one
+        raise TypeError(f"{path}: expected a list of numbers")
+    return out.astype(np.float64, copy=False)
+
+
 def stats_entry_arrays(obj: dict) -> dict:
     """`json.loads` object hook for the statistics document: an entry's
     `mean` and `cov_row_major` lists become float64 arrays as soon as the
     entry closes, so its Python floats are freed before the next entry is
     parsed.
 
-    It never raises. A value that does not convert (a string, a ragged
-    list, an integer beyond float64) is left as it was, and
+    It never raises. A value that does not convert (a string, a null, a
+    ragged list, an integer beyond float64) is left as it was, and
     `global_stats_from_json`, which takes lists or arrays, rejects it with
     the same message as without the hook.
     """
@@ -285,7 +289,7 @@ def stats_entry_arrays(obj: dict) -> dict:
         value = obj.get(key)
         if isinstance(value, list):
             try:
-                obj[key] = np.asarray(value, dtype=np.float64)
+                obj[key] = _float_array(value, key)
             except (TypeError, ValueError, OverflowError):
                 pass
     return obj
@@ -306,8 +310,8 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
     for i, entry in enumerate(entries):
         try:
             raw_id, raw_count = entry["id"], entry["count"]
-            mean = np.asarray(entry["mean"], dtype=np.float64)
-            cov = np.asarray(entry["cov_row_major"], dtype=np.float64).reshape(p, p)
+            mean = _float_array(entry["mean"], "mean")
+            cov = _float_array(entry["cov_row_major"], "cov_row_major").reshape(p, p)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
         cat = as_int(raw_id, f"categories[{i}].id", minimum=0)

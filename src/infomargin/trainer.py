@@ -189,15 +189,15 @@ class TrainResult:
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
     """Sample the benchmark. Deterministic per (seed, class), so results do
     not depend on generation order or parallelism."""
+    deficient = [f"class {c}: n_train={n} < p={spec.p}"
+                 for c, n in enumerate(spec.n_train) if n < spec.p]
+    if deficient:
+        more = f"; and {len(deficient) - 3} more" if len(deficient) > 3 else ""
+        warnings.warn(f"{len(deficient)} of {spec.C} classes will have a rank-deficient "
+                      f"covariance estimate: {'; '.join(deficient[:3])}{more}",
+                      RuntimeWarning, stacklevel=2)
     train_blocks, test_blocks, train_labels, test_labels = [], [], [], []
     for c in range(spec.C):
-        if spec.n_train[c] < spec.p:
-            warnings.warn(
-                f"class {c}: n_train={spec.n_train[c]} < p={spec.p}; its covariance "
-                "estimate will be rank-deficient",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         rng = np.random.default_rng([spec.seed, c])
         direction = rng.standard_normal(spec.p)
         norm = np.linalg.norm(direction)
@@ -253,14 +253,6 @@ def _maybe_pearson(xs, ys) -> float | None:
         return pearson(xs, ys)
     except InputError:
         return None
-
-
-def _per_class_accuracy(preds: np.ndarray, labels: np.ndarray, C: int) -> np.ndarray:
-    acc = np.empty(C, dtype=np.float64)
-    for c in range(C):
-        mask = labels == c
-        acc[c] = float(np.mean(preds[mask] == c))
-    return acc
 
 
 def _check_dataset(dataset: Dataset, C: int, p: int) -> None:
@@ -322,9 +314,9 @@ def train(
     velocity = np.zeros_like(W)
     # None, read by the kernel as no margins, until a refresh builds them.
     margins = None
-    amounts: dict[int, float] = {}
-    table = InfoAmountTable(amounts={}, epoch=0)
+    info = np.zeros(C, dtype=np.float64)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
+    test_counts = np.bincount(dataset.test_y, minlength=C)
 
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
@@ -363,9 +355,8 @@ def train(
         refreshed = information_amounts_from_stats(stats, epoch=epoch)
         # Categories with no records this epoch keep their previous amount
         # (or 0 before any measurement exists); present ones are refreshed.
-        amounts = {c: amounts.get(c, 0.0) for c in range(C)}
-        amounts.update(refreshed.amounts)
-        table = InfoAmountTable(amounts=dict(amounts), epoch=epoch)
+        info[refreshed.ids] = refreshed.amounts
+        table = InfoAmountTable(np.arange(C), info, epoch=epoch)
         if config.loss == "igam":
             norm = normalize_info(table, variant=config.info_variant, ibar=config.ibar_mode)
             margins = build_margins(norm, variant=config.margin_variant,
@@ -376,14 +367,14 @@ def train(
             preds = np.argmax(np.clip(test_U @ Wn.T, -1.0, 1.0), axis=1)
         else:
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
-        acc = _per_class_accuracy(preds, dataset.test_y, C)
-        info_vec = np.array([amounts[c] for c in range(C)], dtype=np.float64)
+        hits = np.bincount(dataset.test_y, weights=preds == dataset.test_y, minlength=C)
+        acc = hits / test_counts
         reports.append(EpochReport(
             epoch=epoch,
             per_class_accuracy=acc,
-            info_amounts=info_vec,
+            info_amounts=table.amounts,
             bias_variance=bias_variance(acc),
-            pearson_info_acc=_maybe_pearson(info_vec, acc),
+            pearson_info_acc=_maybe_pearson(table.amounts, acc),
             pearson_count_acc=_maybe_pearson(dataset.train_counts, acc),
             loss_mean=loss_total / n_total,
         ))

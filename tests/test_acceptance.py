@@ -311,7 +311,8 @@ def test_criterion_7_queue_vs_pooled_equivalence():
     dataset = generate_dataset(parsed.spec)
     pooled_table = information_amounts_from_stats(GlobalStats(
         p=parsed.spec.p, categories=local_stats_from_arrays(dataset.train_X, dataset.train_y)))
-    pooled = np.array([pooled_table.amounts[c] for c in range(parsed.spec.C)])
+    assert np.array_equal(pooled_table.ids, np.arange(parsed.spec.C))
+    pooled = pooled_table.amounts
     result = train(parsed.spec, config, dataset=dataset)
     worst = 0.0
     for report in result.reports:

@@ -384,6 +384,24 @@ def test_info_malformed_entry_same_error_with_and_without_hook(
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
+@pytest.mark.parametrize("field, text", [
+    ("mean", '["0.5", 1.0]'),
+    ("mean", "[null, 1.0]"),
+    ("cov_row_major", '["1.5", 0, 0, 1]'),
+], ids=["numeric-string", "null", "cov-string"])
+def test_info_rejects_strings_and_nulls_as_numbers(
+        tmp_path, capsys, monkeypatch, field, text):
+    # Converting with dtype=float64 alone reads "0.5" as 0.5 and null as NaN.
+    values = {"mean": "[0.0, 1.0]", "cov_row_major": "[1.0, 0.0, 0.0, 1.0]", field: text}
+    path = tmp_path / "stats.json"
+    path.write_text('{"p": 2, "categories": [{"id": 0, "count": 2, "mean": %(mean)s, '
+                    '"cov_row_major": %(cov_row_major)s}]}' % values)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed statistics entry: {field}: expected a list of numbers\n"
+    assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
+
+
 def test_stats_info_pipeline_round_trips(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path, n=40, p=3, C=2)

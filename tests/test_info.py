@@ -1,5 +1,7 @@
 """Shrinkage covariance and per-category information amounts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -310,20 +312,53 @@ def test_embeddings_input_validation():
 
 
 def test_info_table_json_round_trip():
-    table = InfoAmountTable(amounts={3: 1.5, 0: 0.25}, epoch=2)
+    table = InfoAmountTable([3, 0], [1.5, 0.25], epoch=2)
     doc = info_table_to_json(table)
     assert doc == {"epoch": 2, "info": {"0": 0.25, "3": 1.5}}
     back = info_table_from_json(doc)
     assert back.epoch == 2
-    assert back.amounts == {0: 0.25, 3: 1.5}
+    assert back.ids.tolist() == [0, 3] and back.amounts.tolist() == [0.25, 1.5]
 
 
 def test_info_table_ordering_and_arrays():
-    table = InfoAmountTable(amounts={5: 1.0, 2: 3.0}, epoch=0)
-    assert table.ordered() == [(2, 3.0), (5, 1.0)]
+    table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
     cats, vals = table.as_arrays()
     assert np.array_equal(cats, [2, 5])
     assert np.array_equal(vals, [3.0, 1.0])
+
+
+def test_info_table_sorts_rows_by_id():
+    table = InfoAmountTable(np.array([7, 1, 4]), np.array([0.5, 2.0, 1.25]), epoch=3)
+    assert table.ids.dtype == np.int64 and table.amounts.dtype == np.float64
+    assert table.ids.tolist() == [1, 4, 7]
+    assert table.amounts.tolist() == [2.0, 1.25, 0.5]
+    assert table.epoch == 3
+
+
+def test_info_table_arrays_are_read_only_copies():
+    ids, amounts = np.array([0, 1]), np.array([1.0, 2.0])
+    table = InfoAmountTable(ids, amounts)
+    amounts[0] = -5.0
+    assert table.amounts.tolist() == [1.0, 2.0]
+    for arr in (table.ids, table.amounts):
+        with pytest.raises(ValueError):
+            arr[0] = 3
+
+
+@pytest.mark.parametrize("ids, amounts, message", [
+    ([2, 0, 2], [1.0, 1.0, 1.0], "category 2 appears more than once"),
+    ([0, -1], [1.0, 1.0], "category id must be >= 0, got -1"),
+    ([0, 3], [1.0, -0.5], "category 3: information amount must be >= 0, got -0.5"),
+    ([0, 1], [np.nan, 1.0], "category 0: information amount must be finite, got nan"),
+    ([0, 1], [1.0, np.inf], "category 1: information amount must be finite, got inf"),
+    ([0, 1], [1.0, 2.0, 3.0], "must be matching 1-D arrays"),
+    ([[0, 1]], [[1.0, 2.0]], "must be matching 1-D arrays"),
+    ([0.0, 1.0], [1.0, 2.0], "1-D arrays of int64 ids"),
+], ids=["repeated", "negative-id", "negative-amount", "nan", "inf", "length", "2-d",
+        "float-ids"])
+def test_info_table_rejects_bad_rows(ids, amounts, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        InfoAmountTable(np.array(ids), np.array(amounts))
 
 
 def test_info_table_json_rejects_bad_documents():

@@ -105,7 +105,7 @@ def test_degenerate_all_zero_input_flagged():
 
 
 def test_table_input_is_sorted_by_category_id():
-    table = InfoAmountTable(amounts={5: 1.0, 2: 3.0}, epoch=0)
+    table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
     norm = normalize_info(table)
     assert np.array_equal(norm.raw, [3.0, 1.0])
 

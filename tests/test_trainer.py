@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ def test_rank_deficient_class_warns():
     spec = small_spec(p=4, n_train=[3, 10, 10])
     with pytest.warns(RuntimeWarning, match="n_train=3 < p=4"):
         generate_dataset(spec)
+
+
+def test_rank_deficient_classes_warn_once():
+    # One warning names the count and the first three classes, however many
+    # classes have n_train < p (1,038 at LVIS width).
+    spec = small_spec(C=6, p=4, n_train=[3, 10, 2, 1, 3, 2], spreads=(1.0,) * 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        generate_dataset(spec)
+    (warning,) = caught
+    assert warning.category is RuntimeWarning
+    text = str(warning.message)
+    assert text.startswith("5 of 6 classes ")
+    assert text.endswith("class 0: n_train=3 < p=4; class 2: n_train=2 < p=4; "
+                         "class 3: n_train=1 < p=4; and 2 more")
 
 
 def test_spec_validation():
@@ -437,7 +453,7 @@ def _reference_train(spec, config, dataset):
     W = clf.weights
     velocity = np.zeros_like(W)
     margins = MarginMatrix.zeros(C)
-    amounts = {}
+    info = np.zeros(C)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
     reports = []
     for epoch in range(1, config.epochs + 1):
@@ -456,10 +472,9 @@ def _reference_train(spec, config, dataset):
             W -= config.lr * velocity
             accumulator.add(Xb, yb)
         refreshed = information_amounts_from_stats(accumulator.finalize(), epoch=epoch)
-        amounts = {c: amounts.get(c, 0.0) for c in range(C)}
-        amounts.update(refreshed.amounts)
+        info[refreshed.ids] = refreshed.amounts
         if config.loss == "igam":
-            table = InfoAmountTable(amounts=dict(amounts), epoch=epoch)
+            table = InfoAmountTable(np.arange(C), info, epoch=epoch)
             norm = normalize_info(table, variant=config.info_variant, ibar=config.ibar_mode)
             margins = build_margins(norm, variant=config.margin_variant,
                                     direction=config.margin_direction)
@@ -468,8 +483,7 @@ def _reference_train(spec, config, dataset):
         else:
             preds = clf.predict(dataset.test_X)
         acc = np.array([np.mean(preds[dataset.test_y == c] == c) for c in range(C)])
-        info = np.array([amounts[c] for c in range(C)])
-        reports.append((acc, info, loss_total / n_total))
+        reports.append((acc, info.copy(), loss_total / n_total))
     return W, margins, reports
 
 
