@@ -1,10 +1,15 @@
-"""Exception types shared across the package, and the integer and number
-checks of JSON inputs.
+"""Exception types shared across the package, and the checks of inputs:
+integers, numbers and number lists from JSON, and (features, ids) batches.
 
 The CLI maps these onto exit codes: InputError -> 2, NumericalError -> 3.
 """
 
+from itertools import chain
+
 import numpy as np
+
+# One past the largest id an int64 holds.
+_INT64_STOP = 2**63
 
 
 class InputError(ValueError):
@@ -54,20 +59,54 @@ def as_choice(value, path: str, choices: tuple[str, ...]) -> str:
 
 
 def as_number_array(value, path: str) -> np.ndarray:
-    """A JSON list of numbers as an array of the dtype numpy finds; strings (which
-    `dtype=np.float64` parses), nulls, booleans (which numpy promotes to 0 and 1
-    among numbers) and ragged lists raise InputError."""
+    """A JSON list of numbers, nested to any regular depth, as a float64 array.
+
+    Strings (which `dtype=np.float64` parses), nulls (which it reads as NaN),
+    booleans (which numpy promotes to 0 and 1 among numbers), ragged lists and
+    integers beyond float64 raise InputError naming `path`. Booleans are found
+    in one pass over the element types of the flattened list.
+    """
     try:
         out = np.asarray(value)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if out.dtype.kind not in "iuf" or _has_bool(value):
+        if out.dtype.kind not in "iuf":
+            np.asarray(value, dtype=np.float64)  # numpy's error, if it has one
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if out.dtype.kind not in "iuf":
         raise InputError(f"{path}: expected a list of numbers")
-    return out
-
-
-def _has_bool(value) -> bool:
-    """Whether `value` is a bool or a (nested) list holding one."""
     if isinstance(value, (list, tuple)):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
+        flat = value
+        for _ in range(out.ndim - 1):
+            flat = chain.from_iterable(flat)
+        if bool in set(map(type, flat)):
+            raise InputError(f"{path}: expected a list of numbers")
+    return out.astype(np.float64, copy=False)
+
+
+def as_batch(X, ids, where: str, p: int | None = None,
+             C: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(X, ids) as an (n, p) finite float64 array and (n,) int64 ids.
+
+    X is not copied when it already is a 2-D float64 array. The ids of a
+    nonempty batch must have an integer, non-bool dtype and lie in [0, C)
+    when C is given, else in [0, 2**63) (int64). Each error is an
+    InputError that starts with `where` and names the first bad row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    ids = np.asarray(ids)
+    if X.ndim != 2 or p not in (None, X.shape[1]):
+        raise InputError(f"{where}: expected an (n, {p or 'p'}) array, got shape {X.shape}")
+    if ids.shape != (X.shape[0],):
+        raise InputError(f"{where}: ids of shape {ids.shape} for {X.shape[0]} rows")
+    # min and max propagate NaN and expose +-inf without an (n, p) temporary.
+    if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise InputError(f"{where}: non-finite value in row {row}")
+    if ids.size:
+        if ids.dtype.kind not in "iu":
+            raise InputError(f"{where}: ids must be integers, got dtype {ids.dtype}")
+        stop = _INT64_STOP if C is None else C
+        if ids.min() < 0 or ids.max() >= stop:
+            row = int(np.argmax((ids < 0) | (ids >= stop)))
+            raise InputError(f"{where}: id {ids[row]} in row {row} is outside [0, {stop})")
+    return X, ids.astype(np.int64, copy=False)

@@ -8,7 +8,10 @@ records as {"p": int, "records": [{"category": int, "vector": [...]}]}.
 
 Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; readers promote to float64. Malformed binary input is reported
-with the byte offset of the problem.
+with the byte offset of the problem, and malformed CSV input with its line.
+The writers check their arrays with `errors.as_batch`, as every (features,
+ids) entry point of the package does; the binary writer adds the u32 range
+of its id field.
 
 `iter_embeddings` yields a file as (X, categories) chunks. A binary file's
 header and size are checked before any record is read, and then its records
@@ -49,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_choice, as_int, as_number_array
+from .errors import InputError, as_batch, as_choice, as_int, as_number_array
 
 __all__ = [
     "MAGIC",
@@ -89,25 +92,6 @@ def detect_format(path, fmt: str | None = None) -> str:
     raise InputError(
         f"cannot infer embedding format from {Path(path).name!r}; pass --format bin|csv|json"
     )
-
-
-def _checked_arrays(X, categories, where) -> tuple[np.ndarray, np.ndarray]:
-    """(X float64 (n, p), categories int64 (n,)), with finite X and ids >= 0."""
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories, dtype=np.int64)
-    if X.ndim != 2:
-        raise InputError(f"{where}: embeddings must be (n, p), got shape {X.shape}")
-    if categories.shape != (X.shape[0],):
-        raise InputError(
-            f"{where}: {categories.shape[0]} categories for {X.shape[0]} records"
-        )
-    if not np.all(np.isfinite(X)):
-        bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
-        raise InputError(f"{where}: non-finite coordinate in record {bad}")
-    if np.any(categories < 0):
-        bad = int(np.argmin(categories))
-        raise InputError(f"{where}: negative category id in record {bad}")
-    return X, categories
 
 
 def _record_dtype(p: int) -> np.dtype:
@@ -180,7 +164,7 @@ def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X, categories = _checked_arrays(X, categories, path)
+    X, categories = as_batch(X, categories, str(path))
     if np.any(categories > np.iinfo(np.uint32).max):
         raise InputError(f"{path}: category id exceeds the u32 range")
     n, p = X.shape
@@ -242,7 +226,7 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X, categories = _checked_arrays(X, categories, path)
+    X, categories = as_batch(X, categories, str(path))
     # Round-trip through the on-disk f32 precision so CSV and binary
     # encodings of the same data load identically.
     X32 = X.astype(np.float32)
@@ -270,14 +254,14 @@ def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
             raise InputError(f"{path}: records[{i}].category: category id {cat} exceeds {_MAX_ID}")
     if not entries:
         raise InputError(f"{path}: no records")
-    X = as_number_array(rows, f"{path}: vectors").astype(np.float64, copy=False)
+    X = as_number_array(rows, f"{path}: vectors")
     if X.ndim != 2 or X.shape[1] != p:
         raise InputError(f"{path}: vectors do not all have declared length p={p}")
-    return _checked_arrays(X, cats, path)
+    return as_batch(X, cats, str(path))
 
 
 def write_embeddings_json(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X, categories = _checked_arrays(X, categories, path)
+    X, categories = as_batch(X, categories, str(path))
     X32 = X.astype(np.float32)
     doc = {
         "p": int(X.shape[1]),

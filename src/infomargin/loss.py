@@ -15,10 +15,11 @@ loss (a zero margin matrix reduces the margined loss to it exactly).
 The losses are array-in/array-out: `igam_batch`, `normface_batch` and
 `ce_batch` take an (n, p) batch and return a LossBatch with per-sample
 losses, logits and the analytic gradients of the mean loss. A single
-sample is a one-row batch. Each checks its batch once (shapes, labels,
-finite features and weights), normalizes it for the cosine losses, and runs
-one private kernel (`_cosine_kernel` or `_ce_kernel`); the trainer runs the
-same kernels on rows it checked and normalized once per run.
+sample is a one-row batch. Each checks its features and labels once with
+`errors.as_batch` (labels in [0, C)) and its weights for finite values,
+normalizes them for the cosine losses, and runs one private kernel
+(`_cosine_kernel` or `_ce_kernel`); the trainer runs the same kernels on
+rows it checked and normalized once per run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_choice, as_int, as_number_array
+from .errors import InputError, NumericalError, as_batch, as_choice, as_int, as_number_array
 from .info import InfoAmountTable
 
 __all__ = [
@@ -347,20 +348,10 @@ def _unit_rows(A: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     C, p = clf.weights.shape
     if C < 2:
         raise InputError(f"need at least two categories, got {C}")
-    if X.ndim != 2 or X.shape[1] != p:
-        raise InputError(f"features must be (n, {p}), got shape {X.shape}")
-    if labels.shape != (X.shape[0],):
-        raise InputError(f"labels shape {labels.shape} does not match {X.shape[0]} features")
-    if ((labels < 0) | (labels >= C)).any():
-        raise InputError(
-            f"labels must lie in [0, {C}), got range [{labels.min()}, {labels.max()}]"
-        )
-    _check_finite(X, "feature")
+    X, labels = as_batch(np.atleast_2d(X), np.atleast_1d(labels), "batch", p=p, C=C)
     _check_finite(clf.weights, "weight")
     return X, labels
 

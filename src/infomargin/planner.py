@@ -113,7 +113,7 @@ def _grid_optimum(inp: PlanInput) -> int:
     if inp.N < _GRID_LOW:
         raise InputError(
             f"coarse-grid search needs N >= {_GRID_LOW} (grid spans [{_GRID_LOW}, N]); "
-            f"got N={inp.N}; use search='exact-integer'"
+            f"got N={inp.N}; use search='exact-integer' (CLI: --mode exact)"
         )
     d = np.linspace(_GRID_LOW, inp.N, _GRID_POINTS)
     R = (d + inp.C * (np.floor(inp.N / d) + 1) * inp.p) / inp.N

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_int
+from .errors import InputError, NumericalError, as_batch, as_int, as_number_array
 
 __all__ = [
     "CategoryStats",
@@ -55,28 +55,6 @@ class GlobalStats:
     categories: dict[int, CategoryStats] = field(default_factory=dict)
 
 
-def _checked_batch(X, categories, p: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """An (n, p) embedding batch as float64, with its (n,) category ids; a
-    nonempty batch must have integer ids >= 0 and finite coordinates."""
-    X = np.asarray(X, dtype=np.float64)
-    categories = np.asarray(categories)
-    if X.ndim != 2 or p not in (None, X.shape[1]):
-        raise InputError(f"expected an (n, {p or 'p'}) embedding batch, got shape {X.shape}")
-    if categories.shape != (X.shape[0],):
-        raise InputError(
-            f"categories shape {categories.shape} does not match {X.shape[0]} embeddings"
-        )
-    if X.size:
-        if categories.dtype.kind not in "iu":
-            raise InputError(f"category ids must be integers, got dtype {categories.dtype}")
-        if categories.min() < 0:
-            raise InputError(f"category must be >= 0, got {categories.min()}")
-        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
-        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
-            raise InputError("non-finite coordinate in embedding batch")
-    return X, categories
-
-
 def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, CategoryStats]:
     """Per-category mean and population covariance of one window.
 
@@ -85,18 +63,23 @@ def local_stats_from_arrays(X: np.ndarray, categories: np.ndarray) -> dict[int, 
 
     Parameters
     ----------
-    X : (n, p) float64 array of embeddings.
-    categories : (n,) integer array of category ids >= 0; any other dtype
-        or a negative id raises InputError.
+    X : nonempty (n, p) array of finite embeddings.
+    categories : (n,) integer array of category ids, checked with
+        `errors.as_batch`.
 
     Returns
     -------
     One single-window CategoryStats per distinct category, keyed and
     ordered by category id.
     """
-    X, categories = _checked_batch(X, categories)
+    X, categories = as_batch(X, categories, "embedding batch")
     if X.size == 0:
         raise InputError(f"expected a nonempty (n, p) embedding matrix, got shape {X.shape}")
+    return _window_stats(X, categories)
+
+
+def _window_stats(X: np.ndarray, categories: np.ndarray) -> dict[int, CategoryStats]:
+    """`local_stats_from_arrays` on a checked float64 window and int64 ids."""
     # One stable sort groups the rows: each category's rows are a contiguous
     # run of `order`, in their original order, so `X[order[a:b]]` is the
     # same matrix a boolean mask would select, and the same bits follow.
@@ -192,12 +175,12 @@ class EpochAccumulator:
         self._running: dict[int, CategoryStats] = {}
 
     def add(self, X: np.ndarray, categories: np.ndarray) -> None:
-        """Append an (n, p) batch with its (n,) integer category ids."""
-        X, categories = _checked_batch(X, categories, self.p)
+        """Append an (n, p) batch with its (n,) integer category ids, checked
+        with `errors.as_batch`: finite values and ids in [0, 2**63)."""
+        X, categories = as_batch(X, categories, "embedding batch", p=self.p)
         n = X.shape[0]
         if n == 0:
             return
-        categories = categories.astype(np.int64, copy=False)
         start = 0
         while start < n:
             stop = min(n, start + self.capacity - self._pending_rows)
@@ -214,10 +197,11 @@ class EpochAccumulator:
             X, categories = self._pending[0]
         else:
             X, categories = (np.concatenate(parts) for parts in zip(*self._pending))
-        # Overflow shows as inf or NaN in the statistics, which `finalize`
-        # reports once per category; a warning per window would only repeat it.
+        # `add` checked every row. Overflow shows as inf or NaN in the
+        # statistics, which `finalize` reports once per category; a warning
+        # per window would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            for cat, window in local_stats_from_arrays(X, categories).items():
+            for cat, window in _window_stats(X, categories).items():
                 running = self._running.get(cat)
                 self._running[cat] = window if running is None else merge_stats([running, window])
         self._pending = []
@@ -264,33 +248,22 @@ def global_stats_to_json(stats: GlobalStats) -> dict:
     }
 
 
-def _float_array(value, path: str) -> np.ndarray:
-    """A list of numbers as float64. `dtype=np.float64` alone would read "0.5"
-    as 0.5 and null as NaN; a `true` among numbers still reads as 1.0."""
-    out = np.asarray(value)
-    if out.dtype.kind not in "iuf":
-        np.asarray(value, dtype=np.float64)  # numpy's error, if it has one
-        raise TypeError(f"{path}: expected a list of numbers")
-    return out.astype(np.float64, copy=False)
-
-
 def stats_entry_arrays(obj: dict) -> dict:
     """`json.loads` object hook for the statistics document: an entry's
     `mean` and `cov_row_major` lists become float64 arrays as soon as the
     entry closes, so its Python floats are freed before the next entry is
     parsed.
 
-    It never raises. A value that does not convert (a string, a null, a
-    ragged list, an integer beyond float64) is left as it was, and
-    `global_stats_from_json`, which takes lists or arrays, rejects it with
-    the same message as without the hook.
+    It never raises. A value that `errors.as_number_array` rejects is left
+    as it was, and `global_stats_from_json`, which takes lists or arrays,
+    rejects it with the same message as without the hook.
     """
     for key in ("mean", "cov_row_major"):
         value = obj.get(key)
         if isinstance(value, list):
             try:
-                obj[key] = _float_array(value, key)
-            except (TypeError, ValueError, OverflowError):
+                obj[key] = as_number_array(value, key)
+            except InputError:
                 pass
     return obj
 
@@ -310,9 +283,9 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
     for i, entry in enumerate(entries):
         try:
             raw_id, raw_count = entry["id"], entry["count"]
-            mean = _float_array(entry["mean"], "mean")
-            cov = _float_array(entry["cov_row_major"], "cov_row_major").reshape(p, p)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            mean = as_number_array(entry["mean"], "mean")
+            cov = as_number_array(entry["cov_row_major"], "cov_row_major").reshape(p, p)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
         cat = as_int(raw_id, f"categories[{i}].id", minimum=0)
         count = as_int(raw_count, f"categories[{i}].count", minimum=1)

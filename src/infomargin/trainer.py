@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, TrainingDivergedError, as_choice, as_float, as_int
+from .errors import InputError, TrainingDivergedError, as_batch, as_choice, as_float, \
+    as_int
 from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
     INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, \
@@ -255,25 +256,6 @@ def _maybe_pearson(xs, ys) -> float | None:
         return None
 
 
-def _check_dataset(dataset: Dataset, C: int, p: int) -> None:
-    """Shapes, finite features and labels in [0, C), naming the first bad row."""
-    for part in ("train", "test"):
-        X = getattr(dataset, f"{part}_X")
-        y = getattr(dataset, f"{part}_y")
-        if X.ndim != 2 or X.shape[1] != p or X.dtype != np.float64:
-            raise InputError(f"{part}_X must be a float64 (n, {p}) array")
-        if y.shape != (X.shape[0],) or y.dtype.kind not in "iu":
-            raise InputError(f"{part}_y must be an integer array of {X.shape[0]} labels")
-        # min and max propagate NaN and expose +-inf without an (n, p) temporary.
-        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
-            row = int(np.argmin(np.isfinite(X).all(axis=1)))
-            raise InputError(f"non-finite {part} feature at row {row}")
-        bad = (y < 0) | (y >= C)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise InputError(f"{part} label {y[row]} at row {row} is outside [0, {C})")
-
-
 def train(
     spec: SyntheticSpec,
     config: TrainConfig,
@@ -302,7 +284,13 @@ def train(
     elif dataset.spec != spec:
         raise InputError("dataset was generated from a different spec")
     C, p = spec.C, spec.p
-    _check_dataset(dataset, C, p)
+    # The run reads the dataset's arrays in place, so its features must
+    # already be float64.
+    for part in ("train", "test"):
+        X = getattr(dataset, f"{part}_X")
+        if X.dtype != np.float64:
+            raise InputError(f"{part}_X must be a float64 array, got dtype {X.dtype}")
+        as_batch(X, getattr(dataset, f"{part}_y"), f"{part} data", p=p, C=C)
     n_total = dataset.train_X.shape[0]
     cosine = config.loss != "ce"
     if cosine:

@@ -388,10 +388,12 @@ def test_info_malformed_entry_same_error_with_and_without_hook(
     ("mean", '["0.5", 1.0]'),
     ("mean", "[null, 1.0]"),
     ("cov_row_major", '["1.5", 0, 0, 1]'),
-], ids=["numeric-string", "null", "cov-string"])
+    ("mean", "[true, 0.5]"),
+], ids=["numeric-string", "null", "cov-string", "boolean"])
 def test_info_rejects_strings_and_nulls_as_numbers(
         tmp_path, capsys, monkeypatch, field, text):
-    # Converting with dtype=float64 alone reads "0.5" as 0.5 and null as NaN.
+    # Converting with dtype=float64 alone reads "0.5" as 0.5 and null as NaN,
+    # and numpy promotes a boolean among numbers to 1.0.
     values = {"mean": "[0.0, 1.0]", "cov_row_major": "[1.0, 0.0, 0.0, 1.0]", field: text}
     path = tmp_path / "stats.json"
     path.write_text('{"p": 2, "categories": [{"id": 0, "count": 2, "mean": %(mean)s, '
@@ -723,7 +725,7 @@ def test_plan_small_N_grid_fails(capsys):
     code, _, err = run(capsys, "plan", "--instances", "999", "--dim", "8",
                        "--classes", "4")
     assert code == 2
-    assert "N >= 1000" in err
+    assert "N >= 1000" in err and "--mode exact" in err
 
 
 def test_plan_rejects_bad_flag_values(capsys):

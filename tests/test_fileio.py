@@ -346,13 +346,14 @@ def test_read_json_missing_file(tmp_path):
 
 def test_writers_reject_bad_arrays(tmp_path, sample):
     X, cats = sample
-    with pytest.raises(InputError, match="negative category"):
+    with pytest.raises(InputError, match=re.escape(
+            f"a.bin: id {cats[0] - 10} in row 0 is outside [0, {2**63})")):
         write_embeddings(tmp_path / "a.bin", X, cats - 10)
-    with pytest.raises(InputError, match="non-finite"):
+    with pytest.raises(InputError, match="b.csv: non-finite value in row 2"):
         bad = X.copy()
         bad[2, 1] = np.nan
         write_embeddings(tmp_path / "b.csv", bad, cats)
-    with pytest.raises(InputError, match="categories for"):
+    with pytest.raises(InputError, match=re.escape(f"ids of shape ({len(cats) - 1},) for {len(cats)} rows")):
         write_embeddings(tmp_path / "c.json", X, cats[:-1])
     with pytest.raises(InputError, match="u32 range"):
         write_embeddings_binary(tmp_path / "d.bin", X[:1], np.array([2**32]))

@@ -567,10 +567,14 @@ def test_raw_margin_array_is_checked():
 
 
 _NON_FINITE_BATCHES = {
-    "nan-feature": ([[np.nan, 1, 0, 0], [1, 0, 0, 0]], None, "non-finite feature values"),
-    "inf-feature": ([[np.inf, 1, 0, 0], [1, 0, 0, 0]], None, "non-finite feature values"),
-    "inf-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (0, 0, np.inf), "non-finite weight values"),
-    "nan-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (2, 3, np.nan), "non-finite weight values"),
+    "nan-feature": ([[np.nan, 1, 0, 0], [1, 0, 0, 0]], None,
+                    "batch: non-finite value in row 0", "non-finite feature values"),
+    "inf-feature": ([[np.inf, 1, 0, 0], [1, 0, 0, 0]], None,
+                    "batch: non-finite value in row 0", "non-finite feature values"),
+    "inf-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (0, 0, np.inf), "non-finite weight values",
+                   "non-finite weight values"),
+    "nan-weight": ([[1, 1, 0, 0], [1, 0, 0, 0]], (2, 3, np.nan), "non-finite weight values",
+                   "non-finite weight values"),
 }
 
 
@@ -579,7 +583,7 @@ _NON_FINITE_BATCHES = {
 def test_non_finite_batch_rejected_by_every_loss(loss, case):
     # Plain cross-entropy used to return a nan or inf loss here; all three
     # losses now share the same check and message.
-    X, weight_entry, message = _NON_FINITE_BATCHES[case]
+    X, weight_entry, message, cosines_message = _NON_FINITE_BATCHES[case]
     W = np.eye(3, 4)
     if weight_entry is not None:
         W[weight_entry[:2]] = weight_entry[2]
@@ -590,7 +594,7 @@ def test_non_finite_batch_rejected_by_every_loss(loss, case):
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=message):
             call(clf, X, [0, 1])
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=cosines_message):
         clf.cosines(X)
 
 

@@ -1,5 +1,6 @@
 """Window statistics, the exact merge, and the streaming queue."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,12 +135,22 @@ def test_local_stats_rejects_float_and_negative_ids():
     # Float ids were once grouped by int(id): [2.2, 2.7, 2.7] came back as
     # {2: total 2}, and the record with id 2.2 was silently lost.
     X = np.array([[1.0], [3.0], [10.0]])
-    with pytest.raises(InputError, match="category ids must be integers, got dtype float64"):
+    with pytest.raises(InputError, match="ids must be integers, got dtype float64"):
         local_stats_from_arrays(X, np.array([2.2, 2.7, 2.7]))
     with pytest.raises(InputError, match="must be integers"):
         local_stats_from_arrays(X, np.array([True, False, True]))
-    with pytest.raises(InputError, match="category must be >= 0, got -1"):
+    with pytest.raises(InputError, match=re.escape(f"id -1 in row 1 is outside [0, {2**63})")):
         local_stats_from_arrays(X, np.array([2, -1, 2]))
+
+
+def test_add_rejects_ids_beyond_int64():
+    # As int64 the id 2**63 would read -2**63. A capacity of one closes the
+    # window at once, so the check in `add` is the only one the row meets.
+    acc = EpochAccumulator(capacity=1, p=1)
+    with pytest.raises(InputError, match=re.escape(f"id {2**63} in row 0 is outside")):
+        acc.add(np.ones((2, 1)), np.array([2**63, 1], dtype=np.uint64))
+    with pytest.raises(InputError, match=re.escape(f"id {2**63} in row 0 is outside")):
+        local_stats_from_arrays(np.ones((2, 1)), np.array([2**63, 1], dtype=np.uint64))
 
 
 def test_local_stats_covariance_is_symmetric_psd():
@@ -192,18 +203,23 @@ def test_local_stats_same_bits_as_mask_loop(name):
         assert np.array_equal(out[cat].cov, cov)
 
 
-def test_snapshot_reaches_module_local_stats(monkeypatch):
-    # Each window goes through the module-level function, so a wrapper
-    # installed on the module (as a tracer does) sees every window.
-    windows = []
-    real = stats_module.local_stats_from_arrays
-    monkeypatch.setattr(stats_module, "local_stats_from_arrays",
+def test_snapshot_reaches_module_window_kernel(monkeypatch):
+    # Each window goes through the module-level kernel, so a wrapper
+    # installed on the module (as a tracer does) sees every window. `add`
+    # checked the rows, so the checked public function is not called again.
+    windows, checks = [], []
+    real, check = stats_module._window_stats, stats_module.as_batch
+    monkeypatch.setattr(stats_module, "_window_stats",
                         lambda X, c: windows.append(X.shape[0]) or real(X, c))
+    monkeypatch.setattr(stats_module, "as_batch",
+                        lambda *args, **kw: checks.append(1) or check(*args, **kw))
+    monkeypatch.setattr(stats_module, "local_stats_from_arrays", None)
     acc = EpochAccumulator(capacity=10, p=2)
     acc.add(np.ones((14, 2)), np.zeros(14, dtype=np.int64))
     acc.add(np.ones((11, 2)), np.ones(11, dtype=np.int64))
     acc.finalize()
     assert windows == [10, 10, 5]
+    assert len(checks) == 2
 
 
 def test_empty_batch_rejected():

@@ -543,19 +543,19 @@ def _set(part, row, value):
 
 _BAD_DATASETS = {
     "nan-train-feature": (LOSSES, _set("train_X", (37, 2), np.nan),
-                          "non-finite train feature at row 37"),
+                          "train data: non-finite value in row 37"),
     "inf-test-feature": (LOSSES, _set("test_X", (5, 0), -np.inf),
-                         "non-finite test feature at row 5"),
+                         "test data: non-finite value in row 5"),
     "zero-norm-train-row": (("normface", "igam"), _set("train_X", 41, 0.0),
                             "zero-norm train feature vector at index 41"),
     "zero-norm-test-row": (("normface", "igam"), _set("test_X", 3, 0.0),
                            "zero-norm test feature vector at index 3"),
     "label-at-C": (LOSSES, _set("train_y", 50, 3),
-                   re.escape("train label 3 at row 50 is outside [0, 3)")),
+                   re.escape("train data: id 3 in row 50 is outside [0, 3)")),
     "negative-label": (LOSSES, _set("train_y", 7, -1),
-                       re.escape("train label -1 at row 7 is outside [0, 3)")),
+                       re.escape("train data: id -1 in row 7 is outside [0, 3)")),
     "negative-test-label": (LOSSES, _set("test_y", 2, -4),
-                            re.escape("test label -4 at row 2 is outside [0, 3)")),
+                            re.escape("test data: id -4 in row 2 is outside [0, 3)")),
 }
 
 
@@ -594,9 +594,13 @@ def test_dataset_shapes_and_dtypes_checked():
     config = TrainConfig(epochs=1, batch_size=16, queue_len=90)
     ds = generate_dataset(spec)
     ds.train_X = ds.train_X[:, :3]
-    with pytest.raises(InputError, match=re.escape("train_X must be a float64 (n, 4) array")):
+    with pytest.raises(InputError, match=re.escape("train data: expected an (n, 4) array, got shape (180, 3)")):
         train(spec, config, dataset=ds)
     ds = generate_dataset(spec)
     ds.test_y = ds.test_y.astype(np.float64)
-    with pytest.raises(InputError, match="test_y must be an integer array of 90 labels"):
+    with pytest.raises(InputError, match="test data: ids must be integers, got dtype float64"):
+        train(spec, config, dataset=ds)
+    ds = generate_dataset(spec)
+    ds.test_X = ds.test_X.astype(np.float32)
+    with pytest.raises(InputError, match="test_X must be a float64 array, got dtype float32"):
         train(spec, config, dataset=ds)
