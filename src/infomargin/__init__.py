@@ -19,10 +19,10 @@ from .stats import (
 )
 from .info import (
     InfoAmountTable,
-    ShrinkageSpec,
     information_amount,
     information_amount_from_embeddings,
     information_amounts_from_stats,
+    lambda_minus,
     shrink_covariance,
 )
 from .loss import (
@@ -66,7 +66,7 @@ __all__ = [
     "EpochAccumulator",
     "local_stats_from_arrays",
     "merge_stats",
-    "ShrinkageSpec",
+    "lambda_minus",
     "InfoAmountTable",
     "shrink_covariance",
     "information_amount",

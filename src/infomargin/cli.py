@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_number_array
 from . import fileio, trainer
 from .info import info_table_from_json, info_table_to_json, information_amounts_from_stats
 from .loss import (
@@ -116,12 +116,19 @@ def _cmd_loss_eval(args) -> int:
             )
     else:
         margins = MarginMatrix.zeros(C)
-    if args.loss == "ce":
-        out = ce_batch(clf, X, labels)
-    elif args.loss == "normface":
-        out = normface_batch(clf, X, labels)
-    else:
-        out = igam_batch(clf, X, labels, margins)
+    # A logit gap beyond exp's range makes a loss inf, reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.loss == "ce":
+            out = ce_batch(clf, X, labels)
+        elif args.loss == "normface":
+            out = normface_batch(clf, X, labels)
+        else:
+            out = igam_batch(clf, X, labels, margins)
+    bad = ~np.isfinite(out.losses)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"non-finite loss {out.losses[i]} at sample {i} "
+                             f"(loss={args.loss}, s={args.s})")
     _emit(
         {
             "loss": args.loss,
@@ -174,7 +181,11 @@ def _final_epoch_summary(run: dict, index: int) -> dict:
         loss = run["train"]["loss"]
         epochs = run["epochs"]
         final = epochs[-1]
-        acc = final["per_class_accuracy"]
+        acc = as_number_array(final["per_class_accuracy"],
+                              f"runs[{index}]: final per_class_accuracy")
+        if acc.ndim != 1 or not acc.size:
+            raise InputError(f"runs[{index}]: final per_class_accuracy must be a "
+                             f"nonempty list, got shape {acc.shape}")
         return {
             "loss": loss,
             "epochs": len(epochs),

@@ -34,6 +34,15 @@ def as_int(value, path: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def as_id(value, path: str) -> int:
+    """`value` as a category id, an int in [0, 2**63) that an int64 holds; else
+    InputError naming `path`."""
+    value = as_int(value, path, minimum=0)
+    if value >= _INT64_STOP:
+        raise InputError(f"{path}: category id {value} exceeds {_INT64_STOP - 1}")
+    return value
+
+
 def as_float(value, path: str) -> float:
     """`value` as a finite float; bools, strings and non-finite values raise
     InputError naming `path`."""

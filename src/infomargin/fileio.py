@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_batch, as_choice, as_int, as_number_array
+from .errors import InputError, as_batch, as_choice, as_id, as_int, as_number_array
 
 __all__ = [
     "MAGIC",
@@ -75,9 +75,6 @@ MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
 
 FORMATS = ("bin", "csv", "json")
-
-# Category ids are held as int64 once read.
-_MAX_ID = int(np.iinfo(np.int64).max)
 
 _EXTENSIONS = {".bin": "bin", ".csv": "csv", ".json": "json"}
 
@@ -214,8 +211,7 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise InputError(f"{path}: line {lineno}: '_' in a coordinate")
             if cat < 0:
                 raise InputError(f"{path}: line {lineno}: negative category id {cat}")
-            if cat > _MAX_ID:
-                raise InputError(f"{path}: line {lineno}: category id {cat} exceeds {_MAX_ID}")
+            as_id(cat, f"{path}: line {lineno}")
             if not all(np.isfinite(vec)):
                 raise InputError(f"{path}: line {lineno}: non-finite coordinate")
             cats.append(cat)
@@ -247,11 +243,7 @@ def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed embedding document: {exc}") from exc
     p = as_int(raw_p, f"{path}: p")
-    cats = [as_int(c, f"{path}: records[{i}].category", minimum=0)
-            for i, c in enumerate(raw_cats)]
-    for i, cat in enumerate(cats):
-        if cat > _MAX_ID:
-            raise InputError(f"{path}: records[{i}].category: category id {cat} exceeds {_MAX_ID}")
+    cats = [as_id(c, f"{path}: records[{i}].category") for i, c in enumerate(raw_cats)]
     if not entries:
         raise InputError(f"{path}: no records")
     X = as_number_array(rows, f"{path}: vectors")
@@ -451,14 +443,18 @@ def read_json(path, object_hook=None):
     The hook sees each decoded object as soon as it closes, so a caller can
     turn an entry's float lists into arrays before the next entry is parsed
     (`stats.stats_entry_arrays`). An unreadable file or invalid JSON raises
-    InputError naming the path (and the line and column).
+    InputError naming the path (and the line and column), as do NaN,
+    Infinity and -Infinity, which `json.loads` takes by default.
     """
+    def reject_constant(name):
+        raise InputError(f"{path}: invalid JSON: {name} is not a JSON number")
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text, object_hook=object_hook, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc

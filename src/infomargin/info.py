@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_float, as_int
+from .errors import InputError, NumericalError, as_float, as_id, as_int
 from .stats import GlobalStats, local_stats_from_arrays
 
 __all__ = [
-    "ShrinkageSpec",
+    "lambda_minus",
     "InfoAmountTable",
     "shrink_covariance",
     "information_amount",
@@ -47,29 +47,10 @@ _SYM_RTOL = 1e-8
 _PSD_SLACK = -1e-6
 
 
-@dataclass(frozen=True)
-class ShrinkageSpec:
-    """Clipping parameters for a covariance built from m samples in p dims.
-
-    Attributes
-    ----------
-    p : embedding dimension, >= 1.
-    m : number of samples behind the covariance estimate, >= 1.
-    """
-
-    p: int
-    m: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
-        if self.m < 1:
-            raise InputError(f"m must be >= 1, got {self.m}")
-
-    @property
-    def lambda_minus(self) -> float:
-        """(1 - sqrt(p/m))^2; zero exactly when p = m."""
-        return float((1.0 - np.sqrt(self.p / self.m)) ** 2)
+def lambda_minus(p: int, m: int) -> float:
+    """The clip floor (1 - sqrt(p/m))^2 for m samples in p dims; zero when p = m."""
+    p, m = as_int(p, "p", minimum=1), as_int(m, "m", minimum=1)
+    return float((1.0 - np.sqrt(p / m)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -114,10 +95,10 @@ class InfoAmountTable:
 def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
     """`cov` as float64, itself when it is bitwise symmetric (as every
     covariance `stats` builds is), else symmetrized if the asymmetry is
-    rounding-sized."""
+    rounding-sized. A 0x0 matrix is rejected."""
     cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InputError(f"covariance must be square, got shape {cov.shape}")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+        raise InputError(f"covariance must be square and nonempty, got shape {cov.shape}")
     if not (np.isfinite(cov.min()) and np.isfinite(cov.max())):
         raise InputError("non-finite entries in covariance")
     # Compared as bits, not with ==: then 0.5 * (cov + cov.T) is cov itself,
@@ -133,13 +114,6 @@ def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
             f"against scale {scale:.3g}"
         )
     return 0.5 * (cov + cov.T)
-
-
-def _checked_for_spec(cov: np.ndarray, spec: ShrinkageSpec) -> np.ndarray:
-    sym = _checked_symmetric(cov)
-    if sym.shape[0] != spec.p:
-        raise InputError(f"covariance is {sym.shape[0]}x{sym.shape[0]} but spec has p={spec.p}")
-    return sym
 
 
 def _decompose(eig, sym: np.ndarray):
@@ -162,28 +136,29 @@ def _half_log2_det(eigvals: np.ndarray) -> float:
     return float(np.sum(np.log2(1.0 + eigvals)) / 2.0)
 
 
-def _clipped_amount(cov: np.ndarray, spec: ShrinkageSpec) -> float:
+def _clipped_amount(cov: np.ndarray, m: int) -> float:
     """1/2 * sum_k log2(1 + max(lambda_k, lambda_-)) from one eigvalsh of cov.
 
-    Equal to information_amount(shrink_covariance(cov, spec)) to round-off,
-    with the same checks, but without the eigenvectors, the rebuilt matrix
-    and its second decomposition.
+    Equal to information_amount(shrink_covariance(cov, m)) to round-off, with
+    the same checks, but without eigenvectors or a rebuilt, re-decomposed matrix.
     """
-    sym = _checked_for_spec(cov, spec)
+    sym = _checked_symmetric(cov)
+    floor = lambda_minus(sym.shape[0], m)
     eigvals = _psd_floor(_decompose(np.linalg.eigvalsh, sym))
-    return _half_log2_det(np.maximum(eigvals, spec.lambda_minus))
+    return _half_log2_det(np.maximum(eigvals, floor))
 
 
-def shrink_covariance(cov: np.ndarray, spec: ShrinkageSpec) -> np.ndarray:
-    """Covariance with its spectrum clipped at lambda_-.
+def shrink_covariance(cov: np.ndarray, m: int) -> np.ndarray:
+    """Covariance of m samples with its spectrum clipped at lambda_minus(p, m).
 
     Eigenvectors are kept; each eigenvalue becomes max(lambda, lambda_-),
     after flooring small negative rounding debris at zero. The result is
     symmetric with minimum eigenvalue >= lambda_-.
     """
-    sym = _checked_for_spec(cov, spec)
+    sym = _checked_symmetric(cov)
+    floor = lambda_minus(sym.shape[0], m)
     eigvals, eigvecs = _decompose(np.linalg.eigh, sym)
-    clipped = np.maximum(_psd_floor(eigvals), spec.lambda_minus)
+    clipped = np.maximum(_psd_floor(eigvals), floor)
     out = (eigvecs * clipped) @ eigvecs.T
     return 0.5 * (out + out.T)
 
@@ -205,11 +180,11 @@ def information_amount_from_embeddings(X: np.ndarray) -> float:
     Takes the population covariance of the rows of X with
     `local_stats_from_arrays` and reads the amount straight off its
     spectrum clipped for m = len(X) samples: one eigvalsh, equal to
-    information_amount(shrink_covariance(cov, spec)) to round-off.
+    information_amount(shrink_covariance(cov, len(X))) to round-off.
     """
     X = np.asarray(X, dtype=np.float64)
     (cs,) = local_stats_from_arrays(X, np.zeros(X.shape[:1], dtype=np.int64)).values()
-    return _clipped_amount(cs.cov, ShrinkageSpec(p=X.shape[1], m=cs.total))
+    return _clipped_amount(cs.cov, cs.total)
 
 
 def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAmountTable:
@@ -220,8 +195,12 @@ def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAm
     merged sample count N_i, since the merged covariance represents N_i
     samples regardless of how the windows sliced them.
     """
-    amounts = [_clipped_amount(cs.cov, ShrinkageSpec(p=stats.p, m=cs.total))
-               for cs in stats.categories.values()]
+    amounts = []
+    for cat, cs in stats.categories.items():
+        if np.shape(cs.cov) != (stats.p, stats.p):
+            raise InputError(f"category {cat}: covariance has shape {np.shape(cs.cov)}, "
+                             f"expected ({stats.p}, {stats.p})")
+        amounts.append(_clipped_amount(cs.cov, cs.total))
     return InfoAmountTable(list(stats.categories), amounts, epoch=epoch)
 
 
@@ -242,6 +221,7 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
     epoch = as_int(raw_epoch, "epoch")
+    ids = [as_id(cat, "category id") for cat in ids]
     amounts = [as_float(val, f"info.{key}") for key, val in info.items()]
     table = InfoAmountTable(ids, amounts, epoch=epoch)
     # Only the spelling `info` writes: int() also takes "1_0", " 2", "+3" and

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_batch, as_int, as_number_array
+from .errors import InputError, NumericalError, as_batch, as_id, as_int, as_number_array
 
 __all__ = [
     "CategoryStats",
@@ -287,7 +287,7 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
             cov = as_number_array(entry["cov_row_major"], "cov_row_major").reshape(p, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed statistics entry: {exc}") from exc
-        cat = as_int(raw_id, f"categories[{i}].id", minimum=0)
+        cat = as_id(raw_id, f"categories[{i}].id")
         count = as_int(raw_count, f"categories[{i}].count", minimum=1)
         if cat in categories:
             raise InputError(f"category {cat} appears more than once")

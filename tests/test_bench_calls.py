@@ -5,7 +5,6 @@ fails the test suite rather than only the benchmark."""
 import numpy as np
 
 from infomargin.info import (
-    ShrinkageSpec,
     information_amount,
     information_amounts_from_stats,
     shrink_covariance,
@@ -46,7 +45,7 @@ def test_wide_epoch_calls(tmp_path):
     assert len(table.amounts) == C
     assert ids.dtype == np.int64 and np.array_equal(ids, np.arange(C))
     assert amounts is table.amounts
-    two_step = [information_amount(shrink_covariance(covs[c], ShrinkageSpec(p=p, m=int(m))))
+    two_step = [information_amount(shrink_covariance(covs[c], int(m)))
                 for c, m in enumerate(counts)]
     assert np.allclose(amounts, two_step, rtol=1e-12, atol=0)
     assert margins.m.shape == (C, C) and np.all(margins.m >= 0)

@@ -404,6 +404,28 @@ def test_info_rejects_strings_and_nulls_as_numbers(
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_info_rejects_non_standard_json_constants(tmp_path, capsys, constant):
+    # `json.loads` takes these literals as floats unless told otherwise.
+    path = tmp_path / "stats.json"
+    path.write_text('{"p": 1, "categories": [{"id": 0, "count": 2, "mean": [%s], '
+                    '"cov_row_major": [1.0]}]}' % constant)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: invalid JSON: {constant} is not a JSON number\n"
+
+
+def test_info_rejects_id_beyond_int64_before_any_eigendecomposition(
+        tmp_path, capsys, monkeypatch):
+    entry = {"id": 0, "count": 2, "mean": [0.0], "cov_row_major": [1.0]}
+    path = tmp_path / "stats.json"
+    write_json(path, {"p": 1, "categories": [entry, dict(entry, id=2**63)]})
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: categories[1].id: category id {2**63} exceeds {2**63 - 1}\n"
+
+
 def test_stats_info_pipeline_round_trips(tmp_path, capsys):
     path = tmp_path / "e.bin"
     write_sample_embeddings(path, n=40, p=3, C=2)
@@ -478,6 +500,8 @@ def test_margins_info_list_exits_two(tmp_path, capsys):
     ({"epoch": 0, "info": {"-1": 0.5, "2": 0.7}}, "category id must be >= 0, got -1"),
     ({"epoch": 0, "info": {"0": "0.5", "1": 0.6, "2": 0.7}}, "info.0: expected a number, got '0.5'"),
     ({"epoch": 0, "info": {"0": 0.5, "1": True, "2": 0.7}}, "info.1: expected a number, got True"),
+    ({"epoch": 0, "info": {"0": 0.5, str(2**63): 0.7}},
+     f"category id: category id {2**63} exceeds {2**63 - 1}"),
 ])
 def test_margins_rejects_aliased_ids_and_fractional_epoch(tmp_path, capsys, doc, message):
     path = tmp_path / "info.json"
@@ -620,6 +644,17 @@ def test_loss_eval_tiny_norm_row_scores_like_its_direction(loss_files, capsys):
         assert code == 0 and err == ""
         docs.append(json.loads(out))
     assert docs[0]["losses"] == docs[1]["losses"]
+
+
+@pytest.mark.parametrize("loss", ["igam", "normface"])
+def test_loss_eval_non_finite_loss_exits_3(loss_files, capsys, loss):
+    # At s = 1e300 the logit gaps overflow exp, so the losses are inf.
+    code, out, err = run(
+        capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
+        "--weights", str(loss_files / "w.bin"), "--loss", loss, "--s", "1e300",
+    )
+    assert code == 3 and out == ""
+    assert err == f"numerical error: non-finite loss inf at sample 0 (loss={loss}, s=1e+300)\n"
 
 
 def test_loss_eval_ce_ignores_scale(loss_files, capsys):
@@ -886,6 +921,39 @@ def test_toy_report_rejects_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "toy", "report", str(path))
     assert code == 2
     assert "runs[0]" in err
+
+
+_FINAL_EPOCH = {"per_class_accuracy": [0.5, 1.0], "bias_variance": 0.1, "pearson_info_acc": 0.2,
+                "pearson_count_acc": 0.3, "loss_mean": 0.4}
+
+
+@pytest.mark.parametrize("accuracy, message", [
+    ([], "runs[1]: final per_class_accuracy must be a nonempty list, got shape (0,)"),
+    (["a", 1], "runs[1]: final per_class_accuracy: could not convert string to float: 'a'"),
+    ([True, 0.5], "runs[1]: final per_class_accuracy: expected a list of numbers"),
+], ids=["empty", "string", "boolean"])
+def test_toy_report_checks_final_accuracy(tmp_path, capsys, accuracy, message):
+    good = {"train": {"loss": "ce"}, "epochs": [_FINAL_EPOCH]}
+    bad = {"train": {"loss": "igam"}, "epochs": [dict(_FINAL_EPOCH, per_class_accuracy=accuracy)]}
+    path = tmp_path / "r.json"
+    write_json(path, {"runs": [good]})
+    code, out, _ = run(capsys, "toy", "report", str(path))
+    assert code == 0 and json.loads(out)["runs"][0]["min_class_accuracy"] == 0.5
+    write_json(path, {"runs": [good, bad]})
+    code, out, err = run(capsys, "toy", "report", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_toy_report_rejects_non_standard_json_constant(tmp_path, capsys):
+    # Checked while parsing, so a NaN in a field the summary copies stops it too.
+    path = tmp_path / "r.json"
+    path.write_text('{"runs": [{"train": {"loss": "ce"}, "epochs": [{"per_class_accuracy": '
+                    '[0.5], "bias_variance": NaN, "pearson_info_acc": 0, '
+                    '"pearson_count_acc": 0, "loss_mean": 0}]}]}')
+    code, out, err = run(capsys, "toy", "report", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: invalid JSON: NaN is not a JSON number\n"
 
 
 # ---------------------------------------------------------------- plumbing

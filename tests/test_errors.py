@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from infomargin.errors import InputError, as_batch, as_number_array
+from infomargin.errors import InputError, as_batch, as_id, as_number_array
 from infomargin.fileio import write_embeddings_binary, write_embeddings_csv, \
     write_embeddings_json
 from infomargin.loss import CosineClassifier, MarginMatrix, ce_batch, igam_batch, \
@@ -99,3 +99,15 @@ def test_as_number_array_gives_float64():
     assert as_number_array(a, "v") is a
     with pytest.raises(InputError, match="^v: int too large to convert to float$"):
         as_number_array([0.5, 10**400], "v")
+
+
+@pytest.mark.parametrize("value, message", [
+    (2**63, f"x: category id {2**63} exceeds {2**63 - 1}"),
+    (-1, "x must be >= 0, got -1"),
+    (1.0, "x: expected an integer, got 1.0"),
+    (True, "x: expected an integer, got True"),
+])
+def test_as_id_takes_the_ids_an_int64_holds(value, message):
+    assert as_id(2**63 - 1, "x") == 2**63 - 1 and as_id(np.int64(0), "x") == 0
+    with pytest.raises(InputError, match=re.escape(message)):
+        as_id(value, "x")

@@ -336,6 +336,16 @@ def test_read_json_reports_line_and_column(tmp_path):
         read_json(path)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_rejects_non_standard_constants(tmp_path, constant):
+    # `json.loads` takes these by default; no writer here emits them.
+    path = tmp_path / "c.json"
+    path.write_text('{"a": [1.0, %s]}' % constant)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: invalid JSON: {constant} is not a JSON number")):
+        read_json(path)
+
+
 def test_read_json_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_json(tmp_path / "absent.json")

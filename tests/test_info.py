@@ -8,12 +8,12 @@ import pytest
 from infomargin.errors import InputError
 from infomargin.info import (
     InfoAmountTable,
-    ShrinkageSpec,
     info_table_from_json,
     info_table_to_json,
     information_amount,
     information_amount_from_embeddings,
     information_amounts_from_stats,
+    lambda_minus,
     shrink_covariance,
 )
 from infomargin.stats import CategoryStats, EpochAccumulator, GlobalStats
@@ -44,19 +44,44 @@ def closed_form_identical(p, m):
     ],
 )
 def test_clip_level_closed_form(p, m, expected):
-    assert ShrinkageSpec(p=p, m=m).lambda_minus == pytest.approx(expected, abs=1e-15)
+    assert lambda_minus(p, m) == pytest.approx(expected, abs=1e-15)
 
 
 def test_spec_rejects_nonpositive_sizes():
     with pytest.raises(InputError):
-        ShrinkageSpec(p=0, m=5)
+        lambda_minus(0, 5)
     with pytest.raises(InputError):
-        ShrinkageSpec(p=3, m=0)
+        lambda_minus(3, 0)
+
+
+@pytest.mark.parametrize("m, message", [
+    (True, "m: expected an integer, got True"),
+    (2.5, "m: expected an integer, got 2.5"),
+    ("3", "m: expected an integer, got '3'"),
+    (0, "m must be >= 1, got 0"),
+])
+def test_sample_count_must_be_a_positive_integer(m, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        lambda_minus(2, m)
+    with pytest.raises(InputError, match=re.escape(message)):
+        shrink_covariance(np.eye(2), m)
+
+
+def test_dimension_must_be_an_integer():
+    with pytest.raises(InputError, match=re.escape("p: expected an integer, got 'a'")):
+        lambda_minus("a", 2)
+
+
+def test_empty_covariance_is_rejected():
+    message = "covariance must be square and nonempty, got shape (0, 0)"
+    with pytest.raises(InputError, match=re.escape(message)):
+        information_amount(np.zeros((0, 0)))
+    with pytest.raises(InputError, match=re.escape(message)):
+        shrink_covariance(np.zeros((0, 0)), 3)
 
 
 def test_shrink_zero_matrix_lifts_to_clip_level():
-    spec = ShrinkageSpec(p=4, m=16)
-    out = shrink_covariance(np.zeros((4, 4)), spec)
+    out = shrink_covariance(np.zeros((4, 4)), 16)
     assert np.allclose(out, 0.25 * np.eye(4), rtol=0, atol=1e-14)
 
 
@@ -67,37 +92,31 @@ def test_shrink_is_identity_when_spectrum_clears_clip():
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     cov = Q @ np.diag([1.0, 2.0, 3.0]) @ Q.T
     cov = (cov + cov.T) / 2
-    out = shrink_covariance(cov, ShrinkageSpec(p=3, m=300))
+    out = shrink_covariance(cov, 300)
     assert np.allclose(out, cov, rtol=1e-10, atol=1e-12)
 
 
 def test_shrink_clips_only_small_eigenvalues():
-    spec = ShrinkageSpec(p=2, m=8)  # clip level (1 - 0.5)^2 = 0.25
     cov = np.diag([4.0, 0.01])
-    out = shrink_covariance(cov, spec)
+    out = shrink_covariance(cov, 8)  # clip level (1 - sqrt(2/8))^2 = 0.25
     assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [0.25, 4.0], atol=1e-12)
 
 
 def test_shrink_rejects_asymmetric_and_misshaped():
-    spec = ShrinkageSpec(p=2, m=10)
     with pytest.raises(InputError):
-        shrink_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]), spec)
+        shrink_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
     with pytest.raises(InputError):
-        shrink_covariance(np.eye(3), spec)
-    with pytest.raises(InputError):
-        shrink_covariance(np.ones((2, 3)), spec)
+        shrink_covariance(np.ones((2, 3)), 10)
 
 
 def test_shrink_rejects_clearly_negative_eigenvalue():
-    spec = ShrinkageSpec(p=2, m=10)
     with pytest.raises(InputError):
-        shrink_covariance(np.diag([1.0, -0.5]), spec)
+        shrink_covariance(np.diag([1.0, -0.5]), 10)
 
 
 def test_shrink_tolerates_tiny_negative_roundoff():
-    spec = ShrinkageSpec(p=2, m=10)
-    out = shrink_covariance(np.diag([1.0, -1e-8]), spec)
-    lam = spec.lambda_minus
+    out = shrink_covariance(np.diag([1.0, -1e-8]), 10)
+    lam = lambda_minus(2, 10)
     assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [lam, 1.0], atol=1e-12)
 
 
@@ -109,10 +128,9 @@ def test_shrink_output_symmetric_and_floor_respected():
         A = rng.normal(size=(p, max(p, 2)))
         cov = A @ A.T / A.shape[1]
         cov = (cov + cov.T) / 2
-        spec = ShrinkageSpec(p=p, m=m)
-        out = shrink_covariance(cov, spec)
+        out = shrink_covariance(cov, m)
         assert np.allclose(out, out.T, atol=1e-14)
-        assert np.linalg.eigvalsh(out).min() >= spec.lambda_minus - 1e-10
+        assert np.linalg.eigvalsh(out).min() >= lambda_minus(p, m) - 1e-10
 
 
 # ------------------------------------------------------- information amount
@@ -149,7 +167,7 @@ def test_pipeline_matches_manual_composition():
     mean = X.mean(axis=0)
     cov = (X - mean).T @ (X - mean) / X.shape[0]
     cov = (cov + cov.T) / 2
-    manual = information_amount(shrink_covariance(cov, ShrinkageSpec(p=5, m=40)))
+    manual = information_amount(shrink_covariance(cov, 40))
     assert information_amount_from_embeddings(X) == pytest.approx(manual, rel=1e-14)
 
 
@@ -266,7 +284,7 @@ def test_amounts_from_stats_match_shrink_then_score(p, counts):
     stats = random_stats(np.random.default_rng([36, p, len(counts)]), p, counts)
     table = information_amounts_from_stats(stats)
     for cat, cs in stats.categories.items():
-        two_step = information_amount(shrink_covariance(cs.cov, ShrinkageSpec(p=p, m=cs.total)))
+        two_step = information_amount(shrink_covariance(cs.cov, cs.total))
         assert table.amounts[cat] == pytest.approx(two_step, rel=1e-12, abs=0), (cat, cs.total)
 
 
@@ -280,6 +298,10 @@ def test_amounts_from_stats_reject_malformed_covariance(cov):
     stats = GlobalStats(p=2, categories={0: CategoryStats(total=5, mean=np.zeros(2), cov=cov)})
     with pytest.raises(InputError):
         information_amounts_from_stats(stats)
+    if cov.shape != (2, 2):
+        with pytest.raises(InputError, match=re.escape(
+                f"category 0: covariance has shape {cov.shape}, expected (2, 2)")):
+            information_amounts_from_stats(stats)
 
 
 def test_refresh_makes_one_eigvalsh_per_category(monkeypatch):
@@ -387,8 +409,7 @@ def test_exactly_symmetric_covariance_is_used_as_given():
     # The amounts equal those read off the explicitly symmetrized matrix.
     sym = 0.5 * (cov + cov.T)
     assert information_amount(cov) == float(np.sum(np.log2(1.0 + np.linalg.eigvalsh(sym))) / 2)
-    spec = ShrinkageSpec(p=7, m=5)
-    floored = np.maximum(np.linalg.eigvalsh(sym), spec.lambda_minus)
+    floored = np.maximum(np.linalg.eigvalsh(sym), lambda_minus(7, 5))
     stats = GlobalStats(p=7, categories={0: CategoryStats(total=5, mean=np.zeros(7), cov=cov)})
     assert information_amounts_from_stats(stats).amounts[0] == float(
         np.sum(np.log2(1.0 + floored)) / 2
