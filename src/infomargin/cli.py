@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="merged per-category statistics from embeddings")
-    p_stats.add_argument("input", help="embedding file (bin, csv, or json)")
+    p_stats.add_argument("input", help="embedding file (bin or csv)")
     p_stats.add_argument("--queue-len", type=int, default=50000,
                          help="queue capacity d (default 50000)")
     p_stats.add_argument("--format", choices=fileio.FORMATS, default=None,

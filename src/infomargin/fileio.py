@@ -3,8 +3,7 @@
 Binary layout (little-endian throughout): 8-byte ASCII magic "IGAMEMB1",
 u32 embedding dimension p, u64 record count, then per record a u32
 category id followed by p IEEE-754 32-bit floats. The CSV alternative is
-headered `category,e0,...,e{p-1}`; the JSON alternative mirrors the same
-records as {"p": int, "records": [{"category": int, "vector": [...]}]}.
+headered `category,e0,...,e{p-1}`.
 
 Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; readers promote to float64. Malformed binary input is reported
@@ -17,8 +16,8 @@ of its id field.
 header and size are checked before any record is read, and then its records
 are read `chunk` at a time, so a caller that folds each chunk away holds one
 chunk of records, never the file; `read_embeddings_binary` is the one-chunk
-case of the same reader. CSV and JSON files are parsed whole and come as a
-single chunk.
+case of the same reader. A CSV file is parsed whole and comes as a single
+chunk.
 
 JSON emitted here is canonical: sorted keys, two-space indent, shortest
 round-trip float formatting, no NaN/Infinity, trailing newline — so that
@@ -52,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_batch, as_choice, as_id, as_int, as_number_array
+from .errors import InputError, as_batch, as_choice, as_id
 
 __all__ = [
     "MAGIC",
@@ -63,8 +62,6 @@ __all__ = [
     "write_embeddings_binary",
     "read_embeddings_csv",
     "write_embeddings_csv",
-    "read_embeddings_json",
-    "write_embeddings_json",
     "detect_format",
     "canonical_dumps",
     "write_json",
@@ -74,9 +71,9 @@ __all__ = [
 MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
 
-FORMATS = ("bin", "csv", "json")
+FORMATS = ("bin", "csv")
 
-_EXTENSIONS = {".bin": "bin", ".csv": "csv", ".json": "json"}
+_EXTENSIONS = {".bin": "bin", ".csv": "csv"}
 
 
 def detect_format(path, fmt: str | None = None) -> str:
@@ -87,7 +84,7 @@ def detect_format(path, fmt: str | None = None) -> str:
     if suffix in _EXTENSIONS:
         return _EXTENSIONS[suffix]
     raise InputError(
-        f"cannot infer embedding format from {Path(path).name!r}; pass --format bin|csv|json"
+        f"cannot infer embedding format from {Path(path).name!r}; pass --format bin|csv"
     )
 
 
@@ -233,48 +230,8 @@ def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
             writer.writerow([int(cat)] + [repr(float(v)) for v in row])
 
 
-def read_embeddings_json(path) -> tuple[np.ndarray, np.ndarray]:
-    doc = read_json(path)
-    try:
-        raw_p = doc["p"]
-        entries = doc["records"]
-        raw_cats = [r["category"] for r in entries]
-        rows = [r["vector"] for r in entries]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed embedding document: {exc}") from exc
-    p = as_int(raw_p, f"{path}: p")
-    cats = [as_id(c, f"{path}: records[{i}].category") for i, c in enumerate(raw_cats)]
-    if not entries:
-        raise InputError(f"{path}: no records")
-    X = as_number_array(rows, f"{path}: vectors")
-    if X.ndim != 2 or X.shape[1] != p:
-        raise InputError(f"{path}: vectors do not all have declared length p={p}")
-    return as_batch(X, cats, str(path))
-
-
-def write_embeddings_json(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X, categories = as_batch(X, categories, str(path))
-    X32 = X.astype(np.float32)
-    doc = {
-        "p": int(X.shape[1]),
-        "records": [
-            {"category": cat, "vector": row}
-            for cat, row in zip(categories.tolist(), X32.tolist())
-        ],
-    }
-    write_json(path, doc)
-
-
-_READERS = {
-    "bin": read_embeddings_binary,
-    "csv": read_embeddings_csv,
-    "json": read_embeddings_json,
-}
-_WRITERS = {
-    "bin": write_embeddings_binary,
-    "csv": write_embeddings_csv,
-    "json": write_embeddings_json,
-}
+_READERS = {"bin": read_embeddings_binary, "csv": read_embeddings_csv}
+_WRITERS = {"bin": write_embeddings_binary, "csv": write_embeddings_csv}
 
 
 def read_embeddings(path, fmt: str | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -286,8 +243,8 @@ def iter_embeddings(path, fmt: str | None = None, chunk: int | None = None):
     """(p, chunks): the embedding dimension and an iterator of (X, categories).
 
     A binary file is checked up front and read lazily, `chunk` records at a
-    time (all at once when `chunk` is None); a CSV or JSON file is read now
-    and comes as one chunk.
+    time (all at once when `chunk` is None); a CSV file is read now and
+    comes as one chunk.
     """
     fmt = detect_format(path, fmt)
     if fmt == "bin":
@@ -444,7 +401,8 @@ def read_json(path, object_hook=None):
     turn an entry's float lists into arrays before the next entry is parsed
     (`stats.stats_entry_arrays`). An unreadable file or invalid JSON raises
     InputError naming the path (and the line and column), as do NaN,
-    Infinity and -Infinity, which `json.loads` takes by default.
+    Infinity and -Infinity, which `json.loads` takes by default, and an
+    integer literal of more digits than `int()` converts.
     """
     def reject_constant(name):
         raise InputError(f"{path}: invalid JSON: {name} is not a JSON number")
@@ -455,6 +413,10 @@ def read_json(path, object_hook=None):
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text, object_hook=object_hook, parse_constant=reject_constant)
+    except InputError:
+        raise
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond int()'s digit limit
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc

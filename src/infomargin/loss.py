@@ -141,8 +141,7 @@ class CosineClassifier:
     """Linear classifier scored by cosine similarity.
 
     `weights` holds one weight vector W_j per category as a row (C, p);
-    `scale` is the logit multiplier s. Prediction ignores margins: the
-    class with the largest cosine to the input wins.
+    `scale` is the logit multiplier s.
     """
 
     weights: np.ndarray
@@ -160,10 +159,6 @@ class CosineClassifier:
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
     def cosines(self, X: np.ndarray) -> np.ndarray:
         """(n, C) matrix of cos(theta) between each input row and each class."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -172,9 +167,6 @@ class CosineClassifier:
         U, _ = _unit_rows(X, "feature")
         Wn, _ = _unit_rows(self.weights, "weight")
         return np.clip(U @ Wn.T, -1.0, 1.0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.cosines(X), axis=1)
 
 
 @dataclass

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, TrainingDivergedError, as_batch, as_choice, as_float, \
-    as_int
+from .errors import InputError, NumericalError, TrainingDivergedError, as_batch, as_choice, \
+    as_float, as_int
 from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
     INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, \
@@ -256,6 +256,10 @@ def _maybe_pearson(xs, ys) -> float | None:
         return None
 
 
+def _diverged(what: str, epoch: int, config: TrainConfig) -> TrainingDivergedError:
+    return TrainingDivergedError(f"{what} in epoch {epoch} (loss={config.loss}, lr={config.lr})")
+
+
 def train(
     spec: SyntheticSpec,
     config: TrainConfig,
@@ -277,7 +281,8 @@ def train(
     cover exactly the training set (acceptance criterion 7 compares them
     with the pooled records' amounts).
 
-    Raises TrainingDivergedError if the loss or weights go non-finite.
+    Raises TrainingDivergedError if the loss or weights go non-finite or a
+    weight row's norm overflows.
     """
     if dataset is None:
         dataset = generate_dataset(spec)
@@ -318,15 +323,17 @@ def train(
             stop = start + config.batch_size
             yb = y_epoch[start:stop]
             if cosine:
-                Wn, wnorms = _unit_rows(W, "weight")
+                # A try costs nothing on the path that does not raise.
+                try:
+                    Wn, wnorms = _unit_rows(W, "weight")
+                except NumericalError as exc:  # an overflowing weight norm
+                    raise _diverged(str(exc), epoch, config) from exc
                 losses, grad_W = _cosine_kernel(
                     U_epoch[start:stop], Wn, wnorms, yb, margins, config.s)[:2]
             else:
                 losses, grad_W = _ce_kernel(X_epoch[start:stop], W, yb)[:2]
             if not np.isfinite(losses).all():
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch} (loss={config.loss}, lr={config.lr})"
-                )
+                raise _diverged("non-finite loss", epoch, config)
             loss_total += float(losses.sum())
             # In place, the same operations as v = momentum * v + g;
             # W = W - lr * v.
@@ -334,9 +341,7 @@ def train(
             velocity += grad_W
             W -= config.lr * velocity
             if not np.isfinite(W).all():
-                raise TrainingDivergedError(
-                    f"non-finite weights in epoch {epoch} (loss={config.loss}, lr={config.lr})"
-                )
+                raise _diverged("non-finite weights", epoch, config)
         accumulator.add(X_epoch, y_epoch)
 
         stats = accumulator.finalize()
@@ -351,7 +356,10 @@ def train(
                                     direction=config.margin_direction)
 
         if cosine:
-            Wn, _ = _unit_rows(W, "weight")
+            try:
+                Wn, _ = _unit_rows(W, "weight")
+            except NumericalError as exc:
+                raise _diverged(str(exc), epoch, config) from exc
             preds = np.argmax(np.clip(test_U @ Wn.T, -1.0, 1.0), axis=1)
         else:
             preds = np.argmax(dataset.test_X @ W.T, axis=1)

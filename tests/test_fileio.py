@@ -20,12 +20,10 @@ from infomargin.fileio import (
     read_embeddings,
     read_embeddings_binary,
     read_embeddings_csv,
-    read_embeddings_json,
     read_json,
     write_embeddings,
     write_embeddings_binary,
     write_embeddings_csv,
-    write_embeddings_json,
     write_json,
 )
 from infomargin.planner import PlanInput, optimal_queue_length, plan_result_to_json
@@ -44,7 +42,7 @@ def sample():
 # ------------------------------------------------------------- round trips
 
 
-@pytest.mark.parametrize("ext", ["bin", "csv", "json"])
+@pytest.mark.parametrize("ext", ["bin", "csv"])
 def test_round_trip_preserves_f32_payload(tmp_path, sample, ext):
     X, cats = sample
     path = tmp_path / f"emb.{ext}"
@@ -58,7 +56,7 @@ def test_round_trip_preserves_f32_payload(tmp_path, sample, ext):
 def test_all_formats_load_identically(tmp_path, sample):
     X, cats = sample
     loads = []
-    for ext in ("bin", "csv", "json"):
+    for ext in ("bin", "csv"):
         path = tmp_path / f"emb.{ext}"
         write_embeddings(path, X, cats)
         loads.append(read_embeddings(path))
@@ -85,13 +83,14 @@ def test_binary_layout_is_little_endian_fixed(tmp_path):
 def test_detect_format_from_extension(tmp_path):
     assert detect_format("x.bin") == "bin"
     assert detect_format("x.CSV") == "csv"
-    assert detect_format("/a/b/x.json") == "json"
     assert detect_format("x.dat", fmt="bin") == "bin"
-    with pytest.raises(InputError, match="cannot infer"):
-        detect_format("x.dat")
-    with pytest.raises(InputError):
-        detect_format("x.bin", fmt="parquet")
-    assert FORMATS == ("bin", "csv", "json")
+    for name in ("x.dat", "/a/b/x.json"):
+        with pytest.raises(InputError, match=r"cannot infer.*pass --format bin\|csv$"):
+            detect_format(name)
+    for fmt in ("parquet", "json"):
+        with pytest.raises(InputError):
+            detect_format("x.bin", fmt=fmt)
+    assert FORMATS == ("bin", "csv")
 
 
 # ----------------------------------------------------------- chunked reads
@@ -110,7 +109,7 @@ def test_binary_chunks_tile_the_file(tmp_path, sample):
     assert np.array_equal(np.concatenate([c[1] for c in chunks]), cats)
 
 
-@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize("ext", ["csv"])
 def test_text_formats_come_as_one_chunk(tmp_path, sample, ext):
     path = tmp_path / f"emb.{ext}"
     write_embeddings(path, *sample)
@@ -238,17 +237,12 @@ def test_csv_takes_only_plain_spellings(tmp_path, rows, message):
 
 @pytest.mark.parametrize("cat", [2**63, 99999999999999999999])
 def test_readers_reject_category_ids_beyond_int64(tmp_path, cat):
-    # The largest int64 id still reads; one more names the CSV line or the
-    # JSON record instead of overflowing in numpy.
+    # The largest int64 id still reads; one more names the CSV line instead
+    # of overflowing in numpy.
     csv_path = tmp_path / "big.csv"
     csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n{cat},2.0\n")
     with pytest.raises(InputError, match=f"line 3: category id {cat} exceeds {2**63 - 1}"):
         read_embeddings_csv(csv_path)
-    json_path = tmp_path / "big.json"
-    json_path.write_text(f'{{"p": 1, "records": [{{"category": {2**63 - 1}, "vector": [1.0]}}, '
-                         f'{{"category": {cat}, "vector": [2.0]}}]}}')
-    with pytest.raises(InputError, match=rf"records\[1\]\.category: category id {cat} exceeds"):
-        read_embeddings_json(json_path)
     csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n")
     assert read_embeddings_csv(csv_path)[1].tolist() == [2**63 - 1]
 
@@ -279,54 +273,6 @@ def test_csv_skips_blank_lines(tmp_path):
 
 
 # ------------------------------------------------------------- json errors
-
-
-def test_json_embedding_errors(tmp_path):
-    path = tmp_path / "d.json"
-    path.write_text('{"p": 2}')
-    with pytest.raises(InputError, match="malformed embedding document"):
-        read_embeddings_json(path)
-    path.write_text('{"p": 2, "records": []}')
-    with pytest.raises(InputError, match="no records"):
-        read_embeddings_json(path)
-    path.write_text('{"p": 3, "records": [{"category": 0, "vector": [1.0, 2.0]}]}')
-    with pytest.raises(InputError, match="declared length p=3"):
-        read_embeddings_json(path)
-    for text, message in [
-        ('{"p": 1, "records": [{"category": 1.5, "vector": [0.0]}]}',
-         r"records\[0\]\.category: expected an integer, got 1\.5"),
-        ('{"p": 1, "records": [{"category": true, "vector": [0.0]}]}',
-         r"records\[0\]\.category: expected an integer, got True"),
-        ('{"p": 2.7, "records": [{"category": 0, "vector": [0.0, 1.0]}]}',
-         r"p: expected an integer, got 2\.7"),
-        ('{"p": 1, "records": [{"category": -2, "vector": [0.0]}]}',
-         r"records\[0\]\.category must be >= 0, got -2"),
-        # Strings are not parsed as numbers, and nulls, booleans (alone or
-        # among numbers, in any row) and ragged lists are not numbers.
-        ('{"p": 2, "records": [{"category": 0, "vector": [true, "1.5"]}]}',
-         "d.json: vectors: expected a list of numbers"),
-        ('{"p": 2, "records": [{"category": 0, "vector": [0.5, true]}]}',
-         "d.json: vectors: expected a list of numbers"),
-        ('{"p": 2, "records": [{"category": 0, "vector": [0.5, 1.0]}, '
-         '{"category": 1, "vector": [false, 2]}]}',
-         "d.json: vectors: expected a list of numbers"),
-        ('{"p": 1, "records": [{"category": 0, "vector": [null]}]}',
-         "d.json: vectors: expected a list of numbers"),
-        ('{"p": 2, "records": [{"category": 0, "vector": [true, false]}]}',
-         "d.json: vectors: expected a list of numbers"),
-        ('{"p": 2, "records": [{"category": 0, "vector": [1.0, 2.0]}, '
-         '{"category": 1, "vector": [3.0]}]}', "d.json: vectors: setting an array element"),
-    ]:
-        path.write_text(text)
-        with pytest.raises(InputError, match=message):
-            read_embeddings_json(path)
-
-
-def test_json_embedding_integer_vectors_read_as_floats(tmp_path):
-    path = tmp_path / "i.json"
-    path.write_text('{"p": 2, "records": [{"category": 0, "vector": [1, -2]}]}')
-    X, cats = read_embeddings_json(path)
-    assert X.dtype == np.float64 and X.tolist() == [[1.0, -2.0]]
 
 
 def test_read_json_reports_line_and_column(tmp_path):
@@ -364,7 +310,7 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
         bad[2, 1] = np.nan
         write_embeddings(tmp_path / "b.csv", bad, cats)
     with pytest.raises(InputError, match=re.escape(f"ids of shape ({len(cats) - 1},) for {len(cats)} rows")):
-        write_embeddings(tmp_path / "c.json", X, cats[:-1])
+        write_embeddings(tmp_path / "c.csv", X, cats[:-1])
     with pytest.raises(InputError, match="u32 range"):
         write_embeddings_binary(tmp_path / "d.bin", X[:1], np.array([2**32]))
 

@@ -259,17 +259,11 @@ def test_margins_from_json_rejects_booleans_among_numbers(flat):
 
 def test_classifier_construction_and_predict():
     clf = make_clf([[1.0, 0.0], [0.0, 1.0]], s=10.0)
-    assert clf.n_classes == 2 and clf.dim == 2
+    assert clf.n_classes == 2
     X = np.array([[2.0, 0.1], [-0.1, 3.0]])
-    assert np.array_equal(clf.predict(X), [0, 1])
     cos = clf.cosines(X)
     assert cos.shape == (2, 2)
     assert np.all(cos <= 1.0) and np.all(cos >= -1.0)
-
-
-def test_classifier_tie_breaks_to_first_class():
-    clf = make_clf([[1.0, 0.0], [0.0, 1.0]])
-    assert clf.predict(np.array([[1.0, 1.0]]))[0] == 0
 
 
 def test_classifier_rejects_bad_inputs():
@@ -626,7 +620,7 @@ def test_feature_norm_overflow_raises_numerical_error():
     with pytest.raises(NumericalError, match="feature vector at index 1"):
         igam_batch(clf, X, [0, 1], _M3)
     with pytest.raises(NumericalError, match="feature vector at index 1"):
-        clf.predict(X)
+        clf.cosines(X)
 
 
 def test_weight_norm_overflow_raises_numerical_error():
@@ -636,7 +630,7 @@ def test_weight_norm_overflow_raises_numerical_error():
     with pytest.raises(NumericalError, match="weight vector at index 2"):
         normface_batch(clf, _X4, [0])
     with pytest.raises(NumericalError, match="weight vector at index 2"):
-        clf.predict(_X4)
+        clf.cosines(_X4)
 
 
 def test_tiny_norm_row_scores_like_its_direction():
@@ -652,7 +646,7 @@ def test_tiny_norm_row_scores_like_its_direction():
         np.testing.assert_allclose(got.logits[1], want.logits[1], rtol=1e-15, atol=1e-14)
         np.testing.assert_allclose(got.grad_weights, want.grad_weights,
                                    rtol=1e-14, atol=1e-15)
-    assert np.array_equal(clf.predict(tiny), clf.predict(plain))
+    np.testing.assert_allclose(clf.cosines(tiny), clf.cosines(plain), rtol=1e-15, atol=1e-15)
 
 
 def test_tiny_weight_row_is_rescaled():

@@ -481,7 +481,7 @@ def _reference_train(spec, config, dataset):
         if config.loss == "ce":
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         else:
-            preds = clf.predict(dataset.test_X)
+            preds = np.argmax(clf.cosines(dataset.test_X), axis=1)
         acc = np.array([np.mean(preds[dataset.test_y == c] == c) for c in range(C)])
         reports.append((acc, info.copy(), loss_total / n_total))
     return W, margins, reports
