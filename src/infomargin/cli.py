@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_number_array
+from .errors import InputError, NumericalError, as_int, as_number_array
 from . import fileio, trainer
 from .info import info_table_from_json, info_table_to_json, information_amounts_from_stats
 from .loss import (
@@ -68,11 +68,11 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _cmd_stats(args) -> int:
-    # A binary file is read one window of records at a time, so only one
-    # window is ever in memory; CSV and JSON come as one whole-file chunk.
-    # Each chunk is dropped before the next is read (the accumulator keeps
-    # none once its window closes), so two are never held at once.
-    p, chunks = fileio.iter_embeddings(args.input, args.format, chunk=args.queue_len)
+    # Binary or CSV, the file is read one window of records at a time, and each
+    # chunk is dropped before the next is read (the accumulator keeps none once
+    # its window closes), so one window is in memory. The capacity is checked first.
+    as_int(args.queue_len, "queue capacity", minimum=1)
+    p, chunks = fileio.iter_embeddings(args.input, chunk=args.queue_len)
     acc = EpochAccumulator(capacity=args.queue_len, p=p)
     for X, categories in chunks:
         acc.add(X, categories)
@@ -98,8 +98,8 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_loss_eval(args) -> int:
-    X, labels = fileio.read_embeddings(args.features, args.format)
-    Wraw, ids = fileio.read_embeddings(args.weights, args.format)
+    X, labels = fileio.read_embeddings(args.features)
+    Wraw, ids = fileio.read_embeddings(args.weights)
     C = Wraw.shape[0]
     if sorted(ids.tolist()) != list(range(C)):
         raise InputError(
@@ -183,7 +183,7 @@ def _final_epoch_summary(run: dict, index: int) -> dict:
         final = epochs[-1]
         acc = as_number_array(final["per_class_accuracy"],
                               f"runs[{index}]: final per_class_accuracy")
-        if acc.ndim != 1 or not acc.size:
+        if not acc.size:
             raise InputError(f"runs[{index}]: final per_class_accuracy must be a "
                              f"nonempty list, got shape {acc.shape}")
         return {
@@ -220,11 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="merged per-category statistics from embeddings")
-    p_stats.add_argument("input", help="embedding file (bin or csv)")
+    p_stats.add_argument("input", help="embedding file, binary or CSV (told apart by content)")
     p_stats.add_argument("--queue-len", type=int, default=50000,
                          help="queue capacity d (default 50000)")
-    p_stats.add_argument("--format", choices=fileio.FORMATS, default=None,
-                         help="input format (default: by extension)")
     p_stats.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--margins", default=None,
                         help="margin-matrix JSON (igam only; default all-zero)")
     p_loss.add_argument("--s", type=float, default=30.0, help="logit scale (default 30)")
-    p_loss.add_argument("--format", choices=fileio.FORMATS, default=None,
-                        help="format of both embedding files (default: by extension)")
     p_loss.add_argument("--out", default=None)
     p_loss.set_defaults(func=_cmd_loss_eval)
 

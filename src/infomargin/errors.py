@@ -4,8 +4,6 @@ integers, numbers and number lists from JSON, and (features, ids) batches.
 The CLI maps these onto exit codes: InputError -> 2, NumericalError -> 3.
 """
 
-from itertools import chain
-
 import numpy as np
 
 # One past the largest id an int64 holds.
@@ -68,12 +66,11 @@ def as_choice(value, path: str, choices: tuple[str, ...]) -> str:
 
 
 def as_number_array(value, path: str) -> np.ndarray:
-    """A JSON list of numbers, nested to any regular depth, as a float64 array.
+    """A flat JSON list of numbers as a 1-D float64 array.
 
-    Strings (which `dtype=np.float64` parses), nulls (which it reads as NaN),
-    booleans (which numpy promotes to 0 and 1 among numbers), ragged lists and
-    integers beyond float64 raise InputError naming `path`. Booleans are found
-    in one pass over the element types of the flattened list.
+    Nested lists, strings (which `dtype=np.float64` parses), nulls (which it
+    reads as NaN), booleans (which numpy promotes to 0 and 1 among numbers)
+    and integers beyond float64 raise InputError naming `path`.
     """
     try:
         out = np.asarray(value)
@@ -81,14 +78,9 @@ def as_number_array(value, path: str) -> np.ndarray:
             np.asarray(value, dtype=np.float64)  # numpy's error, if it has one
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from None
-    if out.dtype.kind not in "iuf":
+    if (out.dtype.kind not in "iuf" or out.ndim != 1
+            or isinstance(value, (list, tuple)) and bool in set(map(type, value))):
         raise InputError(f"{path}: expected a list of numbers")
-    if isinstance(value, (list, tuple)):
-        flat = value
-        for _ in range(out.ndim - 1):
-            flat = chain.from_iterable(flat)
-        if bool in set(map(type, flat)):
-            raise InputError(f"{path}: expected a list of numbers")
     return out.astype(np.float64, copy=False)
 
 

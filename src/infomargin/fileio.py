@@ -3,7 +3,8 @@
 Binary layout (little-endian throughout): 8-byte ASCII magic "IGAMEMB1",
 u32 embedding dimension p, u64 record count, then per record a u32
 category id followed by p IEEE-754 32-bit floats. The CSV alternative is
-headered `category,e0,...,e{p-1}`.
+UTF-8 text headered `category,e0,...,e{p-1}`. A file names its own format:
+one that starts with `category` is read as CSV, any other as binary.
 
 Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; readers promote to float64. Malformed binary input is reported
@@ -12,12 +13,11 @@ The writers check their arrays with `errors.as_batch`, as every (features,
 ids) entry point of the package does; the binary writer adds the u32 range
 of its id field.
 
-`iter_embeddings` yields a file as (X, categories) chunks. A binary file's
-header and size are checked before any record is read, and then its records
-are read `chunk` at a time, so a caller that folds each chunk away holds one
-chunk of records, never the file; `read_embeddings_binary` is the one-chunk
-case of the same reader. A CSV file is parsed whole and comes as a single
-chunk.
+`iter_embeddings` is the one reader: it yields a file as (X, categories)
+chunks. The header, and a binary file's size, are checked before any
+record is read, and then the records are read `chunk` at a time, so a
+caller that folds each chunk away holds one chunk of records, never the
+file, in either format; `read_embeddings` is its one-chunk case.
 
 JSON emitted here is canonical: sorted keys, two-space indent, shortest
 round-trip float formatting, no NaN/Infinity, trailing newline — so that
@@ -51,18 +51,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_batch, as_choice, as_id
+from .errors import InputError, as_batch, as_id, as_int
 
 __all__ = [
     "MAGIC",
     "iter_embeddings",
     "read_embeddings",
-    "write_embeddings",
-    "read_embeddings_binary",
     "write_embeddings_binary",
-    "read_embeddings_csv",
     "write_embeddings_csv",
-    "detect_format",
     "canonical_dumps",
     "write_json",
     "read_json",
@@ -70,41 +66,51 @@ __all__ = [
 
 MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
-
-FORMATS = ("bin", "csv")
-
-_EXTENSIONS = {".bin": "bin", ".csv": "csv"}
+# A file that starts with these bytes is read as CSV, any other as binary.
+_CSV_START = b"category"
 
 
-def detect_format(path, fmt: str | None = None) -> str:
-    """Resolve an embedding-file format from an explicit flag or extension."""
-    if fmt is not None:
-        return as_choice(fmt, "format", FORMATS)
-    suffix = Path(path).suffix.lower()
-    if suffix in _EXTENSIONS:
-        return _EXTENSIONS[suffix]
-    raise InputError(
-        f"cannot infer embedding format from {Path(path).name!r}; pass --format bin|csv"
-    )
+def iter_embeddings(path, chunk: int | None = None):
+    """(p, chunks): the embedding dimension and an iterator of (X, categories).
+
+    The format is read from the file's first bytes: CSV if it starts with
+    `category`, else binary. The header (and a binary file's size) is
+    checked now; the records are read lazily, `chunk` at a time (all at
+    once when `chunk` is None).
+    """
+    if chunk is not None:
+        chunk = as_int(chunk, "chunk size", minimum=1)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+    if head.startswith(_CSV_START):
+        chunks = _csv_chunks(path, chunk)
+        return next(chunks), chunks
+    return _iter_binary(path, head, size, chunk)
+
+
+def read_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a whole embedding file; returns (X float64 (n, p), categories int64)."""
+    _, chunks = iter_embeddings(path)
+    return next(chunks)
 
 
 def _record_dtype(p: int) -> np.dtype:
     return np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
 
 
-def _iter_binary(path, chunk: int | None):
+def _iter_binary(path, head: bytes, size: int, chunk: int | None):
     """Check a binary file's header and size; return (p, lazy chunk iterator)."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER.size)
+    # A short file whose bytes agree with the magic so far is a truncated one.
+    if not head.startswith(MAGIC[:len(head)]):
+        raise InputError(f"{path}: bad magic {head[:len(MAGIC)]!r} at byte offset 0 (expected "
+                         f"{MAGIC!r}, or a CSV header 'category,e0,...')")
     if len(head) < _HEADER.size:
         raise InputError(
             f"{path}: truncated header, {len(head)} bytes at byte offset 0 "
             f"(need {_HEADER.size})"
         )
-    magic, p, count = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r} at byte offset 0 (expected {MAGIC!r})")
+    _, p, count = _HEADER.unpack(head)
     if p < 1:
         raise InputError(f"{path}: embedding dimension {p} at byte offset 8 must be >= 1")
     record_size = 4 + 4 * p
@@ -121,8 +127,6 @@ def _iter_binary(path, chunk: int | None):
 
 
 def _binary_chunks(path, p: int, count: int, chunk: int):
-    if chunk < 1:
-        raise InputError(f"chunk size must be >= 1, got {chunk}")
     dtype = _record_dtype(p)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
@@ -151,12 +155,6 @@ def _binary_chunks(path, p: int, count: int, chunk: int):
             del X, categories
 
 
-def read_embeddings_binary(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a binary embedding file; returns (X float64 (n, p), categories int64)."""
-    _, chunks = _iter_binary(path, None)
-    return next(chunks)
-
-
 def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None:
     X, categories = as_batch(X, categories, str(path))
     if np.any(categories > np.iinfo(np.uint32).max):
@@ -174,48 +172,61 @@ def _csv_header(p: int) -> list[str]:
     return ["category"] + [f"e{i}" for i in range(p)]
 
 
-def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a CSV header") from None
-        p = len(header) - 1
-        if p < 1 or header != _csv_header(p):
-            raise InputError(
-                f"{path}: line 1: bad header {header!r}, expected 'category,e0,...'"
-            )
-        cats, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 1:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
-                )
-            try:
-                cat = int(row[0])
-                vec = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            # int() and float() also take "1_0", "+0" and " 7": an id must be
-            # spelled as `str(int)` spells it, and no coordinate holds a "_".
-            if str(cat) != row[0]:
-                raise InputError(f"{path}: line {lineno}: category {row[0]!r} is not a "
-                                 "canonical decimal id")
-            if any("_" in v for v in row[1:]):
-                raise InputError(f"{path}: line {lineno}: '_' in a coordinate")
-            if cat < 0:
-                raise InputError(f"{path}: line {lineno}: negative category id {cat}")
-            as_id(cat, f"{path}: line {lineno}")
-            if not all(np.isfinite(vec)):
-                raise InputError(f"{path}: line {lineno}: non-finite coordinate")
-            cats.append(cat)
-            rows.append(vec)
-    if not rows:
-        raise InputError(f"{path}: no records after the header")
+def _csv_arrays(rows: list, cats: list) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows, dtype=np.float64), np.asarray(cats, dtype=np.int64)
+
+
+def _csv_chunks(path, chunk: int | None):
+    """A CSV file's p once its header is checked, then its records `chunk` at a time."""
+    cats, rows, read = [], [], 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            p = len(header) - 1
+            if p < 1 or header != _csv_header(p):
+                raise InputError(
+                    f"{path}: line 1: bad header {header!r}, expected 'category,e0,...'"
+                )
+            yield p
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != p + 1:
+                    raise InputError(
+                        f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
+                    )
+                try:
+                    cat = int(row[0])
+                    vec = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise InputError(f"{path}: line {lineno}: {exc}") from exc
+                # int() and float() also take "1_0", "+0" and " 7": an id must be
+                # spelled as `str(int)` spells it, and no coordinate holds a "_".
+                if str(cat) != row[0]:
+                    raise InputError(f"{path}: line {lineno}: category {row[0]!r} is not a "
+                                     "canonical decimal id")
+                if any("_" in v for v in row[1:]):
+                    raise InputError(f"{path}: line {lineno}: '_' in a coordinate")
+                if cat < 0:
+                    raise InputError(f"{path}: line {lineno}: negative category id {cat}")
+                as_id(cat, f"{path}: line {lineno}")
+                if not all(np.isfinite(vec)):
+                    raise InputError(f"{path}: line {lineno}: non-finite coordinate")
+                cats.append(cat)
+                rows.append(vec)
+                if len(rows) == chunk:
+                    out = _csv_arrays(rows, cats)
+                    # The parsed rows go before the yield, as a binary chunk's records do.
+                    cats, rows, read = [], [], read + chunk
+                    yield out
+                    del out
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if rows:
+        yield _csv_arrays(rows, cats)
+    elif not read:
+        raise InputError(f"{path}: no records after the header")
 
 
 def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
@@ -228,33 +239,6 @@ def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
         writer.writerow(_csv_header(X.shape[1]))
         for cat, row in zip(categories, X32):
             writer.writerow([int(cat)] + [repr(float(v)) for v in row])
-
-
-_READERS = {"bin": read_embeddings_binary, "csv": read_embeddings_csv}
-_WRITERS = {"bin": write_embeddings_binary, "csv": write_embeddings_csv}
-
-
-def read_embeddings(path, fmt: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read (X, categories) from any supported embedding format."""
-    return _READERS[detect_format(path, fmt)](path)
-
-
-def iter_embeddings(path, fmt: str | None = None, chunk: int | None = None):
-    """(p, chunks): the embedding dimension and an iterator of (X, categories).
-
-    A binary file is checked up front and read lazily, `chunk` records at a
-    time (all at once when `chunk` is None); a CSV file is read now and
-    comes as one chunk.
-    """
-    fmt = detect_format(path, fmt)
-    if fmt == "bin":
-        return _iter_binary(path, chunk)
-    X, categories = _READERS[fmt](path)
-    return X.shape[1], iter([(X, categories)])
-
-
-def write_embeddings(path, X: np.ndarray, categories: np.ndarray, fmt: str | None = None) -> None:
-    _WRITERS[detect_format(path, fmt)](path, X, categories)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -399,18 +383,21 @@ def read_json(path, object_hook=None):
 
     The hook sees each decoded object as soon as it closes, so a caller can
     turn an entry's float lists into arrays before the next entry is parsed
-    (`stats.stats_entry_arrays`). An unreadable file or invalid JSON raises
-    InputError naming the path (and the line and column), as do NaN,
-    Infinity and -Infinity, which `json.loads` takes by default, and an
-    integer literal of more digits than `int()` converts.
+    (`stats.stats_entry_arrays`). The file is read as UTF-8. An unreadable
+    file, a byte that is not UTF-8 or invalid JSON raises InputError naming
+    the path (and the line and column), as do NaN, Infinity and -Infinity,
+    which `json.loads` takes by default, and an integer literal of more
+    digits than `int()` converts.
     """
     def reject_constant(name):
         raise InputError(f"{path}: invalid JSON: {name} is not a JSON number")
 
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
     try:
         return json.loads(text, object_hook=object_hook, parse_constant=reject_constant)
     except InputError:

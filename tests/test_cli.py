@@ -18,7 +18,14 @@ import pytest
 from infomargin import cli as cli_module
 from infomargin import stats as stats_module
 from infomargin.cli import main
-from infomargin.fileio import canonical_dumps, read_json, write_embeddings, write_json
+from infomargin.fileio import (
+    canonical_dumps,
+    read_embeddings,
+    read_json,
+    write_embeddings_binary,
+    write_embeddings_csv,
+    write_json,
+)
 from infomargin.runconfig import parse_run_config
 from infomargin.trainer import generate_dataset, run_report_to_json, train
 
@@ -36,7 +43,7 @@ def write_sample_embeddings(path, seed=101, n=6, p=3, C=2):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     cats = np.arange(n) % C
-    write_embeddings(path, X, cats)
+    write_embeddings_binary(path, X, cats)
     # return the f32-rounded payload actually stored on disk
     return X.astype(np.float32).astype(np.float64), cats
 
@@ -78,32 +85,38 @@ def test_stats_counts_each_record_once(tmp_path, capsys):
 
 
 def test_stats_csv_and_binary_agree_byte_for_byte(tmp_path, capsys):
-    # The binary file is read one window at a time, the CSV whole; the
-    # windows, and so the output, are the same for every queue length,
-    # including one record, N - 1, N and beyond N.
+    # Both files are read one window at a time; the windows, and so the
+    # output, are the same for every queue length, including one record,
+    # N - 1, N and beyond N. The content names the format, so a binary file
+    # named .csv and a CSV file named .dat read the same.
     rng = np.random.default_rng(102)
     N = 10
     X = rng.normal(size=(N, 4))
     cats = rng.integers(0, 3, size=N)
-    write_embeddings(tmp_path / "e.bin", X, cats)
-    write_embeddings(tmp_path / "e.csv", X, cats)
+    write_embeddings_binary(tmp_path / "e.bin", X, cats)
+    write_embeddings_csv(tmp_path / "e.csv", X, cats)
+    write_embeddings_binary(tmp_path / "b.csv", X, cats)
+    write_embeddings_csv(tmp_path / "c.dat", X, cats)
     for d in (1, 4, 7, N - 1, N, N + 5):
         _, out_bin, _ = run(capsys, "stats", str(tmp_path / "e.bin"), "--queue-len", str(d))
-        _, out_csv, _ = run(capsys, "stats", str(tmp_path / "e.csv"), "--queue-len", str(d))
-        assert out_bin and out_bin == out_csv, d
+        for name in ("e.csv", "b.csv", "c.dat"):
+            _, out, _ = run(capsys, "stats", str(tmp_path / name), "--queue-len", str(d))
+            assert out_bin and out_bin == out, (d, name)
 
 
-def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys):
-    # A binary file is read one window of d records at a time and each
-    # window is folded away, so `stats` peaks at the same traced bytes on
-    # 10*d and on 50*d records; a whole-file read would grow with N.
+@pytest.mark.parametrize("write", [write_embeddings_binary, write_embeddings_csv],
+                         ids=["bin", "csv"])
+def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys, write):
+    # A binary or CSV file is read one window of d records at a time and
+    # each window is folded away, so `stats` peaks at the same traced bytes
+    # on 10*d and on 50*d records; a whole-file read would grow with N.
     d, p, C = 128, 4, 3
     rng = np.random.default_rng(103)
     out = tmp_path / "stats.json"
     peak = {}
     for K in (10, 50):
-        path = tmp_path / f"e{K}.bin"
-        write_embeddings(path, rng.normal(size=(K * d, p)), np.arange(K * d) % C)
+        path = tmp_path / f"e{K}"
+        write(path, rng.normal(size=(K * d, p)), np.arange(K * d) % C)
         argv = ["stats", str(path), "--queue-len", str(d), "--out", str(out)]
         assert main(argv) == 0  # warm up numpy's lazy imports and caches
         tracemalloc.start()
@@ -124,7 +137,7 @@ def test_stats_non_finite_after_first_window_names_file_record(tmp_path, capsys)
     p, n, bad = 2, 30, 17
     rng = np.random.default_rng(104)
     path = tmp_path / "nan.bin"
-    write_embeddings(path, rng.normal(size=(n, p)), np.arange(n) % 2)
+    write_embeddings_binary(path, rng.normal(size=(n, p)), np.arange(n) % 2)
     record_size = 4 + 4 * p
     offset = 20 + bad * record_size + 4
     raw = bytearray(path.read_bytes())
@@ -182,15 +195,21 @@ def test_stats_rejects_category_id_beyond_int64(tmp_path, capsys, fmt):
     assert "line 3: category id 99999999999999999999 exceeds" in err
 
 
+_NOT_EMBEDDINGS = "at byte offset 0 (expected b'IGAMEMB1', or a CSV header 'category,e0,...')"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["stats", "{tmp}/x.json"], "cannot infer embedding format from 'x.json'; pass --format bin|csv"),
+    (["stats", "{tmp}/x.json"], "x.json: bad magic b'{\"p\": 1,' " + _NOT_EMBEDDINGS),
     (["loss-eval", "--features", "{tmp}/x.json", "--weights", "{tmp}/w.json"],
-     "cannot infer embedding format from 'x.json'; pass --format bin|csv"),
-    (["stats", "{tmp}/x.bin", "--format", "json"], "invalid choice: 'json'"),
-], ids=["stats", "loss-eval", "format-flag"])
+     "x.json: bad magic b'{\"p\": 1,' " + _NOT_EMBEDDINGS),
+    (["stats", "{tmp}/x.bin", "--format", "json"], "unrecognized arguments: --format json"),
+    (["loss-eval", "--features", "{tmp}/x.bin", "--weights", "{tmp}/x.bin", "--format", "csv"],
+     "unrecognized arguments: --format csv"),
+], ids=["stats", "loss-eval", "format-flag", "loss-eval-format-flag"])
 def test_json_embedding_input_exits_two(tmp_path, capsys, argv, message):
-    # JSON is not an embedding format: a document in its old layout is
-    # refused by suffix, and `--format json` by argparse's choices.
+    # JSON is not an embedding format: a document in its old layout does not
+    # start with a CSV header, so the binary reader refuses its magic. The
+    # file names its format, so `--format` is no flag of any subcommand.
     for name in ("x.json", "w.json"):
         (tmp_path / name).write_text('{"p": 1, "records": [{"category": 0, "vector": [1.0]}]}')
     write_sample_embeddings(tmp_path / "x.bin")
@@ -202,6 +221,24 @@ def test_json_embedding_input_exits_two(tmp_path, capsys, argv, message):
     assert code == 2 and captured.out == ""
     (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
     assert message in line
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "truncated header, 0 bytes at byte offset 0 (need 20)"),
+    (b"categroy,e0\n0,1.0\n", "bad magic b'categroy' " + _NOT_EMBEDDINGS),
+    (b"category,e0,e2\n0,1.0,2.0\n",
+     "line 1: bad header ['category', 'e0', 'e2'], expected 'category,e0,...'"),
+    (struct.pack("<8sIQ", b"IGAMEMB1", 2, 3) + struct.pack("<Iff", 0, 1.0, 2.0),
+     "declared 3 records of 12 bytes, expected file size 56, got 32 (mismatch at byte offset 32)"),
+], ids=["empty", "misspelled-csv-header", "csv-header", "truncated-binary"])
+@pytest.mark.parametrize("name", ["e.bin", "e.csv"])
+def test_stats_malformed_embedding_file_exits_two(tmp_path, capsys, content, message, name):
+    # Whatever the file is called, its content names the format and the error.
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(capsys, "stats", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("rows", [["1e308,2.0", "-1e308,3.0"], ["1e308,2.0", "1e308,3.0"]])
@@ -320,7 +357,7 @@ def test_stats_out_peaks_below_document_size(tmp_path):
     rng = np.random.default_rng(105)
     N, p, C = 4000, 64, 40
     path = tmp_path / "e.bin"
-    write_embeddings(path, rng.normal(size=(N, p)), rng.integers(0, C, size=N))
+    write_embeddings_binary(path, rng.normal(size=(N, p)), rng.integers(0, C, size=N))
     out = tmp_path / "stats.json"
     argv = ["stats", str(path), "--queue-len", "1000", "--out", str(out)]
     assert main(argv) == 0  # warm up numpy's lazy imports and caches
@@ -566,8 +603,8 @@ def loss_files(tmp_path):
     W = rng.normal(size=(C, p))
     X = rng.normal(size=(n, p))
     y = rng.integers(0, C, size=n)
-    write_embeddings(tmp_path / "w.bin", W, np.arange(C))
-    write_embeddings(tmp_path / "x.bin", X, y)
+    write_embeddings_binary(tmp_path / "w.bin", W, np.arange(C))
+    write_embeddings_binary(tmp_path / "x.bin", X, y)
     return tmp_path
 
 
@@ -675,10 +712,22 @@ def test_loss_eval_ce_ignores_scale(loss_files, capsys):
     assert json.loads(out_a)["losses"] == json.loads(out_b)["losses"]
 
 
+def test_loss_eval_mixes_binary_and_csv_files(loss_files, capsys):
+    # Each file names its own format, so binary features and CSV weights
+    # give the losses of the all-binary run.
+    W, ids = read_embeddings(loss_files / "w.bin")
+    write_embeddings_csv(loss_files / "w.csv", W, ids)
+    outs = [run(capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
+                "--weights", str(loss_files / name), "--loss", "normface")
+            for name in ("w.bin", "w.csv")]
+    assert outs[0][0] == 0 and outs[0][2] == ""
+    assert outs[1] == outs[0]
+
+
 def test_loss_eval_rejects_bad_weight_ids(tmp_path, capsys):
     rng = np.random.default_rng(104)
-    write_embeddings(tmp_path / "w.bin", rng.normal(size=(3, 4)), np.array([0, 1, 1]))
-    write_embeddings(tmp_path / "x.bin", rng.normal(size=(2, 4)), np.array([0, 1]))
+    write_embeddings_binary(tmp_path / "w.bin", rng.normal(size=(3, 4)), np.array([0, 1, 1]))
+    write_embeddings_binary(tmp_path / "x.bin", rng.normal(size=(2, 4)), np.array([0, 1]))
     code, _, err = run(
         capsys, "loss-eval", "--features", str(tmp_path / "x.bin"),
         "--weights", str(tmp_path / "w.bin"),
@@ -702,6 +751,7 @@ def test_loss_eval_margin_shape_mismatch(loss_files, capsys):
     ["0", True, "0.25", 0],  # numpy would parse the strings as floats
     [0.0, None, 0.25, 0.0],
     [False, True, True, False],
+    [[0.0, 0.1], [0.2, 0.0]],  # every margin file holds a flat row-major list
 ])
 def test_loss_eval_margins_must_be_numbers(loss_files, capsys, flat):
     write_json(loss_files / "m.json", {"C": 2, "margins_row_major": flat})
@@ -1002,6 +1052,32 @@ def test_invalid_json_input_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(path))
     assert code == 2
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (["margins"], "info.json", b'{"epoch": 0, "info": {"0": 0.5, "1": "\xff"}}'),
+    (["stats"], "e.csv", b"category,e0\n0,1.0\n1,2.\xff\n"),
+], ids=["json", "csv"])
+def test_text_that_is_not_utf8_exits_two(tmp_path, capsys, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte\n"
+
+
+def test_json_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale with UTF-8 mode and locale coercion off, Python's
+    # default text encoding is ASCII; the reader names UTF-8 itself.
+    path = tmp_path / "info.json"
+    path.write_bytes('{"epoch": 0, "info": {"0": 0.5, "1": 0.7}, "note": "é"}'.encode())
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-m", "infomargin.cli", "margins", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["C"] == 2
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

@@ -86,13 +86,18 @@ def test_as_batch_bounds():
 
 
 def test_as_number_array_finds_booleans_below_the_top_level():
-    with pytest.raises(InputError, match="^v: expected a list of numbers$"):
-        as_number_array([[[0.0], [1.0]], [[True], [2.0]]], "v")
+    # Every number list is flat: a nested list is refused, booleans or not,
+    # and so is a boolean among numbers.
+    for value in ([[[0.0], [1.0]], [[True], [2.0]]], [[0.0, 0.1], [0.2, 0.0]], [0.0, True], 1.0):
+        with pytest.raises(InputError, match="^v: expected a list of numbers$"):
+            as_number_array(value, "v")
 
 
 def test_as_number_array_gives_float64():
-    out = as_number_array([[1, 2], [3, 4]], "v")
-    assert out.dtype == np.float64 and out.shape == (2, 2)
+    out = as_number_array([1, 2, 3], "v")
+    assert out.dtype == np.float64 and out.shape == (3,)
+    with pytest.raises(InputError, match="^v: expected a list of numbers$"):
+        as_number_array([[1, 2], [3, 4]], "v")
     a = np.arange(3.0)
     assert as_number_array(a, "v") is a
     with pytest.raises(InputError, match="^v: int too large to convert to float$"):

@@ -12,16 +12,11 @@ import pytest
 
 from infomargin.errors import InputError
 from infomargin.fileio import (
-    FORMATS,
     MAGIC,
     canonical_dumps,
-    detect_format,
     iter_embeddings,
     read_embeddings,
-    read_embeddings_binary,
-    read_embeddings_csv,
     read_json,
-    write_embeddings,
     write_embeddings_binary,
     write_embeddings_csv,
     write_json,
@@ -29,6 +24,9 @@ from infomargin.fileio import (
 from infomargin.planner import PlanInput, optimal_queue_length, plan_result_to_json
 from infomargin.stats import EpochAccumulator, global_stats_to_json
 from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, run_report_to_json, train
+
+
+WRITERS = {"bin": write_embeddings_binary, "csv": write_embeddings_csv}
 
 
 @pytest.fixture
@@ -46,7 +44,7 @@ def sample():
 def test_round_trip_preserves_f32_payload(tmp_path, sample, ext):
     X, cats = sample
     path = tmp_path / f"emb.{ext}"
-    write_embeddings(path, X, cats)
+    WRITERS[ext](path, X, cats)
     X2, cats2 = read_embeddings(path)
     # Storage is 32-bit; the round trip reproduces the f32 rounding exactly.
     assert np.array_equal(X2, X.astype(np.float32).astype(np.float64))
@@ -56,9 +54,9 @@ def test_round_trip_preserves_f32_payload(tmp_path, sample, ext):
 def test_all_formats_load_identically(tmp_path, sample):
     X, cats = sample
     loads = []
-    for ext in ("bin", "csv"):
+    for ext, write in WRITERS.items():
         path = tmp_path / f"emb.{ext}"
-        write_embeddings(path, X, cats)
+        write(path, X, cats)
         loads.append(read_embeddings(path))
     for X2, cats2 in loads[1:]:
         assert np.array_equal(X2, loads[0][0])
@@ -80,26 +78,27 @@ def test_binary_layout_is_little_endian_fixed(tmp_path):
 # ----------------------------------------------------------- format detect
 
 
-def test_detect_format_from_extension(tmp_path):
-    assert detect_format("x.bin") == "bin"
-    assert detect_format("x.CSV") == "csv"
-    assert detect_format("x.dat", fmt="bin") == "bin"
-    for name in ("x.dat", "/a/b/x.json"):
-        with pytest.raises(InputError, match=r"cannot infer.*pass --format bin\|csv$"):
-            detect_format(name)
-    for fmt in ("parquet", "json"):
-        with pytest.raises(InputError):
-            detect_format("x.bin", fmt=fmt)
-    assert FORMATS == ("bin", "csv")
+def test_format_is_read_from_content(tmp_path, sample):
+    # The first bytes name the format, whatever the file is called.
+    X, cats = sample
+    write_embeddings_binary(tmp_path / "x.csv", X, cats)
+    write_embeddings_csv(tmp_path / "x.dat", X, cats)
+    X_bin, cats_bin = read_embeddings(tmp_path / "x.csv")
+    X_csv, cats_csv = read_embeddings(tmp_path / "x.dat")
+    assert np.array_equal(X_bin, X.astype(np.float32).astype(np.float64))
+    assert np.array_equal(X_csv, X_bin) and np.array_equal(cats_csv, cats_bin)
+    assert np.array_equal(cats_bin, cats)
 
 
 # ----------------------------------------------------------- chunked reads
 
 
-def test_binary_chunks_tile_the_file(tmp_path, sample):
-    # 13 records in chunks of 4: 4 + 4 + 4 + 1, concatenating to the whole file.
-    path = tmp_path / "emb.bin"
-    write_embeddings(path, *sample)
+@pytest.mark.parametrize("ext", ["bin", "csv"])
+def test_binary_chunks_tile_the_file(tmp_path, sample, ext):
+    # 13 records in chunks of 4: 4 + 4 + 4 + 1, concatenating to the whole
+    # file, in either format.
+    path = tmp_path / f"emb.{ext}"
+    WRITERS[ext](path, *sample)
     p, chunks = iter_embeddings(path, chunk=4)
     chunks = list(chunks)
     assert p == 5
@@ -109,25 +108,43 @@ def test_binary_chunks_tile_the_file(tmp_path, sample):
     assert np.array_equal(np.concatenate([c[1] for c in chunks]), cats)
 
 
-@pytest.mark.parametrize("ext", ["csv"])
-def test_text_formats_come_as_one_chunk(tmp_path, sample, ext):
-    path = tmp_path / f"emb.{ext}"
-    write_embeddings(path, *sample)
-    p, chunks = iter_embeddings(path, chunk=4)
-    (X, cats), = list(chunks)
-    assert p == 5 and X.shape == (13, 5)
-
-
 def test_binary_header_checked_before_any_record(tmp_path):
-    # The size check runs when the iterator is made; a bad chunk size is
-    # reported when reading starts.
+    # The size check and the chunk size check run when the iterator is made.
     path = tmp_path / "sz.bin"
     path.write_bytes(struct.pack("<8sIQ", MAGIC, 2, 3) + struct.pack("<Iff", 0, 1.0, 2.0))
     with pytest.raises(InputError, match="expected file size"):
         iter_embeddings(path, chunk=2)
-    write_embeddings(path, np.ones((2, 2)), np.array([0, 1]))
-    _, chunks = iter_embeddings(path, chunk=0)
-    with pytest.raises(InputError, match="chunk size must be >= 1"):
+    write_embeddings_binary(path, np.ones((2, 2)), np.array([0, 1]))
+    with pytest.raises(InputError, match="chunk size must be >= 1, got 0"):
+        iter_embeddings(path, chunk=0)
+
+
+@pytest.mark.parametrize("ext", ["bin", "csv"])
+@pytest.mark.parametrize("chunk, message", [
+    (0, "chunk size must be >= 1, got 0"),
+    (2.5, "chunk size: expected an integer, got 2.5"),
+    (True, "chunk size: expected an integer, got True"),
+])
+def test_chunk_size_checked_when_called(tmp_path, sample, ext, chunk, message):
+    path = tmp_path / f"emb.{ext}"
+    WRITERS[ext](path, *sample)
+    with pytest.raises(InputError, match=re.escape(message)):
+        iter_embeddings(path, chunk=chunk)
+    p, chunks = iter_embeddings(path, chunk=np.int64(13))
+    assert p == 5 and len(list(chunks)) == 1
+
+
+def test_csv_header_checked_before_any_record(tmp_path):
+    # A bad header is found when the iterator is made; a bad record only
+    # when its chunk is read, after the chunks before it.
+    path = tmp_path / "h.csv"
+    path.write_text("category,e0,e2\n0,1.0,2.0\n")
+    with pytest.raises(InputError, match="line 1: bad header"):
+        iter_embeddings(path, chunk=1)
+    path.write_text("category,e0\n0,1.0\n1,2.0\n2,oops\n")
+    p, chunks = iter_embeddings(path, chunk=2)
+    assert p == 1 and next(chunks)[1].tolist() == [0, 1]
+    with pytest.raises(InputError, match="line 4"):
         next(chunks)
 
 
@@ -135,7 +152,7 @@ def test_binary_file_cut_after_the_check_is_reported(tmp_path, sample):
     # The size is checked before reading; a file cut short afterwards is
     # reported where its records stop, not passed on as fewer records.
     path = tmp_path / "emb.bin"
-    write_embeddings(path, *sample)
+    write_embeddings_binary(path, *sample)
     _, chunks = iter_embeddings(path, chunk=4)
     path.write_bytes(path.read_bytes()[:20 + 6 * 24])
     with pytest.raises(InputError, match="record 6 missing at byte offset 164"):
@@ -149,21 +166,23 @@ def test_binary_truncated_header(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(b"IGAM")
     with pytest.raises(InputError, match="truncated header.*byte offset 0"):
-        read_embeddings_binary(path)
+        read_embeddings(path)
 
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<8sIQ", b"NOTMAGIC", 2, 0))
-    with pytest.raises(InputError, match="bad magic.*byte offset 0"):
-        read_embeddings_binary(path)
+    with pytest.raises(InputError, match=re.escape(
+            "bad magic b'NOTMAGIC' at byte offset 0 (expected b'IGAMEMB1', "
+            "or a CSV header 'category,e0,...')")):
+        read_embeddings(path)
 
 
 def test_binary_zero_dimension_rejected(tmp_path):
     path = tmp_path / "p0.bin"
     path.write_bytes(struct.pack("<8sIQ", MAGIC, 0, 1))
     with pytest.raises(InputError, match="byte offset 8"):
-        read_embeddings_binary(path)
+        read_embeddings(path)
 
 
 def test_binary_size_mismatch_names_offset(tmp_path):
@@ -171,7 +190,7 @@ def test_binary_size_mismatch_names_offset(tmp_path):
     record = struct.pack("<Iff", 0, 1.0, 2.0)
     path.write_bytes(struct.pack("<8sIQ", MAGIC, 2, 3) + record * 2)
     with pytest.raises(InputError, match="expected file size.*mismatch at byte offset"):
-        read_embeddings_binary(path)
+        read_embeddings(path)
 
 
 def test_binary_non_finite_names_record_and_offset(tmp_path):
@@ -181,14 +200,14 @@ def test_binary_non_finite_names_record_and_offset(tmp_path):
     path.write_bytes(struct.pack("<8sIQ", MAGIC, 2, 2) + good + bad)
     # Record 1 starts at 20 + 12; its vector starts 4 bytes later.
     with pytest.raises(InputError, match="record 1 at byte offset 36"):
-        read_embeddings_binary(path)
+        read_embeddings(path)
 
 
 def test_binary_zero_records_rejected(tmp_path):
     path = tmp_path / "none.bin"
     path.write_bytes(struct.pack("<8sIQ", MAGIC, 3, 0))
     with pytest.raises(InputError, match="no records"):
-        read_embeddings_binary(path)
+        read_embeddings(path)
 
 
 # -------------------------------------------------------------- csv errors
@@ -196,26 +215,33 @@ def test_binary_zero_records_rejected(tmp_path):
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "h.csv"
-    path.write_text("cat,x0,x1\n0,1.0,2.0\n")
+    path.write_text("category,x0,x1\n0,1.0,2.0\n")
     with pytest.raises(InputError, match="line 1: bad header"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
+    # A file that does not start with `category` is not CSV: the binary
+    # reader's message names both formats.
+    path.write_text("cat,x0,x1\n0,1.0,2.0\n")
+    with pytest.raises(InputError, match=re.escape(
+            "bad magic b'cat,x0,x' at byte offset 0 (expected b'IGAMEMB1', "
+            "or a CSV header 'category,e0,...')")):
+        read_embeddings(path)
 
 
 def test_csv_rejects_wrong_field_count_with_line_number(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("category,e0,e1\n0,1.0,2.0\n1,3.0\n")
     with pytest.raises(InputError, match="line 3: expected 3 fields, got 2"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
 
 
 def test_csv_rejects_non_numeric_and_negative(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("category,e0\n0,oops\n")
     with pytest.raises(InputError, match="line 2"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
     path.write_text("category,e0\n-3,1.0\n")
     with pytest.raises(InputError, match="negative category id -3"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -232,7 +258,7 @@ def test_csv_takes_only_plain_spellings(tmp_path, rows, message):
     path = tmp_path / "s.csv"
     path.write_text("category,e0,e1\n" + "\n".join(rows) + "\n")
     with pytest.raises(InputError, match=re.escape(message)):
-        read_embeddings_csv(path)
+        read_embeddings(path)
 
 
 @pytest.mark.parametrize("cat", [2**63, 99999999999999999999])
@@ -242,32 +268,32 @@ def test_readers_reject_category_ids_beyond_int64(tmp_path, cat):
     csv_path = tmp_path / "big.csv"
     csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n{cat},2.0\n")
     with pytest.raises(InputError, match=f"line 3: category id {cat} exceeds {2**63 - 1}"):
-        read_embeddings_csv(csv_path)
+        read_embeddings(csv_path)
     csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n")
-    assert read_embeddings_csv(csv_path)[1].tolist() == [2**63 - 1]
+    assert read_embeddings(csv_path)[1].tolist() == [2**63 - 1]
 
 
 def test_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("category,e0\n0,inf\n")
     with pytest.raises(InputError, match="line 2: non-finite"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
 
 
 def test_csv_rejects_header_only(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("category,e0,e1\n")
     with pytest.raises(InputError, match="no records after the header"):
-        read_embeddings_csv(path)
+        read_embeddings(path)
     path.write_text("")
-    with pytest.raises(InputError, match="empty file"):
-        read_embeddings_csv(path)
+    with pytest.raises(InputError, match=re.escape("truncated header, 0 bytes at byte offset 0")):
+        read_embeddings(path)
 
 
 def test_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("category,e0\n0,1.0\n\n1,2.0\n")
-    X, cats = read_embeddings_csv(path)
+    X, cats = read_embeddings(path)
     assert np.array_equal(cats, [0, 1])
     assert np.array_equal(X, [[1.0], [2.0]])
 
@@ -304,13 +330,13 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
     X, cats = sample
     with pytest.raises(InputError, match=re.escape(
             f"a.bin: id {cats[0] - 10} in row 0 is outside [0, {2**63})")):
-        write_embeddings(tmp_path / "a.bin", X, cats - 10)
+        write_embeddings_binary(tmp_path / "a.bin", X, cats - 10)
     with pytest.raises(InputError, match="b.csv: non-finite value in row 2"):
         bad = X.copy()
         bad[2, 1] = np.nan
-        write_embeddings(tmp_path / "b.csv", bad, cats)
+        write_embeddings_csv(tmp_path / "b.csv", bad, cats)
     with pytest.raises(InputError, match=re.escape(f"ids of shape ({len(cats) - 1},) for {len(cats)} rows")):
-        write_embeddings(tmp_path / "c.csv", X, cats[:-1])
+        write_embeddings_csv(tmp_path / "c.csv", X, cats[:-1])
     with pytest.raises(InputError, match="u32 range"):
         write_embeddings_binary(tmp_path / "d.bin", X[:1], np.array([2**32]))
 
@@ -328,7 +354,7 @@ def _stdlib_canonical(obj) -> str:
 def _stats_document(tmp_path):
     rng = np.random.default_rng(83)
     path = tmp_path / "small.bin"
-    write_embeddings(path, rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+    write_embeddings_binary(path, rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
     p, chunks = iter_embeddings(path, chunk=16)
     acc = EpochAccumulator(capacity=16, p=p)
     for X, categories in chunks:
