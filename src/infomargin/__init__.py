@@ -27,7 +27,6 @@ from .info import (
 )
 from .loss import (
     CosineClassifier,
-    InfoNormalization,
     LossBatch,
     MarginMatrix,
     build_margins,
@@ -72,7 +71,6 @@ __all__ = [
     "information_amount",
     "information_amount_from_embeddings",
     "information_amounts_from_stats",
-    "InfoNormalization",
     "MarginMatrix",
     "CosineClassifier",
     "LossBatch",

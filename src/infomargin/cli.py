@@ -42,8 +42,6 @@ from .loss import (
     margins_to_json,
     normalize_info,
     normface_batch,
-    INFO_VARIANTS,
-    MARGIN_VARIANTS,
     MARGIN_DIRECTIONS,
     IBAR_MODES,
 )
@@ -91,8 +89,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_margins(args) -> int:
     table = info_table_from_json(fileio.read_json(args.info))
-    norm = normalize_info(table, variant=args.info_variant, ibar=args.ibar)
-    margins = build_margins(norm, variant=args.margin_variant, direction=args.direction)
+    margins = build_margins(normalize_info(table, ibar=args.ibar), direction=args.direction)
     _emit(margins_to_json(margins), args.out)
     return 0
 
@@ -231,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--out", default=None)
     p_info.set_defaults(func=_cmd_info)
 
-    p_margins = sub.add_parser("margins", help="margin matrix from information amounts")
+    p_margins = sub.add_parser(
+        "margins", help="margin matrix from information amounts",
+        description="Normalize the amounts by the double exponential, then take "
+                    "m_ij = max(0, ln(I'_i / I'_j) / pi), the paper's one rule.")
     p_margins.add_argument("info", help="information-amount JSON from `info`")
-    p_margins.add_argument("--info-variant", choices=INFO_VARIANTS,
-                           default="double-exp")
-    p_margins.add_argument("--margin-variant", choices=MARGIN_VARIANTS, default="clamped")
     p_margins.add_argument("--direction", choices=MARGIN_DIRECTIONS, default="target",
                            help="which side's information advantage sets the margin")
     p_margins.add_argument("--ibar", choices=IBAR_MODES, default="sum",

@@ -4,7 +4,8 @@ Binary layout (little-endian throughout): 8-byte ASCII magic "IGAMEMB1",
 u32 embedding dimension p, u64 record count, then per record a u32
 category id followed by p IEEE-754 32-bit floats. The CSV alternative is
 UTF-8 text headered `category,e0,...,e{p-1}`. A file names its own format:
-one that starts with `category` is read as CSV, any other as binary.
+one that starts with `category`, after an optional UTF-8 byte-order mark, is
+read as CSV, any other as binary.
 
 Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; readers promote to float64. Malformed binary input is reported
@@ -42,6 +43,7 @@ lists into arrays as the entry is parsed.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import os
@@ -66,7 +68,8 @@ __all__ = [
 
 MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
-# A file that starts with these bytes is read as CSV, any other as binary.
+# A file that starts with these bytes, after an optional UTF-8 byte-order
+# mark, is read as CSV, any other as binary.
 _CSV_START = b"category"
 
 
@@ -74,16 +77,16 @@ def iter_embeddings(path, chunk: int | None = None):
     """(p, chunks): the embedding dimension and an iterator of (X, categories).
 
     The format is read from the file's first bytes: CSV if it starts with
-    `category`, else binary. The header (and a binary file's size) is
-    checked now; the records are read lazily, `chunk` at a time (all at
-    once when `chunk` is None).
+    `category` (after an optional UTF-8 byte-order mark), else binary. The
+    header (and a binary file's size) is checked now; the records are read
+    lazily, `chunk` at a time (all at once when `chunk` is None).
     """
     if chunk is not None:
         chunk = as_int(chunk, "chunk size", minimum=1)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
-    if head.startswith(_CSV_START):
+    if head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_START):
         chunks = _csv_chunks(path, chunk)
         return next(chunks), chunks
     return _iter_binary(path, head, size, chunk)
@@ -180,7 +183,7 @@ def _csv_chunks(path, chunk: int | None):
     """A CSV file's p once its header is checked, then its records `chunk` at a time."""
     cats, rows, read = [], [], 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             p = len(header) - 1

@@ -1,8 +1,10 @@
 """Angular-margin classification losses driven by category information.
 
-Information amounts are normalized to a common positive scale, pairwise
-margins are derived from their log-ratios, and the margins widen the
-angles of non-target classes in a scaled-cosine softmax loss:
+The paper's one rule turns information amounts into margins:
+`normalize_info` maps the amounts through a double exponential to a
+(C,) array I' > 1, `build_margins` takes m_ij = (ln I'_i - ln I'_j) / pi
+clamped at zero, and the margins widen the angles of non-target classes
+in a scaled-cosine softmax loss:
 
     z_i = s * cos(theta_i)                (target class)
     z_j = s * cos(theta_j + m_ij)         (other classes, j != i)
@@ -35,7 +37,6 @@ from .errors import InputError, NumericalError, as_batch, as_choice, as_int, as_
 from .info import InfoAmountTable
 
 __all__ = [
-    "InfoNormalization",
     "MarginMatrix",
     "CosineClassifier",
     "LossBatch",
@@ -48,8 +49,6 @@ __all__ = [
     "margins_from_json",
 ]
 
-INFO_VARIANTS = ("double-exp", "softmax-single-exp")
-MARGIN_VARIANTS = ("clamped", "signed")
 MARGIN_DIRECTIONS = ("target", "rival")
 IBAR_MODES = ("sum", "mean")
 
@@ -65,35 +64,12 @@ _TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
-class InfoNormalization:
-    """Normalized information amounts ready for margin construction.
-
-    Attributes
-    ----------
-    raw : the input amounts I_i, ordered by category id.
-    i_bar : the reference level the amounts were scaled by.
-    normalized : the I'_i values (each > 1 under the double-exp variant).
-    variant : "double-exp" or "softmax-single-exp".
-    ibar_mode : whether i_bar is the sum (default) or the mean of the raw
-        amounts.
-    degenerate : True when every raw amount was zero and the scaled inputs
-        were taken as zero by convention, making all I'_i equal.
-    """
-
-    raw: np.ndarray
-    i_bar: float
-    normalized: np.ndarray
-    variant: str = "double-exp"
-    ibar_mode: str = "sum"
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class MarginMatrix:
     """Pairwise angular margins in radians; row = true class, column = rival.
 
-    The diagonal is exactly zero. Under the default clamped variant every
-    entry is >= 0 and m[i, j] > 0 exactly when I'_i > I'_j. `m` is a
+    The diagonal is exactly zero. `build_margins` gives entries >= 0, with
+    m[i, j] > 0 exactly when I'_i > I'_j (target direction); one built
+    directly from an array may hold negative margins. `m` is a
     read-only copy, so its values stay the checked ones and the losses do
     not scan it again. The losses read cos and sin of the margins from
     `_trig`, computed once on first use and read-only; a batch that meets
@@ -199,33 +175,34 @@ class LossBatch:
         return self._grad_inputs()
 
 
-def normalize_info(
-    table,
-    variant: str = "double-exp",
-    ibar: str = "sum",
-) -> InfoNormalization:
-    """Normalize raw information amounts for margin construction.
+def normalize_info(table, variant: str = "double-exp", ibar: str = "sum") -> np.ndarray:
+    """The normalized information amounts I'_i, a (C,) float64 array.
+
+    The amounts are scaled to x_i = I_i / (i_bar * sqrt(C)) and mapped
+    through the paper's double exponential
+
+        I'_i = C * exp(exp(x_i)) / sum_j exp(x_j) + 1,
+
+    so every I'_i > 1.
 
     Parameters
     ----------
     table : InfoAmountTable or 1-D array of amounts, which is checked as
         the table of categories 0..C-1. The table's id order fixes the
-        row/column order of the downstream margin matrix.
-    variant : "double-exp" maps the scaled amounts x_i through
+        order of the output, and so the row/column order of the margin
+        matrix built from it.
+    variant : "double-exp", the only value; the keyword is kept only
+        because `bench/worker.py` passes it.
+    ibar : "sum" uses i_bar = sum_j I_j (as typeset), so x_i <= 1/sqrt(C)
+        and exp(exp(x_i)) cannot overflow; "mean" uses the average, so
+        x_i <= sqrt(C), and one-hot amounts overflow from C = 44 on.
 
-            I'_i = C * exp(exp(x_i)) / sum_j exp(x_j) + 1
-
-        with x_i = I_i / (i_bar * sqrt(C)); "softmax-single-exp" replaces
-        the numerator's double exponential with a plain exp(x_i).
-    ibar : "sum" uses i_bar = sum_j I_j (as typeset); "mean" uses the
-        average instead.
-
-    All-zero input is degenerate (i_bar = 0): the x_i are taken as zero by
-    convention, every I'_i comes out equal, and the result is flagged.
-    Amounts so large that i_bar or i_bar * sqrt(C) overflows raise
-    NumericalError.
+    All-zero input has i_bar = 0: the x_i are taken as zero by convention
+    and every I'_i comes out as e + 1. Amounts so large that i_bar or
+    i_bar * sqrt(C) overflows, and an exp(x_i) past 709 - ln C (where
+    C * exp(exp(x_i)) nears the float64 limit), raise NumericalError.
     """
-    as_choice(variant, "variant", INFO_VARIANTS)
+    as_choice(variant, "variant", ("double-exp",))
     as_choice(ibar, "ibar", IBAR_MODES)
     if not isinstance(table, InfoAmountTable):
         table = InfoAmountTable(np.arange(np.size(table)), np.ravel(table))
@@ -241,39 +218,24 @@ def normalize_info(
             f"information amounts overflow the normalization: i_bar = {i_bar:.6g}, "
             f"i_bar * sqrt(C) = {scale:.6g} for C = {C}"
         )
-    degenerate = i_bar == 0.0
-    if degenerate:
-        x = np.zeros(C, dtype=np.float64)
-    else:
-        x = I / scale
+    x = np.zeros(C, dtype=np.float64) if i_bar == 0.0 else I / scale
     ex = np.exp(x)
-    if variant == "double-exp":
-        if np.any(ex > _EXP_MAX):
-            raise NumericalError(
-                "double-exponential normalization overflow: max exp(x) = "
-                f"{ex.max():.6g}; use the softmax-single-exp variant or ibar='sum'"
-            )
-        num = np.exp(ex)
-    else:
-        num = ex
-    normalized = C * num / ex.sum() + 1.0
-    return InfoNormalization(
-        raw=I,
-        i_bar=i_bar,
-        normalized=normalized,
-        variant=variant,
-        ibar_mode=ibar,
-        degenerate=degenerate,
-    )
+    # C * exp(exp(x_i)) must stay finite, not only exp(exp(x_i)).
+    if ex.max() > _EXP_MAX - math.log(C):
+        raise NumericalError(
+            "double-exponential normalization overflow: max exp(x) = "
+            f"{ex.max():.6g}; use ibar='sum' (CLI --ibar sum), which cannot overflow"
+        )
+    return C * np.exp(ex) / ex.sum() + 1.0
 
 
 def build_margins(norm, variant: str = "clamped", direction: str = "target") -> MarginMatrix:
-    """Pairwise angular margins from normalized information amounts.
+    """Pairwise angular margins from the normalized amounts of `normalize_info`.
 
-    m[i, j] = max(0, ln(I'_i / I'_j) / pi), natural log, diagonal exactly
-    zero. The "signed" variant drops the clamp so a rival richer than the
-    target gets an angular head start (negative margin) instead of no
-    adjustment.
+    `norm` is the (C,) I' array, finite and > 0. m[i, j] = max(0,
+    ln(I'_i / I'_j) / pi), natural log, diagonal exactly zero. `variant` is
+    "clamped", the only value; the keyword is kept only because
+    `bench/worker.py` passes it.
 
     `direction` picks which class's information advantage sets the margin.
     The default "target" reads m[i, j] off the target-over-rival ratio as
@@ -284,10 +246,9 @@ def build_margins(norm, variant: str = "clamped", direction: str = "target") -> 
     accuracy variance in the bundled benchmark (the "target" direction
     measurably increases it; see README).
     """
-    as_choice(variant, "variant", MARGIN_VARIANTS)
+    as_choice(variant, "variant", ("clamped",))
     as_choice(direction, "direction", MARGIN_DIRECTIONS)
-    I = norm.normalized if isinstance(norm, InfoNormalization) else norm
-    I = np.asarray(I, dtype=np.float64).reshape(-1)
+    I = np.asarray(norm, dtype=np.float64).reshape(-1)
     if I.size < 2:
         raise InputError(f"need at least two categories to build margins, got {I.size}")
     if not np.all(np.isfinite(I)) or np.any(I <= 0):
@@ -296,8 +257,7 @@ def build_margins(norm, variant: str = "clamped", direction: str = "target") -> 
     m = (logs[:, None] - logs[None, :]) / np.pi
     if direction == "rival":
         m = -m
-    if variant == "clamped":
-        m = np.maximum(m, 0.0)
+    m = np.maximum(m, 0.0)
     np.fill_diagonal(m, 0.0)
     return MarginMatrix(m)
 

@@ -34,8 +34,7 @@ from .errors import InputError, NumericalError, TrainingDivergedError, as_batch,
     as_float, as_int
 from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
-    INFO_VARIANTS, MARGIN_VARIANTS, MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, \
-    _cosine_kernel, _unit_rows
+    MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, _cosine_kernel, _unit_rows
 from .stats import EpochAccumulator
 
 __all__ = [
@@ -123,8 +122,6 @@ class TrainConfig:
     momentum: float = 0.9
     s: float = 30.0
     queue_len: int = 50000
-    info_variant: str = "double-exp"
-    margin_variant: str = "clamped"
     margin_direction: str = "target"
     ibar_mode: str = "sum"
     batch_size: int = 64
@@ -138,8 +135,6 @@ class TrainConfig:
             momentum=_as_bounded(self.momentum, "momentum", "in [0, 1)"),
             s=_as_bounded(self.s, "s", "> 0"),
             queue_len=as_int(self.queue_len, "queue_len", minimum=1),
-            info_variant=as_choice(self.info_variant, "info_variant", INFO_VARIANTS),
-            margin_variant=as_choice(self.margin_variant, "margin_variant", MARGIN_VARIANTS),
             margin_direction=as_choice(self.margin_direction, "margin_direction",
                                        MARGIN_DIRECTIONS),
             ibar_mode=as_choice(self.ibar_mode, "ibar_mode", IBAR_MODES),
@@ -351,8 +346,7 @@ def train(
         info[refreshed.ids] = refreshed.amounts
         table = InfoAmountTable(np.arange(C), info, epoch=epoch)
         if config.loss == "igam":
-            norm = normalize_info(table, variant=config.info_variant, ibar=config.ibar_mode)
-            margins = build_margins(norm, variant=config.margin_variant,
+            margins = build_margins(normalize_info(table, ibar=config.ibar_mode),
                                     direction=config.margin_direction)
 
         if cosine:

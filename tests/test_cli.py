@@ -104,6 +104,19 @@ def test_stats_csv_and_binary_agree_byte_for_byte(tmp_path, capsys):
             assert out_bin and out_bin == out, (d, name)
 
 
+def test_stats_reads_csv_with_byte_order_mark(tmp_path, capsys):
+    # Some spreadsheet tools start a UTF-8 CSV with a byte-order mark; the
+    # file reads as the same file without it.
+    text = b"category,e0\n0,1.5\n1,2.5\n"
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+    code, plain, err = run(capsys, "stats", str(tmp_path / "plain.csv"))
+    assert code == 0 and err == ""
+    code, bom, err = run(capsys, "stats", str(tmp_path / "bom.csv"))
+    assert code == 0 and err == ""
+    assert bom == plain
+
+
 @pytest.mark.parametrize("write", [write_embeddings_binary, write_embeddings_csv],
                          ids=["bin", "csv"])
 def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys, write):
@@ -521,12 +534,17 @@ def test_margins_direction_flag_transposes(tmp_path, capsys):
     assert not np.array_equal(mr, mt)
 
 
-def test_margins_signed_variant_antisymmetric(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--info-variant", "double-exp"),
+                                         ("--margin-variant", "clamped")])
+def test_margins_variant_flags_are_gone(tmp_path, capsys, flag, value):
+    # The paper's one rule is the only one, so neither variant is a flag.
     path = tmp_path / "info.json"
     write_info(path, {0: 0.9, 1: 0.3})
-    _, out, _ = run(capsys, "margins", str(path), "--margin-variant", "signed")
-    m = np.reshape(json.loads(out)["margins_row_major"], (2, 2))
-    assert m[0, 1] == -m[1, 0] != 0.0
+    with pytest.raises(SystemExit) as exc:
+        main(["margins", str(path), flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_margins_info_list_exits_two(tmp_path, capsys):
@@ -591,6 +609,7 @@ def test_margins_overflow_exits_three(tmp_path, capsys):
     code, out, err = run(capsys, "margins", str(path), "--ibar", "mean")
     assert code == 3
     assert err.startswith("numerical error:")
+    assert "use ibar='sum' (CLI --ibar sum), which cannot overflow" in err
 
 
 # --------------------------------------------------------------- loss-eval
@@ -915,6 +934,18 @@ def test_toy_run_unknown_key_exits_two_with_path(tmp_path, capsys):
     code, _, err = run(capsys, "toy", "run", str(path))
     assert code == 2
     assert "dataset.sigma: unknown key" in err
+
+
+@pytest.mark.parametrize("key, value", [("info_variant", "double-exp"),
+                                        ("margin_variant", "clamped")])
+def test_toy_run_removed_variant_key_exits_two(tmp_path, capsys, key, value):
+    config = json.loads(HETEROGENEOUS.read_text())
+    config["train"][key] = value
+    path = tmp_path / "cfg.json"
+    write_json(path, config)
+    code, out, err = run(capsys, "toy", "run", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: train.{key}: unknown key\n"
 
 
 @pytest.mark.parametrize("seed", [0, 2])

@@ -14,9 +14,7 @@ from infomargin.errors import InputError, NumericalError
 from infomargin.info import InfoAmountTable
 from infomargin.loss import (
     IBAR_MODES,
-    INFO_VARIANTS,
     MARGIN_DIRECTIONS,
-    MARGIN_VARIANTS,
     CosineClassifier,
     MarginMatrix,
     build_margins,
@@ -63,16 +61,16 @@ _EQUAL_NORMALIZED = {
 @pytest.mark.parametrize("C,expected", sorted(_EQUAL_NORMALIZED.items()))
 def test_equal_amounts_normalize_to_known_value(C, expected):
     norm = normalize_info(np.full(C, 1.7))
-    assert norm.degenerate is False
-    assert np.allclose(norm.normalized, expected, rtol=1e-12, atol=0)
-    assert norm.normalized.std() == pytest.approx(0.0, abs=1e-15)
+    assert norm.shape == (C,) and norm.dtype == np.float64
+    assert np.allclose(norm, expected, rtol=1e-12, atol=0)
+    assert norm.std() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_equal_amounts_value_independent_of_level():
     # x_i depends only on I_i / i_bar, so any common positive level gives
     # the same normalized output.
-    a = normalize_info(np.full(5, 0.01)).normalized
-    b = normalize_info(np.full(5, 250.0)).normalized
+    a = normalize_info(np.full(5, 0.01))
+    b = normalize_info(np.full(5, 250.0))
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -82,47 +80,40 @@ def test_normalized_amounts_exceed_one():
         C = int(rng.integers(2, 12))
         I = rng.uniform(0.0, 5.0, size=C)
         norm = normalize_info(I)
-        assert np.all(norm.normalized > 1.0)
-        assert np.all(np.isfinite(norm.normalized))
+        assert np.all(norm > 1.0)
+        assert np.all(np.isfinite(norm))
 
 
 def test_normalization_preserves_order():
     rng = np.random.default_rng(42)
-    for variant in INFO_VARIANTS:
-        for ibar in IBAR_MODES:
-            I = np.sort(rng.uniform(0.1, 4.0, size=6))
-            I += np.arange(6) * 1e-3  # force strict increase
-            norm = normalize_info(I, variant=variant, ibar=ibar)
-            assert np.all(np.diff(norm.normalized) > 0), (variant, ibar)
+    for ibar in IBAR_MODES:
+        I = np.sort(rng.uniform(0.1, 4.0, size=6))
+        I += np.arange(6) * 1e-3  # force strict increase
+        norm = normalize_info(I, ibar=ibar)
+        assert np.all(np.diff(norm) > 0), ibar
 
 
 def test_degenerate_all_zero_input_flagged():
+    # i_bar = 0, so x_i = 0 by convention: I' = C*e/(C*1) + 1 = e + 1 for
+    # every class.
     norm = normalize_info(np.zeros(4))
-    assert norm.degenerate is True
-    assert norm.i_bar == 0.0
-    # x_i = 0 by convention: I' = C*e/(C*1) + 1 = e + 1 for every class.
-    assert np.allclose(norm.normalized, np.e + 1.0, rtol=1e-15)
+    assert np.allclose(norm, np.e + 1.0, rtol=1e-15)
 
 
 def test_table_input_is_sorted_by_category_id():
     table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
     norm = normalize_info(table)
-    assert np.array_equal(norm.raw, [3.0, 1.0])
+    assert np.array_equal(norm, normalize_info(np.array([3.0, 1.0])))
+    assert norm[0] > norm[1]
 
 
 def test_ibar_modes_sum_and_mean():
+    # i_bar is the sum (6) or the mean (2), seen through the output.
     I = np.array([1.0, 2.0, 3.0])
-    assert normalize_info(I, ibar="sum").i_bar == 6.0
-    assert normalize_info(I, ibar="mean").i_bar == 2.0
-
-
-def test_single_exp_variant_matches_direct_formula():
-    rng = np.random.default_rng(43)
-    I = rng.uniform(0.1, 3.0, size=5)
-    norm = normalize_info(I, variant="softmax-single-exp")
-    x = I / (I.sum() * np.sqrt(5))
-    expected = 5 * np.exp(x) / np.exp(x).sum() + 1.0
-    assert np.allclose(norm.normalized, expected, rtol=1e-14)
+    for ibar, i_bar in (("sum", 6.0), ("mean", 2.0)):
+        x = I / (i_bar * np.sqrt(3))
+        expected = 3 * np.exp(np.exp(x)) / np.exp(x).sum() + 1.0
+        assert np.allclose(normalize_info(I, ibar=ibar), expected, rtol=1e-14), ibar
 
 
 def test_normalize_input_validation():
@@ -132,21 +123,50 @@ def test_normalize_input_validation():
         normalize_info(np.array([1.0, -0.1]))
     with pytest.raises(InputError):
         normalize_info(np.array([1.0, np.nan]))
-    with pytest.raises(InputError):
-        normalize_info(np.array([1.0, 2.0]), variant="bogus")
+    for variant in ("bogus", "softmax-single-exp"):
+        with pytest.raises(InputError, match="variant must be one of"):
+            normalize_info(np.array([1.0, 2.0]), variant=variant)
     with pytest.raises(InputError):
         normalize_info(np.array([1.0, 2.0]), ibar="median")
 
 
 def test_double_exp_overflow_raises_numerical_error():
     # One dominant amount with ibar = "mean" drives x to ~7.07 and
-    # exp(x) ~ 1177 past the exp argument limit.
+    # exp(x) ~ 1177 past the exp argument limit; ibar = "sum" keeps
+    # x <= 1/sqrt(C) and survives.
     I = np.concatenate([[100.0], np.full(49, 1e-6)])
     with pytest.raises(NumericalError):
         normalize_info(I, ibar="mean")
-    # The single-exp variant has no inner exponential and survives.
-    norm = normalize_info(I, variant="softmax-single-exp", ibar="mean")
-    assert np.all(np.isfinite(norm.normalized))
+    assert np.all(np.isfinite(normalize_info(I, ibar="sum")))
+
+
+def test_one_hot_mean_overflow_starts_at_44_categories():
+    # One-hot amounts under ibar = "mean" give x_0 = sqrt(C); exp(x_0)
+    # passes 709 first at C = 44 (sqrt(43) = 6.557, sqrt(44) = 6.633).
+    def one_hot(C):
+        return np.eye(1, C).ravel()
+
+    assert np.all(np.isfinite(normalize_info(one_hot(43), ibar="mean")))
+    with pytest.raises(NumericalError) as info:
+        normalize_info(one_hot(44), ibar="mean")
+    assert str(info.value) == (
+        "double-exponential normalization overflow: max exp(x) = 759.948; "
+        "use ibar='sum' (CLI --ibar sum), which cannot overflow"
+    )
+    assert np.all(np.isfinite(normalize_info(one_hot(44), ibar="sum")))
+
+
+def test_overflow_of_the_scaled_numerator_raises_numerical_error():
+    # exp(x_0) = 708.5 keeps exp(exp(x_0)) finite, but C = 44 times it is
+    # not: that raises NumericalError with no numpy overflow warning, rather
+    # than giving I'_0 = inf for build_margins to refuse.
+    C = 44
+    share = 6.5632 / np.sqrt(C)
+    I = np.concatenate([[share], np.full(C - 1, (1 - share) / (C - 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"max exp\(x\) = 708\.5"):
+            normalize_info(I, ibar="mean")
 
 
 # ----------------------------------------------------------------- margins
@@ -171,29 +191,12 @@ def test_ratio_e_margin_is_one_over_pi():
     assert m[1, 0] == 0.0
 
 
-def test_signed_variant_is_antisymmetric():
-    rng = np.random.default_rng(44)
-    norm = rng.uniform(1.1, 9.0, size=5)
-    m = build_margins(norm, variant="signed").m
-    assert np.allclose(m, -m.T, atol=1e-15)
-    assert (m < 0).any()
-    np.testing.assert_array_equal(np.diag(m), np.zeros(5))
-
-
 def test_rival_direction_transposes_clamped_margins():
     rng = np.random.default_rng(45)
     norm = rng.uniform(1.1, 9.0, size=7)
     target = build_margins(norm, direction="target").m
     rival = build_margins(norm, direction="rival").m
     assert np.array_equal(rival, target.T)
-
-
-def test_rival_direction_negates_signed_margins():
-    rng = np.random.default_rng(46)
-    norm = rng.uniform(1.1, 9.0, size=4)
-    signed = build_margins(norm, variant="signed", direction="target").m
-    rival = build_margins(norm, variant="signed", direction="rival").m
-    assert np.array_equal(rival, -signed)
 
 
 def test_clamped_margin_positive_iff_target_richer():
@@ -215,11 +218,11 @@ def test_build_margins_validation():
         build_margins(np.array([2.0]))
     with pytest.raises(InputError):
         build_margins(np.array([2.0, 0.0]))  # must be > 0
-    with pytest.raises(InputError):
-        build_margins(np.array([2.0, 3.0]), variant="soft")
+    for variant in ("soft", "signed"):
+        with pytest.raises(InputError, match="variant must be one of"):
+            build_margins(np.array([2.0, 3.0]), variant=variant)
     with pytest.raises(InputError):
         build_margins(np.array([2.0, 3.0]), direction="both")
-    assert MARGIN_VARIANTS == ("clamped", "signed")
     assert MARGIN_DIRECTIONS == ("target", "rival")
 
 
@@ -742,9 +745,18 @@ def _random_problem(seed, C=9, p=12, n=40, s=30.0):
     return clf, X, y, norm
 
 
+def _signed_margins(norm):
+    """Unclamped, antisymmetric margins ln(I'_i / I'_j) / pi: a MarginMatrix
+    that `build_margins` does not make, but `loss-eval --margins` may read."""
+    logs = np.log(norm)
+    m = (logs[:, None] - logs[None, :]) / np.pi
+    np.fill_diagonal(m, 0.0)
+    return MarginMatrix(m)
+
+
 def _margin_cases(norm, C):
-    rival = build_margins(norm, variant="clamped", direction="rival")
-    signed = build_margins(norm, variant="signed", direction="target")
+    rival = build_margins(norm, direction="rival")
+    signed = _signed_margins(norm)
     dirty = rival.m.copy()
     np.fill_diagonal(dirty, 0.7)
     return {
@@ -791,7 +803,7 @@ def test_igam_is_bit_identical_to_masked_reference(seed, case):
 @pytest.mark.parametrize("seed", [64, 65])
 def test_bit_identity_with_saturated_entries(seed):
     clf, X, y, norm = _random_problem(seed)
-    margins = build_margins(norm, variant="clamped", direction="rival")
+    margins = build_margins(norm, direction="rival")
     # Point features along rival weights whose margin against the label is
     # active, so their cosine is 1 to within rounding.
     M = margins.m
@@ -817,7 +829,7 @@ def test_bit_identity_one_row_batch(case):
 @pytest.mark.parametrize("loss", ["igam", "ce"])
 def test_grad_inputs_unchanged_by_in_place_weight_step(loss):
     clf, X, y, norm = _random_problem(67)
-    margins = build_margins(norm, variant="clamped", direction="rival")
+    margins = build_margins(norm, direction="rival")
 
     def evaluate():
         if loss == "ce":
@@ -835,7 +847,7 @@ def test_grad_inputs_unchanged_by_in_place_weight_step(loss):
 
 def test_grad_cos_and_cached_trig_are_read_only():
     clf, X, y, norm = _random_problem(68)
-    margins = build_margins(norm, variant="clamped", direction="rival")
+    margins = build_margins(norm, direction="rival")
     for out in (igam_batch(clf, X, y, margins), ce_batch(clf, X, y)):
         with pytest.raises(ValueError):
             out.grad_cos[0, 0] = 1.0

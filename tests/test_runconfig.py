@@ -40,8 +40,6 @@ def test_minimal_config_fills_train_defaults():
     assert cfg.momentum == 0.9
     assert cfg.s == 30.0
     assert cfg.queue_len == 50000
-    assert cfg.info_variant == "double-exp"
-    assert cfg.margin_variant == "clamped"
     assert cfg.margin_direction == "target"
     assert cfg.ibar_mode == "sum"
     assert cfg.batch_size == 64
@@ -168,8 +166,6 @@ _BAD_VALUES = {
     ("train", "momentum"): ([0.9], 1.0),
     ("train", "s"): (False, -30.0),
     ("train", "queue_len"): (100.0, 0),
-    ("train", "info_variant"): (1, "triple-exp"),
-    ("train", "margin_variant"): (None, "soft"),
     ("train", "margin_direction"): (["target"], "sideways"),
     ("train", "ibar_mode"): (0, "max"),
     ("train", "batch_size"): (2.5, 0),

@@ -135,8 +135,9 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(InputError):
         TrainConfig(momentum=1.0)
-    with pytest.raises(InputError):
-        TrainConfig(margin_variant="soft")
+    for gone in ("info_variant", "margin_variant"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{gone: "double-exp"})
     with pytest.raises(InputError):
         TrainConfig(margin_direction="up")
     with pytest.raises(InputError):
@@ -292,7 +293,7 @@ def test_igam_with_forced_zero_margins_equals_normface(monkeypatch):
 
     monkeypatch.setattr(
         trainer_mod, "build_margins",
-        lambda norm, variant="clamped", direction="target": MarginMatrix.zeros(len(norm.normalized)),
+        lambda norm, direction="target": MarginMatrix.zeros(len(norm)),
     )
     spec = small_spec()
     base = dict(epochs=3, lr=0.1, batch_size=16, queue_len=90, seed=3)
@@ -422,10 +423,15 @@ def test_kernel_on_rows_normalized_whole_equals_public_api(case):
     W = rng.normal(size=(C, p))
     clf = CosineClassifier(W, scale=12.0)
     norm = normalize_info(rng.uniform(1.0, 50.0, size=C), ibar="mean")
+    # "signed": the unclamped, antisymmetric ln(I'_i / I'_j) / pi, a matrix
+    # `build_margins` does not make but `loss-eval --margins` may read.
+    logs = np.log(norm)
+    signed = (logs[:, None] - logs[None, :]) / np.pi
+    np.fill_diagonal(signed, 0.0)
     margins = {
         "zero": MarginMatrix.zeros(C),
-        "clamped-rival": build_margins(norm, variant="clamped", direction="rival"),
-        "signed": build_margins(norm, variant="signed", direction="target"),
+        "clamped-rival": build_margins(norm, direction="rival"),
+        "signed": MarginMatrix(signed),
     }[case]
     U, _ = _unit_rows(ds.train_X, "feature")
     Wn, wnorms = _unit_rows(W, "weight")
@@ -475,9 +481,8 @@ def _reference_train(spec, config, dataset):
         info[refreshed.ids] = refreshed.amounts
         if config.loss == "igam":
             table = InfoAmountTable(np.arange(C), info, epoch=epoch)
-            norm = normalize_info(table, variant=config.info_variant, ibar=config.ibar_mode)
-            margins = build_margins(norm, variant=config.margin_variant,
-                                    direction=config.margin_direction)
+            norm = normalize_info(table, ibar=config.ibar_mode)
+            margins = build_margins(norm, direction=config.margin_direction)
         if config.loss == "ce":
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         else:
