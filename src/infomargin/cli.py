@@ -15,9 +15,11 @@ All JSON output is canonical (sorted keys, shortest round-trip floats) and
 lands on stdout unless --out is given. Exit codes: 0 success, 2 input
 error, 3 numerical error.
 
-`toy run` trains each configured loss in its own worker process; each
-worker holds a copy of the dataset. The report and the error reported are
-the same as when the losses train one after another.
+`toy run` trains each configured loss in its own worker process. The
+dataset is built once in this process and handed to each worker when the
+pool starts: a forked worker inherits it copy-on-write, a spawned one
+unpickles its own copy once. The report and the error reported are the
+same as when the losses train one after another.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -150,6 +151,21 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+# The (spec, dataset) a `toy run` worker trains on, set by `_init_worker` in
+# each worker process when the pool starts; never set in the parent.
+_worker_data = None
+
+
+def _init_worker(spec, dataset) -> None:
+    global _worker_data
+    _worker_data = (spec, dataset)
+
+
+def _train_task(config) -> trainer.TrainResult:
+    spec, dataset = _worker_data
+    return trainer.train(spec, config, dataset=dataset)
+
+
 def _cmd_toy_run(args) -> int:
     parsed = parse_run_config(fileio.read_json(args.config))
     spec, configs = parsed.spec, parsed.configs
@@ -163,12 +179,13 @@ def _cmd_toy_run(args) -> int:
     # One worker per loss (at most len(LOSSES), as the names are distinct),
     # started the platform's default way: forked workers start at once, while
     # spawned ones re-import the package and measured no faster than one
-    # process. `imap` yields in config order, so the report and first error are as
-    # if trained one by one; leaving the `with` block stops the workers still running.
-    # `trainer.train` goes to the workers by its import path, which a wrapper
-    # rebound over a name in this module (by a tracer, say) would not have.
-    with Pool(len(configs)) as pool:
-        results = list(pool.imap(partial(trainer.train, spec, dataset=dataset), configs))
+    # process. The dataset goes to each worker once, as the initializer's
+    # arguments: a forked worker inherits them unpickled, and each task sends
+    # only its TrainConfig. `imap` yields in config order, so the report and
+    # first error are as if trained one by one; leaving the `with` block stops
+    # the workers still running.
+    with Pool(len(configs), initializer=_init_worker, initargs=(spec, dataset)) as pool:
+        results = list(pool.imap(_train_task, configs))
     _emit(run_report_to_json(spec, results), args.out)
     return 0
 

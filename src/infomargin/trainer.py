@@ -184,16 +184,24 @@ class TrainResult:
 
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
     """Sample the benchmark. Deterministic per (seed, class), so results do
-    not depend on generation order or parallelism."""
-    deficient = [f"class {c}: n_train={n} < p={spec.p}"
-                 for c, n in enumerate(spec.n_train) if n < spec.p]
+    not depend on generation order or parallelism.
+
+    Each class's draws are written straight into its rows of the final
+    arrays, so the features are held once, with no per-class blocks."""
+    # n centred rows span at most n - 1 dimensions, so n_train = p is deficient too.
+    deficient = [f"class {c}: n_train={n} <= p={spec.p}"
+                 for c, n in enumerate(spec.n_train) if n <= spec.p]
     if deficient:
         more = f"; and {len(deficient) - 3} more" if len(deficient) > 3 else ""
         warnings.warn(f"{len(deficient)} of {spec.C} classes will have a rank-deficient "
                       f"covariance estimate: {'; '.join(deficient[:3])}{more}",
                       RuntimeWarning, stacklevel=2)
-    train_blocks, test_blocks, train_labels, test_labels = [], [], [], []
-    for c in range(spec.C):
+    train_X = np.empty((sum(spec.n_train), spec.p))
+    test_X = np.empty((sum(spec.n_test), spec.p))
+    # Each class's rows, as views of the two arrays.
+    blocks = zip(np.split(train_X, np.cumsum(spec.n_train)[:-1]),
+                 np.split(test_X, np.cumsum(spec.n_test)[:-1]))
+    for c, class_blocks in enumerate(blocks):
         rng = np.random.default_rng([spec.seed, c])
         direction = rng.standard_normal(spec.p)
         norm = np.linalg.norm(direction)
@@ -201,15 +209,17 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
             raise InputError(f"class {c}: degenerate zero direction draw")
         mean = direction / norm * spec.mean_separation
         sigma = spec.spreads[c]
-        train_blocks.append(mean + sigma * rng.standard_normal((spec.n_train[c], spec.p)))
-        test_blocks.append(mean + sigma * rng.standard_normal((spec.n_test[c], spec.p)))
-        train_labels.append(np.full(spec.n_train[c], c, dtype=np.int64))
-        test_labels.append(np.full(spec.n_test[c], c, dtype=np.int64))
+        # In place, the same bits as mean + sigma * rng.standard_normal((n, p)).
+        for block in class_blocks:
+            rng.standard_normal(out=block)
+            block *= sigma
+            block += mean
+    classes = np.arange(spec.C, dtype=np.int64)
     return Dataset(
-        train_X=np.concatenate(train_blocks),
-        train_y=np.concatenate(train_labels),
-        test_X=np.concatenate(test_blocks),
-        test_y=np.concatenate(test_labels),
+        train_X=train_X,
+        train_y=np.repeat(classes, spec.n_train),
+        test_X=test_X,
+        test_y=np.repeat(classes, spec.n_test),
         train_counts=np.asarray(spec.n_train, dtype=np.int64),
         test_counts=np.asarray(spec.n_test, dtype=np.int64),
         spec=spec,

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: pipelines, flags, and exit codes."""
 
+import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 
 from infomargin import cli as cli_module
 from infomargin import stats as stats_module
+from infomargin import trainer as trainer_module
 from infomargin.cli import main
 from infomargin.fileio import (
     canonical_dumps,
@@ -948,6 +952,25 @@ def test_toy_run_removed_variant_key_exits_two(tmp_path, capsys, key, value):
     assert err == f"error: train.{key}: unknown key\n"
 
 
+_SWEEP = {
+    "dataset": {"C": 3, "p": 4, "n_train": 40, "n_test": 30,
+                "spreads": [0.5, 1.0, 2.0], "mean_separation": 3.0},
+    "train": {"loss": ["ce", "normface", "igam"], "epochs": 2,
+              "queue_len": 60, "batch_size": 16},
+}
+
+
+def _in_process_report(config_path, seed=None):
+    parsed = parse_run_config(read_json(str(config_path)))
+    spec, configs = parsed.spec, parsed.configs
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+        configs = [replace(cfg, seed=seed) for cfg in configs]
+    dataset = generate_dataset(spec)
+    results = [train(spec, cfg, dataset=dataset) for cfg in configs]
+    return canonical_dumps(run_report_to_json(spec, results)).encode()
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_toy_run_report_matches_in_process_training(tmp_path, capsys, seed):
     # Each loss trains in its own worker process; the report must be the
@@ -957,12 +980,80 @@ def test_toy_run_report_matches_in_process_training(tmp_path, capsys, seed):
                        "--out", str(out_path))
     assert code == 0, err
     assert multiprocessing.active_children() == []
-    parsed = parse_run_config(read_json(str(HETEROGENEOUS)))
-    spec = replace(parsed.spec, seed=seed)
-    configs = [replace(cfg, seed=seed) for cfg in parsed.configs]
-    dataset = generate_dataset(spec)
-    expected = run_report_to_json(spec, [train(spec, c, dataset=dataset) for c in configs])
-    assert out_path.read_bytes() == canonical_dumps(expected).encode()
+    assert out_path.read_bytes() == _in_process_report(HETEROGENEOUS, seed)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="forked workers inherit the dataset; other start methods pickle it")
+def test_toy_run_never_pickles_the_dataset_under_fork(tmp_path, capsys, monkeypatch):
+    def refuse(self, protocol):
+        raise AssertionError("the dataset was pickled")
+
+    monkeypatch.setattr(trainer_module.Dataset, "__reduce_ex__", refuse, raising=False)
+    path = tmp_path / "cfg.json"
+    write_json(path, _SWEEP)
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "toy", "run", str(path), "--out", str(out_path))
+    assert code == 0, err
+    assert out_path.read_bytes() == _in_process_report(path)
+
+
+def test_worker_task_trains_on_the_initializers_dataset(monkeypatch):
+    # The pool's two halves in one process: the initializer, then the task.
+    monkeypatch.setattr(cli_module, "_worker_data", None)
+    parsed = parse_run_config(_SWEEP)
+    spec = parsed.spec
+    ds = generate_dataset(spec)
+    cli_module._init_worker(spec, ds)
+    for cfg in parsed.configs:
+        got = cli_module._train_task(cfg)
+        expected = train(spec, cfg, dataset=ds)
+        assert np.array_equal(got.weights, expected.weights)
+        assert len(got.reports) == len(expected.reports)
+        for a, b in zip(got.reports, expected.reports):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        assert np.array_equal(got.final_margins.m, expected.final_margins.m)
+        assert np.array_equal(got.final_info.amounts, expected.final_info.amounts)
+
+
+def test_toy_run_leaves_no_reference_to_the_dataset(tmp_path, capsys, monkeypatch):
+    made = []
+
+    def generate(spec):
+        dataset = generate_dataset(spec)
+        made.append(weakref.ref(dataset))
+        return dataset
+
+    monkeypatch.setattr(cli_module, "generate_dataset", generate)
+    path = tmp_path / "cfg.json"
+    write_json(path, _SWEEP)
+    code, _, err = run(capsys, "toy", "run", str(path))
+    assert code == 0, err
+    assert cli_module._worker_data is None
+    gc.collect()
+    (ref,) = made
+    assert ref() is None
+    for name, module in list(sys.modules.items()):
+        held = [k for k, v in vars(module).items() if isinstance(v, trainer_module.Dataset)]
+        assert not held, f"{name} holds {held}"
+
+
+def test_toy_runs_in_one_interpreter_equal_fresh_runs(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    write_json(path, _SWEEP)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for seed in ("3", "4"):
+        out_path = tmp_path / f"report{seed}.json"
+        code, _, err = run(capsys, "toy", "run", str(path), "--seed", seed,
+                           "--out", str(out_path))
+        assert code == 0, err
+        fresh = subprocess.run(
+            [sys.executable, "-m", "infomargin.cli", "toy", "run", str(path), "--seed", seed],
+            env=env, capture_output=True, check=True, timeout=120)
+        assert out_path.read_bytes() == fresh.stdout
 
 
 def test_toy_run_reports_first_configs_error(tmp_path, capsys):

@@ -87,10 +87,66 @@ def test_generation_independent_per_class():
     assert np.array_equal(a.train_X[a.train_y == 2], b.train_X[b.train_y == 2])
 
 
+def _reference_dataset(spec):
+    # Each class's block drawn whole, then the blocks concatenated: the
+    # construction generate_dataset's in-place writes must match bit for bit.
+    train_blocks, test_blocks, train_labels, test_labels = [], [], [], []
+    for c in range(spec.C):
+        rng = np.random.default_rng([spec.seed, c])
+        direction = rng.standard_normal(spec.p)
+        mean = direction / np.linalg.norm(direction) * spec.mean_separation
+        sigma = spec.spreads[c]
+        train_blocks.append(mean + sigma * rng.standard_normal((spec.n_train[c], spec.p)))
+        test_blocks.append(mean + sigma * rng.standard_normal((spec.n_test[c], spec.p)))
+        train_labels.append(np.full(spec.n_train[c], c, dtype=np.int64))
+        test_labels.append(np.full(spec.n_test[c], c, dtype=np.int64))
+    return dict(
+        train_X=np.concatenate(train_blocks),
+        train_y=np.concatenate(train_labels),
+        test_X=np.concatenate(test_blocks),
+        test_y=np.concatenate(test_labels),
+        train_counts=np.asarray(spec.n_train, dtype=np.int64),
+        test_counts=np.asarray(spec.n_test, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("counts", [
+    dict(n_train=60, n_test=30),
+    dict(n_train=[10, 1, 25], n_test=[1, 7, 3]),
+    dict(n_train=[5, 5, 1], n_test=4),
+])
+def test_generate_dataset_is_bit_identical_to_concatenated_blocks(counts, seed):
+    spec = small_spec(spreads=(0.5, 1.0, 3.0), seed=seed, **counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the 1-row classes
+        ds = generate_dataset(spec)
+    for name, expected in _reference_dataset(spec).items():
+        got = getattr(ds, name)
+        assert got.dtype == expected.dtype, name
+        assert expected.dtype in (np.float64, np.int64), name
+        assert got.flags.c_contiguous, name
+        assert np.array_equal(got, expected), name
+
+
 def test_rank_deficient_class_warns():
     spec = small_spec(p=4, n_train=[3, 10, 10])
-    with pytest.warns(RuntimeWarning, match="n_train=3 < p=4"):
+    with pytest.warns(RuntimeWarning, match="n_train=3 <= p=4"):
         generate_dataset(spec)
+
+
+def test_n_train_equal_to_p_warns():
+    # n centred rows have rank at most n - 1, so n_train = p is deficient too.
+    spec = small_spec(p=4, n_train=[4, 10, 10])
+    with pytest.warns(RuntimeWarning, match="n_train=4 <= p=4"):
+        ds = generate_dataset(spec)
+    assert np.linalg.matrix_rank(np.cov(ds.train_X[:4], rowvar=False)) == 3
+
+
+def test_no_rank_warning_above_p():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_dataset(small_spec(p=4, n_train=5))
 
 
 def test_rank_deficient_classes_warn_once():
@@ -104,8 +160,8 @@ def test_rank_deficient_classes_warn_once():
     assert warning.category is RuntimeWarning
     text = str(warning.message)
     assert text.startswith("5 of 6 classes ")
-    assert text.endswith("class 0: n_train=3 < p=4; class 2: n_train=2 < p=4; "
-                         "class 3: n_train=1 < p=4; and 2 more")
+    assert text.endswith("class 0: n_train=3 <= p=4; class 2: n_train=2 <= p=4; "
+                         "class 3: n_train=1 <= p=4; and 2 more")
 
 
 def test_spec_validation():
