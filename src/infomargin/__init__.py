@@ -19,11 +19,9 @@ from .stats import (
 )
 from .info import (
     InfoAmountTable,
-    information_amount,
     information_amount_from_embeddings,
     information_amounts_from_stats,
     lambda_minus,
-    shrink_covariance,
 )
 from .loss import (
     CosineClassifier,
@@ -67,8 +65,6 @@ __all__ = [
     "merge_stats",
     "lambda_minus",
     "InfoAmountTable",
-    "shrink_covariance",
-    "information_amount",
     "information_amount_from_embeddings",
     "information_amounts_from_stats",
     "MarginMatrix",

@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_int, as_number_array
+from .errors import InputError, NumericalError, as_float, as_int, as_number_array
 from . import fileio, trainer
 from .info import info_table_from_json, info_table_to_json, information_amounts_from_stats
 from .loss import (
@@ -200,13 +200,15 @@ def _final_epoch_summary(run: dict, index: int) -> dict:
         if not acc.size:
             raise InputError(f"runs[{index}]: final per_class_accuracy must be a "
                              f"nonempty list, got shape {acc.shape}")
+        # The copied fields are checked too, as `canonical_dumps` refuses inf.
+        scalars = {key: None if key.startswith("pearson_") and final[key] is None
+                   else as_float(final[key], f"runs[{index}]: final {key}")
+                   for key in ("bias_variance", "pearson_info_acc", "pearson_count_acc",
+                               "loss_mean")}
         return {
             "loss": loss,
             "epochs": len(epochs),
-            "bias_variance": final["bias_variance"],
-            "pearson_info_acc": final["pearson_info_acc"],
-            "pearson_count_acc": final["pearson_count_acc"],
-            "loss_mean": final["loss_mean"],
+            **scalars,
             "mean_accuracy": float(np.mean(acc)),
             "min_class_accuracy": float(np.min(acc)),
         }

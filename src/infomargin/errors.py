@@ -69,8 +69,9 @@ def as_number_array(value, path: str) -> np.ndarray:
     """A flat JSON list of numbers as a 1-D float64 array.
 
     Nested lists, strings (which `dtype=np.float64` parses), nulls (which it
-    reads as NaN), booleans (which numpy promotes to 0 and 1 among numbers)
-    and integers beyond float64 raise InputError naming `path`.
+    reads as NaN), booleans (which numpy promotes to 0 and 1 among numbers),
+    integers beyond float64 and non-finite values (`json.loads` reads a
+    literal such as 1e400 as inf) raise InputError naming `path`.
     """
     try:
         out = np.asarray(value)
@@ -81,6 +82,10 @@ def as_number_array(value, path: str) -> np.ndarray:
     if (out.dtype.kind not in "iuf" or out.ndim != 1
             or isinstance(value, (list, tuple)) and bool in set(map(type, value))):
         raise InputError(f"{path}: expected a list of numbers")
+    # min and max propagate NaN and expose +-inf without a boolean temporary.
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        index = int(np.argmin(np.isfinite(out)))
+        raise InputError(f"{path}: expected finite numbers, got {out[index]} at index {index}")
     return out.astype(np.float64, copy=False)
 
 

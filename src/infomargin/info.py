@@ -9,8 +9,9 @@ small sample produces. The information amount is then
 
 read straight off the clipped spectrum of one `eigvalsh` per category,
 never through a determinant or a rebuilt matrix, so it stays finite and
-stable for any spectrum. `shrink_covariance` builds the clipped matrix
-itself for callers who need it.
+stable for any spectrum. `_clipped_amount` is the one place that does it.
+Since lambda_-(p, p) = 0, a count of m = p scores a covariance as given,
+unclipped.
 
 The floor is the raw square, never clamped: for m < p it grows past 1, and
 a single-sample category (zero covariance, m=1) is deliberately inflated
@@ -32,8 +33,6 @@ from .stats import GlobalStats, local_stats_from_arrays
 __all__ = [
     "lambda_minus",
     "InfoAmountTable",
-    "shrink_covariance",
-    "information_amount",
     "information_amount_from_embeddings",
     "information_amounts_from_stats",
     "info_table_to_json",
@@ -116,62 +115,27 @@ def _checked_symmetric(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _decompose(eig, sym: np.ndarray):
+def _clipped_amount(cov: np.ndarray, m: int) -> float:
+    """1/2 * sum_k log2(1 + max(lambda_k, lambda_-)) from one eigvalsh of cov.
+
+    `cov` is checked by `_checked_symmetric`, then `m` by `lambda_minus`, then
+    the spectrum: an eigenvalue below `_PSD_SLACK` is a non-PSD input, and
+    smaller negatives are rounding debris, floored at zero. With m = p the
+    floor is zero, so the matrix is scored as given.
+    """
+    sym = _checked_symmetric(cov)
+    floor = lambda_minus(sym.shape[0], m)
     try:
-        return eig(sym)
+        # Looked up at call time, so a wrapper set on `numpy.linalg` sees the call.
+        eigvals = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-
-
-def _psd_floor(eigvals: np.ndarray) -> np.ndarray:
-    """Reject a genuinely non-PSD spectrum; floor rounding debris at zero."""
     if eigvals.min() < _PSD_SLACK:
         raise InputError(
             f"covariance is not positive semidefinite: eigenvalue {eigvals.min():.3g}"
         )
-    return np.maximum(eigvals, 0.0)
-
-
-def _half_log2_det(eigvals: np.ndarray) -> float:
-    return float(np.sum(np.log2(1.0 + eigvals)) / 2.0)
-
-
-def _clipped_amount(cov: np.ndarray, m: int) -> float:
-    """1/2 * sum_k log2(1 + max(lambda_k, lambda_-)) from one eigvalsh of cov.
-
-    Equal to information_amount(shrink_covariance(cov, m)) to round-off, with
-    the same checks, but without eigenvectors or a rebuilt, re-decomposed matrix.
-    """
-    sym = _checked_symmetric(cov)
-    floor = lambda_minus(sym.shape[0], m)
-    eigvals = _psd_floor(_decompose(np.linalg.eigvalsh, sym))
-    return _half_log2_det(np.maximum(eigvals, floor))
-
-
-def shrink_covariance(cov: np.ndarray, m: int) -> np.ndarray:
-    """Covariance of m samples with its spectrum clipped at lambda_minus(p, m).
-
-    Eigenvectors are kept; each eigenvalue becomes max(lambda, lambda_-),
-    after flooring small negative rounding debris at zero. The result is
-    symmetric with minimum eigenvalue >= lambda_-.
-    """
-    sym = _checked_symmetric(cov)
-    floor = lambda_minus(sym.shape[0], m)
-    eigvals, eigvecs = _decompose(np.linalg.eigh, sym)
-    clipped = np.maximum(_psd_floor(eigvals), floor)
-    out = (eigvecs * clipped) @ eigvecs.T
-    return 0.5 * (out + out.T)
-
-
-def information_amount(cov_shrunk: np.ndarray) -> float:
-    """1/2 * log2 det(Id + Sigma) via the eigenvalue sum.
-
-    The input is scored as given (no clipping); run `shrink_covariance`
-    first for the denoised variant. Eigenvalues below -1e-6 are rejected
-    as non-PSD; smaller negatives are treated as zero.
-    """
-    sym = _checked_symmetric(cov_shrunk)
-    return _half_log2_det(_psd_floor(_decompose(np.linalg.eigvalsh, sym)))
+    # floor >= 0, so this also floors the rounding debris at zero.
+    return float(np.sum(np.log2(1.0 + np.maximum(eigvals, floor))) / 2.0)
 
 
 def information_amount_from_embeddings(X: np.ndarray) -> float:
@@ -179,8 +143,8 @@ def information_amount_from_embeddings(X: np.ndarray) -> float:
 
     Takes the population covariance of the rows of X with
     `local_stats_from_arrays` and reads the amount straight off its
-    spectrum clipped for m = len(X) samples: one eigvalsh, equal to
-    information_amount(shrink_covariance(cov, len(X))) to round-off.
+    spectrum clipped for m = len(X) samples, with one eigvalsh, as
+    `information_amounts_from_stats` does for a category of len(X) records.
     """
     X = np.asarray(X, dtype=np.float64)
     (cs,) = local_stats_from_arrays(X, np.zeros(X.shape[:1], dtype=np.int64)).values()
@@ -191,16 +155,19 @@ def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAm
     """Information amount per category from merged epoch statistics.
 
     Each amount is read straight off the category's clipped spectrum, one
-    eigvalsh per category. The clip threshold uses that category's own
-    merged sample count N_i, since the merged covariance represents N_i
-    samples regardless of how the windows sliced them.
+    eigvalsh per category. The clip threshold uses that category's own merged
+    sample count N_i, since the merged covariance represents N_i samples
+    regardless of how the windows sliced them. Each error names its category.
     """
     amounts = []
     for cat, cs in stats.categories.items():
-        if np.shape(cs.cov) != (stats.p, stats.p):
-            raise InputError(f"category {cat}: covariance has shape {np.shape(cs.cov)}, "
-                             f"expected ({stats.p}, {stats.p})")
-        amounts.append(_clipped_amount(cs.cov, cs.total))
+        try:
+            if np.shape(cs.cov) != (stats.p, stats.p):
+                raise InputError(f"covariance has shape {np.shape(cs.cov)}, "
+                                 f"expected ({stats.p}, {stats.p})")
+            amounts.append(_clipped_amount(cs.cov, cs.total))
+        except (InputError, NumericalError) as exc:
+            raise type(exc)(f"category {cat}: {exc}") from exc
     return InfoAmountTable(list(stats.categories), amounts, epoch=epoch)
 
 

@@ -273,10 +273,11 @@ def train(
     """Run one training configuration end to end.
 
     The dataset is checked once, before any SGD step: finite features,
-    labels in [0, C), and for the cosine losses no zero-norm feature row.
-    Errors name the dataset row. The cosine losses normalize the train and
-    test rows once per run; each step gathers its unit rows, normalizes the
-    weights and runs the loss kernel, with the same bits as `igam_batch`
+    labels in [0, C), train and test rows for every class, counts that match
+    the labels, and for the cosine losses no zero-norm feature row. Errors
+    name the dataset row or the class. The cosine losses normalize the train
+    and test rows once per run; each step gathers its unit rows, normalizes
+    the weights and runs the loss kernel, with the same bits as `igam_batch`
     and `normface_batch` on the raw rows.
 
     Each epoch's rows are added to the accumulator as one array in SGD
@@ -300,7 +301,17 @@ def train(
         X = getattr(dataset, f"{part}_X")
         if X.dtype != np.float64:
             raise InputError(f"{part}_X must be a float64 array, got dtype {X.dtype}")
-        as_batch(X, getattr(dataset, f"{part}_y"), f"{part} data", p=p, C=C)
+        _, y = as_batch(X, getattr(dataset, f"{part}_y"), f"{part} data", p=p, C=C)
+        counts = np.bincount(y, minlength=C)
+        given = np.asarray(getattr(dataset, f"{part}_counts"))
+        if not counts.all():
+            raise InputError(f"class {np.argmin(counts)} has no {part} rows")
+        if given.shape != (C,):
+            raise InputError(f"{part}_counts has shape {given.shape}, expected ({C},)")
+        if (given != counts).any():
+            c = int(np.argmax(given != counts))
+            raise InputError(f"class {c}: {part}_counts gives {given[c]} rows, "
+                             f"but the labels hold {counts[c]}")
     n_total = dataset.train_X.shape[0]
     cosine = config.loss != "ce"
     if cosine:
@@ -312,9 +323,7 @@ def train(
     velocity = np.zeros_like(W)
     # None, read by the kernel as no margins, until a refresh builds them.
     margins = None
-    info = np.zeros(C, dtype=np.float64)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
-    test_counts = np.bincount(dataset.test_y, minlength=C)
 
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
@@ -349,12 +358,8 @@ def train(
                 raise _diverged("non-finite weights", epoch, config)
         accumulator.add(X_epoch, y_epoch)
 
-        stats = accumulator.finalize()
-        refreshed = information_amounts_from_stats(stats, epoch=epoch)
-        # Categories with no records this epoch keep their previous amount
-        # (or 0 before any measurement exists); present ones are refreshed.
-        info[refreshed.ids] = refreshed.amounts
-        table = InfoAmountTable(np.arange(C), info, epoch=epoch)
+        # Every class has training rows, so the table covers ids 0..C-1.
+        table = information_amounts_from_stats(accumulator.finalize(), epoch=epoch)
         if config.loss == "igam":
             margins = build_margins(normalize_info(table, ibar=config.ibar_mode),
                                     direction=config.margin_direction)
@@ -368,7 +373,7 @@ def train(
         else:
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         hits = np.bincount(dataset.test_y, weights=preds == dataset.test_y, minlength=C)
-        acc = hits / test_counts
+        acc = hits / dataset.test_counts
         reports.append(EpochReport(
             epoch=epoch,
             per_class_accuracy=acc,

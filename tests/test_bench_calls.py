@@ -4,13 +4,11 @@ fails the test suite rather than only the benchmark."""
 
 import numpy as np
 
-from infomargin.info import (
-    information_amount,
-    information_amounts_from_stats,
-    shrink_covariance,
-)
+from infomargin.info import information_amounts_from_stats
 from infomargin.loss import CosineClassifier, build_margins, igam_batch, normalize_info
 from infomargin.stats import CategoryStats, GlobalStats
+
+from conftest import reference_amount
 
 
 def test_wide_epoch_calls(tmp_path):
@@ -45,9 +43,8 @@ def test_wide_epoch_calls(tmp_path):
     assert len(table.amounts) == C
     assert ids.dtype == np.int64 and np.array_equal(ids, np.arange(C))
     assert amounts is table.amounts
-    two_step = [information_amount(shrink_covariance(covs[c], int(m)))
-                for c, m in enumerate(counts)]
-    assert np.allclose(amounts, two_step, rtol=1e-12, atol=0)
+    expected = [reference_amount(covs[c], int(m)) for c, m in enumerate(counts)]
+    assert np.allclose(amounts, expected, rtol=1e-12, atol=0)
     assert margins.m.shape == (C, C) and np.all(margins.m >= 0)
     assert np.all(np.isfinite(pool_losses)) and np.isfinite(total)
     assert out.grad_weights.shape == (C, p)

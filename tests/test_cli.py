@@ -464,6 +464,36 @@ def test_info_rejects_strings_and_nulls_as_numbers(
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
+@pytest.mark.parametrize("field, text, message", [
+    ("mean", "[0.0, 1e400]", "mean: expected finite numbers, got inf at index 1"),
+    ("cov_row_major", "[1.0, 0.0, 0.0, -1e400]",
+     "cov_row_major: expected finite numbers, got -inf at index 3"),
+], ids=["mean", "cov"])
+def test_info_rejects_numbers_beyond_float64(tmp_path, capsys, monkeypatch, field, text, message):
+    # `json.loads` reads these literals as +-inf.
+    values = {"mean": "[0.0, 1.0]", "cov_row_major": "[1.0, 0.0, 0.0, 1.0]", field: text}
+    path = tmp_path / "stats.json"
+    path.write_text('{"p": 2, "categories": [{"id": 0, "count": 2, "mean": %(mean)s, '
+                    '"cov_row_major": %(cov_row_major)s}]}' % values)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed statistics entry: {message}\n"
+    assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
+
+
+@pytest.mark.parametrize("cov, message", [
+    ([1.0, 0.5, 0.2, 1.0], "covariance is not symmetric: max |A - A^T| = 0.3 against scale 1"),
+    ([1.0, 0.0, 0.0, -0.5], "covariance is not positive semidefinite: eigenvalue -0.5"),
+], ids=["asymmetric", "non-psd"])
+def test_info_errors_name_the_category(tmp_path, capsys, cov, message):
+    good = {"id": 3, "count": 4, "mean": [0.0, 0.0], "cov_row_major": [1.0, 0.0, 0.0, 1.0]}
+    path = tmp_path / "stats.json"
+    write_json(path, {"p": 2, "categories": [good, dict(good, id=7, cov_row_major=cov)]})
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: category 7: {message}\n"
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_info_rejects_non_standard_json_constants(tmp_path, capsys, constant):
     # `json.loads` takes these literals as floats unless told otherwise.
@@ -921,10 +951,14 @@ def test_toy_run_loss_sweep_reports_bias_variance(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert [r["loss"] for r in summary["runs"]] == ["ce", "normface", "igam"]
-    for r in summary["runs"]:
+    for r, full in zip(summary["runs"], doc["runs"]):
         assert set(r) == {"loss", "epochs", "bias_variance", "pearson_info_acc",
                           "pearson_count_acc", "loss_mean", "mean_accuracy",
                           "min_class_accuracy"}
+        # Equal counts leave the count correlation undefined: null, copied as is.
+        assert r["pearson_count_acc"] is None
+        for key in ("bias_variance", "pearson_info_acc", "pearson_count_acc", "loss_mean"):
+            assert r[key] == full["epochs"][-1][key]
 
 
 def test_toy_run_unknown_key_exits_two_with_path(tmp_path, capsys):
@@ -1152,6 +1186,22 @@ def test_toy_report_checks_final_accuracy(tmp_path, capsys, accuracy, message):
     code, out, err = run(capsys, "toy", "report", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["per_class_accuracy", "bias_variance", "pearson_info_acc",
+                                   "pearson_count_acc", "loss_mean"])
+def test_toy_report_rejects_numbers_beyond_float64(tmp_path, capsys, field):
+    # `json.loads` reads 1e400 as inf, which the summary could not write.
+    final = dict(_FINAL_EPOCH, **{field: ["HUGE", 0.5] if field == "per_class_accuracy"
+                                  else "HUGE"})
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"runs": [{"train": {"loss": "igam"}, "epochs": [final]}]})
+                    .replace('"HUGE"', "1e400"))
+    code, out, err = run(capsys, "toy", "report", str(path))
+    assert code == 2 and out == ""
+    expected = ("expected finite numbers, got inf at index 0" if field == "per_class_accuracy"
+                else "expected a finite number, got inf")
+    assert err == f"error: runs[0]: final {field}: {expected}\n"
 
 
 def test_toy_report_rejects_non_standard_json_constant(tmp_path, capsys):

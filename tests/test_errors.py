@@ -104,6 +104,15 @@ def test_as_number_array_gives_float64():
         as_number_array([0.5, 10**400], "v")
 
 
+def test_as_number_array_rejects_non_finite_values():
+    # `json.loads` reads a literal beyond float64, such as 1e400, as inf.
+    for value, bad in (([0.5, float("inf")], "inf at index 1"),
+                       (np.array([-np.inf, 0.0]), "-inf at index 0"),
+                       (np.array([1.0, 2.0, np.nan]), "nan at index 2")):
+        with pytest.raises(InputError, match=f"^v: expected finite numbers, got {bad}$"):
+            as_number_array(value, "v")
+
+
 @pytest.mark.parametrize("value, message", [
     (2**63, f"x: category id {2**63} exceeds {2**63 - 1}"),
     (-1, "x must be >= 0, got -1"),

@@ -1,22 +1,25 @@
-"""Shrinkage covariance and per-category information amounts."""
+"""Clip floor and per-category information amounts."""
 
 import re
 
 import numpy as np
 import pytest
 
+from infomargin.cli import main
 from infomargin.errors import InputError
+from infomargin.fileio import write_json
 from infomargin.info import (
     InfoAmountTable,
     info_table_from_json,
     info_table_to_json,
-    information_amount,
     information_amount_from_embeddings,
     information_amounts_from_stats,
     lambda_minus,
-    shrink_covariance,
 )
-from infomargin.stats import CategoryStats, EpochAccumulator, GlobalStats
+from infomargin.stats import CategoryStats, EpochAccumulator, GlobalStats, global_stats_to_json
+from infomargin.trainer import SyntheticSpec, TrainConfig, train
+
+from conftest import reference_amount
 
 
 def closed_form_identical(p, m):
@@ -28,6 +31,15 @@ def closed_form_identical(p, m):
     """
     lam = (1.0 - np.sqrt(p / m)) ** 2
     return 0.5 * p * np.log2(1.0 + lam)
+
+
+def amount(cov, m):
+    """The amount `information_amounts_from_stats` reports for one category of
+    m records with covariance `cov`; m = p scores `cov` unclipped."""
+    cov = np.asarray(cov, dtype=np.float64)
+    p = cov.shape[0]
+    stats = GlobalStats(p=p, categories={0: CategoryStats(total=m, mean=np.zeros(p), cov=cov)})
+    return float(information_amounts_from_stats(stats).amounts[0])
 
 
 # --------------------------------------------------------------- shrinkage
@@ -63,8 +75,8 @@ def test_spec_rejects_nonpositive_sizes():
 def test_sample_count_must_be_a_positive_integer(m, message):
     with pytest.raises(InputError, match=re.escape(message)):
         lambda_minus(2, m)
-    with pytest.raises(InputError, match=re.escape(message)):
-        shrink_covariance(np.eye(2), m)
+    with pytest.raises(InputError, match=re.escape(f"category 0: {message}")):
+        amount(np.eye(2), m)
 
 
 def test_dimension_must_be_an_integer():
@@ -74,70 +86,55 @@ def test_dimension_must_be_an_integer():
 
 def test_empty_covariance_is_rejected():
     message = "covariance must be square and nonempty, got shape (0, 0)"
-    with pytest.raises(InputError, match=re.escape(message)):
-        information_amount(np.zeros((0, 0)))
-    with pytest.raises(InputError, match=re.escape(message)):
-        shrink_covariance(np.zeros((0, 0)), 3)
+    with pytest.raises(InputError, match=re.escape(f"category 0: {message}")):
+        amount(np.zeros((0, 0)), 3)
 
 
 def test_shrink_zero_matrix_lifts_to_clip_level():
-    out = shrink_covariance(np.zeros((4, 4)), 16)
-    assert np.allclose(out, 0.25 * np.eye(4), rtol=0, atol=1e-14)
+    # Every eigenvalue is lifted to (1 - sqrt(4/16))^2 = 0.25.
+    assert amount(np.zeros((4, 4)), 16) == pytest.approx(2.0 * np.log2(1.25), rel=1e-14)
 
 
 def test_shrink_is_identity_when_spectrum_clears_clip():
     # Clip level for p=3, m=300 is (1 - 0.1)^2 = 0.81; eigenvalues 1, 2, 3
-    # all clear it, so the matrix passes through unchanged.
+    # all clear it, so the amount is that of the matrix as given.
     rng = np.random.default_rng(31)
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     cov = Q @ np.diag([1.0, 2.0, 3.0]) @ Q.T
     cov = (cov + cov.T) / 2
-    out = shrink_covariance(cov, 300)
-    assert np.allclose(out, cov, rtol=1e-10, atol=1e-12)
+    assert amount(cov, 300) == pytest.approx(0.5 * np.log2(2.0 * 3.0 * 4.0), rel=1e-12)
+    assert amount(cov, 300) == amount(cov, 3)
 
 
 def test_shrink_clips_only_small_eigenvalues():
-    cov = np.diag([4.0, 0.01])
-    out = shrink_covariance(cov, 8)  # clip level (1 - sqrt(2/8))^2 = 0.25
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [0.25, 4.0], atol=1e-12)
+    # Clip level (1 - sqrt(2/8))^2 = 0.25 lifts 0.01 and leaves 4.
+    expected = 0.5 * (np.log2(1.25) + np.log2(5.0))
+    assert amount(np.diag([4.0, 0.01]), 8) == pytest.approx(expected, rel=1e-14)
 
 
 def test_shrink_rejects_asymmetric_and_misshaped():
-    with pytest.raises(InputError):
-        shrink_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
-    with pytest.raises(InputError):
-        shrink_covariance(np.ones((2, 3)), 10)
+    with pytest.raises(InputError, match=re.escape("category 0: covariance is not symmetric")):
+        amount(np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
+    with pytest.raises(InputError, match=re.escape("category 0: covariance has shape (2, 3)")):
+        amount(np.ones((2, 3)), 10)
 
 
 def test_shrink_rejects_clearly_negative_eigenvalue():
-    with pytest.raises(InputError):
-        shrink_covariance(np.diag([1.0, -0.5]), 10)
+    with pytest.raises(InputError, match="category 0: covariance is not positive semidefinite"):
+        amount(np.diag([1.0, -0.5]), 10)
 
 
 def test_shrink_tolerates_tiny_negative_roundoff():
-    out = shrink_covariance(np.diag([1.0, -1e-8]), 10)
     lam = lambda_minus(2, 10)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [lam, 1.0], atol=1e-12)
-
-
-def test_shrink_output_symmetric_and_floor_respected():
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        p = int(rng.integers(1, 8))
-        m = int(rng.integers(1, 60))
-        A = rng.normal(size=(p, max(p, 2)))
-        cov = A @ A.T / A.shape[1]
-        cov = (cov + cov.T) / 2
-        out = shrink_covariance(cov, m)
-        assert np.allclose(out, out.T, atol=1e-14)
-        assert np.linalg.eigvalsh(out).min() >= lambda_minus(p, m) - 1e-10
+    expected = 0.5 * (np.log2(1.0 + lam) + 1.0)
+    assert amount(np.diag([1.0, -1e-8]), 10) == pytest.approx(expected, rel=1e-14)
 
 
 # ------------------------------------------------------- information amount
 
 
 def test_zero_information_for_zero_matrix():
-    assert information_amount(np.zeros((3, 3))) == 0.0
+    assert amount(np.zeros((3, 3)), 3) == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 3, 8])
@@ -145,20 +142,20 @@ def test_zero_information_for_zero_matrix():
 def test_isotropic_matrix_closed_form(p, s2):
     # det(I + s2*I) = (1 + s2)^p, so the amount is (p/2) * log2(1 + s2).
     expected = 0.5 * p * np.log2(1.0 + s2)
-    assert information_amount(s2 * np.eye(p)) == pytest.approx(expected, rel=1e-14)
+    assert amount(s2 * np.eye(p), p) == pytest.approx(expected, rel=1e-14)
 
 
 def test_unit_scalar_matrix_gives_half_bit():
-    assert information_amount(np.array([[1.0]])) == pytest.approx(0.5, abs=1e-15)
+    assert amount(np.array([[1.0]]), 1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_information_rejects_negative_eigenvalue():
-    with pytest.raises(InputError):
-        information_amount(np.diag([1.0, -0.5]))
+    with pytest.raises(InputError, match="not positive semidefinite: eigenvalue -0.5"):
+        amount(np.diag([1.0, -0.5]), 2)
 
 
 def test_information_floors_roundoff_negatives():
-    assert information_amount(np.diag([0.0, -1e-8])) == pytest.approx(0.0, abs=1e-8)
+    assert amount(np.diag([0.0, -1e-8]), 2) == 0.0
 
 
 def test_pipeline_matches_manual_composition():
@@ -167,8 +164,8 @@ def test_pipeline_matches_manual_composition():
     mean = X.mean(axis=0)
     cov = (X - mean).T @ (X - mean) / X.shape[0]
     cov = (cov + cov.T) / 2
-    manual = information_amount(shrink_covariance(cov, 40))
-    assert information_amount_from_embeddings(X) == pytest.approx(manual, rel=1e-14)
+    manual = reference_amount(cov, 40)
+    assert information_amount_from_embeddings(X) == pytest.approx(manual, rel=1e-12)
 
 
 def test_identical_embeddings_closed_form_grid():
@@ -205,7 +202,7 @@ def test_rotation_invariance():
 
 
 def test_monotone_in_isotropic_spread():
-    amounts = [information_amount(s2 * np.eye(4)) for s2 in (0.25, 1.0, 4.0, 16.0)]
+    amounts = [amount(s2 * np.eye(4), 4) for s2 in (0.25, 1.0, 4.0, 16.0)]
     assert all(a < b for a, b in zip(amounts, amounts[1:]))
 
 
@@ -279,13 +276,13 @@ def random_stats(rng, p, counts):
     (1, [1, 2, 9]),
 ])
 def test_amounts_from_stats_match_shrink_then_score(p, counts):
-    # One eigvalsh of the covariance, clipped, equals the two-step route
-    # through the rebuilt shrunk matrix to round-off.
+    # One eigvalsh of the covariance, clipped, equals the paper's log-det of
+    # I plus the rebuilt shrunk matrix to round-off.
     stats = random_stats(np.random.default_rng([36, p, len(counts)]), p, counts)
     table = information_amounts_from_stats(stats)
     for cat, cs in stats.categories.items():
-        two_step = information_amount(shrink_covariance(cs.cov, cs.total))
-        assert table.amounts[cat] == pytest.approx(two_step, rel=1e-12, abs=0), (cat, cs.total)
+        expected = reference_amount(cs.cov, cs.total)
+        assert table.amounts[cat] == pytest.approx(expected, rel=1e-12, abs=0), (cat, cs.total)
 
 
 @pytest.mark.parametrize("cov", [
@@ -296,7 +293,7 @@ def test_amounts_from_stats_match_shrink_then_score(p, counts):
 ])
 def test_amounts_from_stats_reject_malformed_covariance(cov):
     stats = GlobalStats(p=2, categories={0: CategoryStats(total=5, mean=np.zeros(2), cov=cov)})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^category 0: "):
         information_amounts_from_stats(stats)
     if cov.shape != (2, 2):
         with pytest.raises(InputError, match=re.escape(
@@ -304,7 +301,10 @@ def test_amounts_from_stats_reject_malformed_covariance(cov):
             information_amounts_from_stats(stats)
 
 
-def test_refresh_makes_one_eigvalsh_per_category(monkeypatch):
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Calls of `numpy.linalg.eigh` and `eigvalsh`, counted by wrapping them by
+    name, as the benchmark's tracer does for `info.eig_calls`."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         real = getattr(np.linalg, name)
@@ -314,11 +314,26 @@ def test_refresh_makes_one_eigvalsh_per_category(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_refresh_makes_one_eigvalsh_per_category(eig_calls):
     stats = random_stats(np.random.default_rng(37), 4, [1, 3, 4, 20, 100])
     information_amounts_from_stats(stats)
-    assert calls == {"eigh": 0, "eigvalsh": 5}
+    assert eig_calls == {"eigh": 0, "eigvalsh": 5}
     information_amount_from_embeddings(np.random.default_rng(38).normal(size=(10, 4)))
-    assert calls == {"eigh": 0, "eigvalsh": 6}
+    assert eig_calls == {"eigh": 0, "eigvalsh": 6}
+
+
+def test_cli_and_trainer_refresh_one_eigvalsh_per_category(eig_calls, tmp_path, capsys):
+    # `info` and each epoch of `train` are the other refreshes the tracer counts.
+    path = tmp_path / "stats.json"
+    write_json(path, global_stats_to_json(random_stats(np.random.default_rng(39), 3, [2, 5, 9])))
+    assert main(["info", str(path)]) == 0 and capsys.readouterr().err == ""
+    assert eig_calls == {"eigh": 0, "eigvalsh": 3}
+    spec = SyntheticSpec(C=4, p=3, n_train=12, n_test=5, spreads=[1.0] * 4, mean_separation=2.0)
+    train(spec, TrainConfig(loss="igam", epochs=2, queue_len=10, batch_size=8))
+    assert eig_calls == {"eigh": 0, "eigvalsh": 3 + 2 * 4}
 
 
 def test_embeddings_input_validation():
@@ -408,7 +423,7 @@ def test_exactly_symmetric_covariance_is_used_as_given():
     assert _checked_symmetric(cov) is cov
     # The amounts equal those read off the explicitly symmetrized matrix.
     sym = 0.5 * (cov + cov.T)
-    assert information_amount(cov) == float(np.sum(np.log2(1.0 + np.linalg.eigvalsh(sym))) / 2)
+    assert amount(cov, 7) == float(np.sum(np.log2(1.0 + np.linalg.eigvalsh(sym))) / 2)
     floored = np.maximum(np.linalg.eigvalsh(sym), lambda_minus(7, 5))
     stats = GlobalStats(p=7, categories={0: CategoryStats(total=5, mean=np.zeros(7), cov=cov)})
     assert information_amounts_from_stats(stats).amounts[0] == float(

@@ -650,6 +650,38 @@ def test_ce_accepts_zero_norm_rows():
     assert np.isfinite(result.reports[0].loss_mean)
 
 
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_class_without_rows_is_rejected(part):
+    # Without test rows a class's accuracy is 0/0; without train rows it has
+    # no amount to set its margins.
+    spec = small_spec()
+    ds = generate_dataset(spec)
+    keep = getattr(ds, f"{part}_y") != 2
+    setattr(ds, f"{part}_X", getattr(ds, f"{part}_X")[keep])
+    setattr(ds, f"{part}_y", getattr(ds, f"{part}_y")[keep])
+    getattr(ds, f"{part}_counts")[2] = 0
+    for loss in LOSSES:
+        with pytest.raises(InputError, match=f"^class 2 has no {part} rows$"):
+            train(spec, TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90),
+                  dataset=ds)
+
+
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_counts_must_match_labels(part):
+    spec = small_spec()
+    config = TrainConfig(epochs=1, batch_size=16, queue_len=90)
+    ds = generate_dataset(spec)
+    getattr(ds, f"{part}_y")[0] = 1  # the first row was class 0's
+    n = {"train": 60, "test": 30}[part]
+    message = f"class 0: {part}_counts gives {n} rows, but the labels hold {n - 1}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        train(spec, config, dataset=ds)
+    ds = generate_dataset(spec)
+    setattr(ds, f"{part}_counts", getattr(ds, f"{part}_counts")[:2])
+    with pytest.raises(InputError, match=re.escape(f"{part}_counts has shape (2,), expected (3,)")):
+        train(spec, config, dataset=ds)
+
+
 def test_dataset_shapes_and_dtypes_checked():
     spec = small_spec()
     config = TrainConfig(epochs=1, batch_size=16, queue_len=90)
