@@ -67,9 +67,9 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _cmd_stats(args) -> int:
-    # Binary or CSV, the file is read one window of records at a time, and each
-    # chunk is dropped before the next is read (the accumulator keeps none once
-    # its window closes), so one window is in memory. The capacity is checked first.
+    # The file is read one window of records at a time, and each chunk is
+    # dropped before the next is read (the accumulator keeps none once its
+    # window closes), so one window is in memory. The capacity is checked first.
     as_int(args.queue_len, "queue capacity", minimum=1)
     p, chunks = fileio.iter_embeddings(args.input, chunk=args.queue_len)
     acc = EpochAccumulator(capacity=args.queue_len, p=p)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="merged per-category statistics from embeddings")
-    p_stats.add_argument("input", help="embedding file, binary or CSV (told apart by content)")
+    p_stats.add_argument("input", help="embedding file")
     p_stats.add_argument("--queue-len", type=int, default=50000,
                          help="queue capacity d (default 50000)")
     p_stats.add_argument("--out", default=None, help="write JSON here instead of stdout")

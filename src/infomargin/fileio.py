@@ -1,24 +1,21 @@
-"""Embedding file formats and canonical JSON serialization.
+"""The embedding file format and canonical JSON serialization.
 
 Binary layout (little-endian throughout): 8-byte ASCII magic "IGAMEMB1",
 u32 embedding dimension p, u64 record count, then per record a u32
-category id followed by p IEEE-754 32-bit floats. The CSV alternative is
-UTF-8 text headered `category,e0,...,e{p-1}`. A file names its own format:
-one that starts with `category`, after an optional UTF-8 byte-order mark, is
-read as CSV, any other as binary.
+category id followed by p IEEE-754 32-bit floats. It is the one embedding
+format.
 
 Embeddings are stored at 32-bit precision on disk regardless of in-memory
-precision; readers promote to float64. Malformed binary input is reported
-with the byte offset of the problem, and malformed CSV input with its line.
-The writers check their arrays with `errors.as_batch`, as every (features,
-ids) entry point of the package does; the binary writer adds the u32 range
-of its id field.
+precision; the reader promotes to float64. Malformed input is reported with
+the byte offset of the problem. The writer checks its arrays with
+`errors.as_batch`, as every (features, ids) entry point of the package does,
+and adds the u32 range of its id field.
 
 `iter_embeddings` is the one reader: it yields a file as (X, categories)
-chunks. The header, and a binary file's size, are checked before any
-record is read, and then the records are read `chunk` at a time, so a
-caller that folds each chunk away holds one chunk of records, never the
-file, in either format; `read_embeddings` is its one-chunk case.
+chunks. The header and the file's size are checked before any record is
+read, and then the records are read `chunk` at a time, so a caller that
+folds each chunk away holds one chunk of records, never the file;
+`read_embeddings` is its one-chunk case.
 
 JSON emitted here is canonical: sorted keys, two-space indent, shortest
 round-trip float formatting, no NaN/Infinity, trailing newline — so that
@@ -43,8 +40,6 @@ lists into arrays as the entry is parsed.
 
 from __future__ import annotations
 
-import codecs
-import csv
 import json
 import os
 import stat
@@ -53,14 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, as_batch, as_id, as_int
+from .errors import InputError, as_batch, as_int
 
 __all__ = [
     "MAGIC",
     "iter_embeddings",
     "read_embeddings",
     "write_embeddings_binary",
-    "write_embeddings_csv",
     "canonical_dumps",
     "write_json",
     "read_json",
@@ -68,17 +62,12 @@ __all__ = [
 
 MAGIC = b"IGAMEMB1"
 _HEADER = struct.Struct("<8sIQ")
-# A file that starts with these bytes, after an optional UTF-8 byte-order
-# mark, is read as CSV, any other as binary.
-_CSV_START = b"category"
 
 
 def iter_embeddings(path, chunk: int | None = None):
     """(p, chunks): the embedding dimension and an iterator of (X, categories).
 
-    The format is read from the file's first bytes: CSV if it starts with
-    `category` (after an optional UTF-8 byte-order mark), else binary. The
-    header (and a binary file's size) is checked now; the records are read
+    The header and the file's size are checked now; the records are read
     lazily, `chunk` at a time (all at once when `chunk` is None).
     """
     if chunk is not None:
@@ -86,28 +75,10 @@ def iter_embeddings(path, chunk: int | None = None):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
-    if head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_START):
-        chunks = _csv_chunks(path, chunk)
-        return next(chunks), chunks
-    return _iter_binary(path, head, size, chunk)
-
-
-def read_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a whole embedding file; returns (X float64 (n, p), categories int64)."""
-    _, chunks = iter_embeddings(path)
-    return next(chunks)
-
-
-def _record_dtype(p: int) -> np.dtype:
-    return np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
-
-
-def _iter_binary(path, head: bytes, size: int, chunk: int | None):
-    """Check a binary file's header and size; return (p, lazy chunk iterator)."""
     # A short file whose bytes agree with the magic so far is a truncated one.
     if not head.startswith(MAGIC[:len(head)]):
-        raise InputError(f"{path}: bad magic {head[:len(MAGIC)]!r} at byte offset 0 (expected "
-                         f"{MAGIC!r}, or a CSV header 'category,e0,...')")
+        raise InputError(f"{path}: bad magic {head[:len(MAGIC)]!r} at byte offset 0 "
+                         f"(expected {MAGIC!r})")
     if len(head) < _HEADER.size:
         raise InputError(
             f"{path}: truncated header, {len(head)} bytes at byte offset 0 "
@@ -127,6 +98,16 @@ def _iter_binary(path, head: bytes, size: int, chunk: int | None):
     if count == 0:
         raise InputError(f"{path}: no records after the header")
     return p, _binary_chunks(path, p, count, count if chunk is None else chunk)
+
+
+def read_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a whole embedding file; returns (X float64 (n, p), categories int64)."""
+    _, chunks = iter_embeddings(path)
+    return next(chunks)
+
+
+def _record_dtype(p: int) -> np.dtype:
+    return np.dtype([("category", "<u4"), ("vector", "<f4", (p,))])
 
 
 def _binary_chunks(path, p: int, count: int, chunk: int):
@@ -169,79 +150,6 @@ def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, p, n))
         fh.write(records.tobytes())
-
-
-def _csv_header(p: int) -> list[str]:
-    return ["category"] + [f"e{i}" for i in range(p)]
-
-
-def _csv_arrays(rows: list, cats: list) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(rows, dtype=np.float64), np.asarray(cats, dtype=np.int64)
-
-
-def _csv_chunks(path, chunk: int | None):
-    """A CSV file's p once its header is checked, then its records `chunk` at a time."""
-    cats, rows, read = [], [], 0
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            p = len(header) - 1
-            if p < 1 or header != _csv_header(p):
-                raise InputError(
-                    f"{path}: line 1: bad header {header!r}, expected 'category,e0,...'"
-                )
-            yield p
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != p + 1:
-                    raise InputError(
-                        f"{path}: line {lineno}: expected {p + 1} fields, got {len(row)}"
-                    )
-                try:
-                    cat = int(row[0])
-                    vec = [float(v) for v in row[1:]]
-                except ValueError as exc:
-                    raise InputError(f"{path}: line {lineno}: {exc}") from exc
-                # int() and float() also take "1_0", "+0" and " 7": an id must be
-                # spelled as `str(int)` spells it, and no coordinate holds a "_".
-                if str(cat) != row[0]:
-                    raise InputError(f"{path}: line {lineno}: category {row[0]!r} is not a "
-                                     "canonical decimal id")
-                if any("_" in v for v in row[1:]):
-                    raise InputError(f"{path}: line {lineno}: '_' in a coordinate")
-                if cat < 0:
-                    raise InputError(f"{path}: line {lineno}: negative category id {cat}")
-                as_id(cat, f"{path}: line {lineno}")
-                if not all(np.isfinite(vec)):
-                    raise InputError(f"{path}: line {lineno}: non-finite coordinate")
-                cats.append(cat)
-                rows.append(vec)
-                if len(rows) == chunk:
-                    out = _csv_arrays(rows, cats)
-                    # The parsed rows go before the yield, as a binary chunk's records do.
-                    cats, rows, read = [], [], read + chunk
-                    yield out
-                    del out
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    if rows:
-        yield _csv_arrays(rows, cats)
-    elif not read:
-        raise InputError(f"{path}: no records after the header")
-
-
-def write_embeddings_csv(path, X: np.ndarray, categories: np.ndarray) -> None:
-    X, categories = as_batch(X, categories, str(path))
-    # Round-trip through the on-disk f32 precision so CSV and binary
-    # encodings of the same data load identically.
-    X32 = X.astype(np.float32)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(X.shape[1]))
-        for cat, row in zip(categories, X32):
-            writer.writerow([int(cat)] + [repr(float(v)) for v in row])
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -164,12 +164,8 @@ class EpochAccumulator:
     """
 
     def __init__(self, capacity: int, p: int):
-        if capacity < 1:
-            raise InputError(f"queue capacity must be >= 1, got {capacity}")
-        if p < 1:
-            raise InputError(f"embedding dimension must be >= 1, got {p}")
-        self.capacity = capacity
-        self.p = p
+        self.capacity = as_int(capacity, "queue capacity", minimum=1)
+        self.p = as_int(p, "embedding dimension", minimum=1)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_rows = 0
         self._running: dict[int, CategoryStats] = {}
@@ -281,14 +277,20 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
         )
     categories: dict[int, CategoryStats] = {}
     for i, entry in enumerate(entries):
+        where = f"categories[{i}]"
         try:
             raw_id, raw_count = entry["id"], entry["count"]
-            mean = as_number_array(entry["mean"], "mean")
-            cov = as_number_array(entry["cov_row_major"], "cov_row_major").reshape(p, p)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed statistics entry: {exc}") from exc
-        cat = as_id(raw_id, f"categories[{i}].id")
-        count = as_int(raw_count, f"categories[{i}].count", minimum=1)
+            raw_mean, raw_cov = entry["mean"], entry["cov_row_major"]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{where}: malformed statistics entry: {exc}") from exc
+        mean = as_number_array(raw_mean, f"{where}.mean")
+        cov = as_number_array(raw_cov, f"{where}.cov_row_major")
+        try:
+            cov = cov.reshape(p, p)
+        except ValueError as exc:
+            raise InputError(f"{where}.cov_row_major: {exc}") from None
+        cat = as_id(raw_id, f"{where}.id")
+        count = as_int(raw_count, f"{where}.count", minimum=1)
         if cat in categories:
             raise InputError(f"category {cat} appears more than once")
         if mean.shape != (p,):

@@ -152,8 +152,6 @@ class Dataset:
     train_y: np.ndarray
     test_X: np.ndarray
     test_y: np.ndarray
-    train_counts: np.ndarray
-    test_counts: np.ndarray
     spec: SyntheticSpec
 
 
@@ -220,8 +218,6 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
         train_y=np.repeat(classes, spec.n_train),
         test_X=test_X,
         test_y=np.repeat(classes, spec.n_test),
-        train_counts=np.asarray(spec.n_train, dtype=np.int64),
-        test_counts=np.asarray(spec.n_test, dtype=np.int64),
         spec=spec,
     )
 
@@ -273,12 +269,12 @@ def train(
     """Run one training configuration end to end.
 
     The dataset is checked once, before any SGD step: finite features,
-    labels in [0, C), train and test rows for every class, counts that match
-    the labels, and for the cosine losses no zero-norm feature row. Errors
-    name the dataset row or the class. The cosine losses normalize the train
-    and test rows once per run; each step gathers its unit rows, normalizes
-    the weights and runs the loss kernel, with the same bits as `igam_batch`
-    and `normface_batch` on the raw rows.
+    labels in [0, C), train and test rows for every class, and for the
+    cosine losses no zero-norm feature row. Errors name the dataset row or
+    the class. The cosine losses normalize the train and test rows once per
+    run; each step gathers its unit rows, normalizes the weights and runs
+    the loss kernel, with the same bits as `igam_batch` and `normface_batch`
+    on the raw rows.
 
     Each epoch's rows are added to the accumulator as one array in SGD
     order. Since the features do not depend on the weights, this cuts the
@@ -297,21 +293,15 @@ def train(
     C, p = spec.C, spec.p
     # The run reads the dataset's arrays in place, so its features must
     # already be float64.
+    counts = {}
     for part in ("train", "test"):
         X = getattr(dataset, f"{part}_X")
         if X.dtype != np.float64:
             raise InputError(f"{part}_X must be a float64 array, got dtype {X.dtype}")
         _, y = as_batch(X, getattr(dataset, f"{part}_y"), f"{part} data", p=p, C=C)
-        counts = np.bincount(y, minlength=C)
-        given = np.asarray(getattr(dataset, f"{part}_counts"))
-        if not counts.all():
-            raise InputError(f"class {np.argmin(counts)} has no {part} rows")
-        if given.shape != (C,):
-            raise InputError(f"{part}_counts has shape {given.shape}, expected ({C},)")
-        if (given != counts).any():
-            c = int(np.argmax(given != counts))
-            raise InputError(f"class {c}: {part}_counts gives {given[c]} rows, "
-                             f"but the labels hold {counts[c]}")
+        counts[part] = np.bincount(y, minlength=C)
+        if not counts[part].all():
+            raise InputError(f"class {np.argmin(counts[part])} has no {part} rows")
     n_total = dataset.train_X.shape[0]
     cosine = config.loss != "ce"
     if cosine:
@@ -373,14 +363,14 @@ def train(
         else:
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         hits = np.bincount(dataset.test_y, weights=preds == dataset.test_y, minlength=C)
-        acc = hits / dataset.test_counts
+        acc = hits / counts["test"]
         reports.append(EpochReport(
             epoch=epoch,
             per_class_accuracy=acc,
             info_amounts=table.amounts,
             bias_variance=bias_variance(acc),
             pearson_info_acc=_maybe_pearson(table.amounts, acc),
-            pearson_count_acc=_maybe_pearson(dataset.train_counts, acc),
+            pearson_count_acc=_maybe_pearson(counts["train"], acc),
             loss_mean=loss_total / n_total,
         ))
 

@@ -24,10 +24,8 @@ from infomargin import trainer as trainer_module
 from infomargin.cli import main
 from infomargin.fileio import (
     canonical_dumps,
-    read_embeddings,
     read_json,
     write_embeddings_binary,
-    write_embeddings_csv,
     write_json,
 )
 from infomargin.runconfig import parse_run_config
@@ -88,43 +86,8 @@ def test_stats_counts_each_record_once(tmp_path, capsys):
         assert np.allclose(entry["mean"], rows.mean(axis=0), rtol=1e-10, atol=1e-12)
 
 
-def test_stats_csv_and_binary_agree_byte_for_byte(tmp_path, capsys):
-    # Both files are read one window at a time; the windows, and so the
-    # output, are the same for every queue length, including one record,
-    # N - 1, N and beyond N. The content names the format, so a binary file
-    # named .csv and a CSV file named .dat read the same.
-    rng = np.random.default_rng(102)
-    N = 10
-    X = rng.normal(size=(N, 4))
-    cats = rng.integers(0, 3, size=N)
-    write_embeddings_binary(tmp_path / "e.bin", X, cats)
-    write_embeddings_csv(tmp_path / "e.csv", X, cats)
-    write_embeddings_binary(tmp_path / "b.csv", X, cats)
-    write_embeddings_csv(tmp_path / "c.dat", X, cats)
-    for d in (1, 4, 7, N - 1, N, N + 5):
-        _, out_bin, _ = run(capsys, "stats", str(tmp_path / "e.bin"), "--queue-len", str(d))
-        for name in ("e.csv", "b.csv", "c.dat"):
-            _, out, _ = run(capsys, "stats", str(tmp_path / name), "--queue-len", str(d))
-            assert out_bin and out_bin == out, (d, name)
-
-
-def test_stats_reads_csv_with_byte_order_mark(tmp_path, capsys):
-    # Some spreadsheet tools start a UTF-8 CSV with a byte-order mark; the
-    # file reads as the same file without it.
-    text = b"category,e0\n0,1.5\n1,2.5\n"
-    (tmp_path / "plain.csv").write_bytes(text)
-    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
-    code, plain, err = run(capsys, "stats", str(tmp_path / "plain.csv"))
-    assert code == 0 and err == ""
-    code, bom, err = run(capsys, "stats", str(tmp_path / "bom.csv"))
-    assert code == 0 and err == ""
-    assert bom == plain
-
-
-@pytest.mark.parametrize("write", [write_embeddings_binary, write_embeddings_csv],
-                         ids=["bin", "csv"])
-def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys, write):
-    # A binary or CSV file is read one window of d records at a time and
+def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys):
+    # An embedding file is read one window of d records at a time and
     # each window is folded away, so `stats` peaks at the same traced bytes
     # on 10*d and on 50*d records; a whole-file read would grow with N.
     d, p, C = 128, 4, 3
@@ -133,7 +96,7 @@ def test_stats_binary_memory_does_not_grow_with_record_count(tmp_path, capsys, w
     peak = {}
     for K in (10, 50):
         path = tmp_path / f"e{K}"
-        write(path, rng.normal(size=(K * d, p)), np.arange(K * d) % C)
+        write_embeddings_binary(path, rng.normal(size=(K * d, p)), np.arange(K * d) % C)
         argv = ["stats", str(path), "--queue-len", str(d), "--out", str(out)]
         assert main(argv) == 0  # warm up numpy's lazy imports and caches
         tracemalloc.start()
@@ -194,41 +157,36 @@ def test_stats_bad_queue_len_rejected_before_any_record(tmp_path, capsys, monkey
 
 
 def test_stats_empty_input_fails(tmp_path, capsys):
-    path = tmp_path / "empty.csv"
-    path.write_text("category,e0\n")
+    path = tmp_path / "empty.bin"
+    path.write_bytes(struct.pack("<8sIQ", b"IGAMEMB1", 1, 0))
     code, out, err = run(capsys, "stats", str(path))
     assert code == 2
     assert err.startswith("error:")
     assert "no records" in err
 
 
-@pytest.mark.parametrize("fmt", ["csv"])
-def test_stats_rejects_category_id_beyond_int64(tmp_path, capsys, fmt):
-    path = tmp_path / f"e.{fmt}"
-    path.write_text("category,e0\n0,1.0\n99999999999999999999,2.0\n")
-    code, out, err = run(capsys, "stats", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "line 3: category id 99999999999999999999 exceeds" in err
-
-
-_NOT_EMBEDDINGS = "at byte offset 0 (expected b'IGAMEMB1', or a CSV header 'category,e0,...')"
+_NOT_EMBEDDINGS = "at byte offset 0 (expected b'IGAMEMB1')"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["stats", "{tmp}/x.json"], "x.json: bad magic b'{\"p\": 1,' " + _NOT_EMBEDDINGS),
     (["loss-eval", "--features", "{tmp}/x.json", "--weights", "{tmp}/w.json"],
      "x.json: bad magic b'{\"p\": 1,' " + _NOT_EMBEDDINGS),
+    (["stats", "{tmp}/x.csv"], "x.csv: bad magic b'category' " + _NOT_EMBEDDINGS),
+    (["loss-eval", "--features", "{tmp}/x.csv", "--weights", "{tmp}/x.bin"],
+     "x.csv: bad magic b'category' " + _NOT_EMBEDDINGS),
     (["stats", "{tmp}/x.bin", "--format", "json"], "unrecognized arguments: --format json"),
     (["loss-eval", "--features", "{tmp}/x.bin", "--weights", "{tmp}/x.bin", "--format", "csv"],
      "unrecognized arguments: --format csv"),
-], ids=["stats", "loss-eval", "format-flag", "loss-eval-format-flag"])
+], ids=["stats", "loss-eval", "stats-csv", "loss-eval-csv", "format-flag",
+        "loss-eval-format-flag"])
 def test_json_embedding_input_exits_two(tmp_path, capsys, argv, message):
-    # JSON is not an embedding format: a document in its old layout does not
-    # start with a CSV header, so the binary reader refuses its magic. The
-    # file names its format, so `--format` is no flag of any subcommand.
+    # JSON and CSV are not embedding formats: a document in the old JSON
+    # layout or a file with the old CSV header fails the binary magic. There
+    # is one format, so `--format` is no flag of any subcommand.
     for name in ("x.json", "w.json"):
         (tmp_path / name).write_text('{"p": 1, "records": [{"category": 0, "vector": [1.0]}]}')
+    (tmp_path / "x.csv").write_text("category,e0\n0,1.0\n")
     write_sample_embeddings(tmp_path / "x.bin")
     try:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -243,46 +201,18 @@ def test_json_embedding_input_exits_two(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("content, message", [
     (b"", "truncated header, 0 bytes at byte offset 0 (need 20)"),
     (b"categroy,e0\n0,1.0\n", "bad magic b'categroy' " + _NOT_EMBEDDINGS),
-    (b"category,e0,e2\n0,1.0,2.0\n",
-     "line 1: bad header ['category', 'e0', 'e2'], expected 'category,e0,...'"),
+    (b"category,e0,e2\n0,1.0,2.0\n", "bad magic b'category' " + _NOT_EMBEDDINGS),
     (struct.pack("<8sIQ", b"IGAMEMB1", 2, 3) + struct.pack("<Iff", 0, 1.0, 2.0),
      "declared 3 records of 12 bytes, expected file size 56, got 32 (mismatch at byte offset 32)"),
 ], ids=["empty", "misspelled-csv-header", "csv-header", "truncated-binary"])
 @pytest.mark.parametrize("name", ["e.bin", "e.csv"])
 def test_stats_malformed_embedding_file_exits_two(tmp_path, capsys, content, message, name):
-    # Whatever the file is called, its content names the format and the error.
+    # Whatever the file is called, it is read as binary.
     path = tmp_path / name
     path.write_bytes(content)
     code, out, err = run(capsys, "stats", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
-
-
-@pytest.mark.parametrize("rows", [["1e308,2.0", "-1e308,3.0"], ["1e308,2.0", "1e308,3.0"]])
-def test_stats_overflowing_statistics_exit_three(tmp_path, capsys, rows):
-    # Finite records whose covariance (or mean) overflows float64: one
-    # `numerical error:` line naming the category, and no output file.
-    path = tmp_path / "big.csv"
-    path.write_text("category,e0,e1\n" + "".join(f"5,{r}\n" for r in rows))
-    out_path = tmp_path / "stats.json"
-    code, out, err = run(capsys, "stats", str(path), "--out", str(out_path))
-    assert code == 3 and out == ""
-    assert err.startswith("numerical error: category 5") and err.count("\n") == 1
-    assert not out_path.exists()
-
-
-@pytest.mark.parametrize("name, text, message", [
-    ("s.csv", "category,e0,e1\n1_0,0.5,1_0.5\n+0,1.0,2.0\n",
-     "line 2: category '1_0' is not a canonical decimal id"),
-    ("s.csv", "category,e0,e1\n0,0.5,1_0.5\n", "line 2: '_' in a coordinate"),
-    ("s.csv", "category,e0,e1\n-3,0.5,1.5\n", "line 2: negative category id -3"),
-], ids=["csv-category", "csv-coordinate", "csv-negative"])
-def test_stats_rejects_lenient_number_spellings(tmp_path, capsys, name, text, message):
-    path = tmp_path / name
-    path.write_text(text)
-    code, out, err = run(capsys, "stats", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_stats_writes_out_file(tmp_path, capsys):
@@ -439,7 +369,7 @@ def test_info_malformed_entry_same_error_with_and_without_hook(
                     '"cov_row_major": %(cov_row_major)s}]}' % values)
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: malformed statistics entry: ") and err.count("\n") == 1
+    assert err.startswith(f"error: categories[0].{field}: ") and err.count("\n") == 1
     assert message in err
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
@@ -460,7 +390,7 @@ def test_info_rejects_strings_and_nulls_as_numbers(
                     '"cov_row_major": %(cov_row_major)s}]}' % values)
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: malformed statistics entry: {field}: expected a list of numbers\n"
+    assert err == f"error: categories[0].{field}: expected a list of numbers\n"
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
@@ -477,7 +407,7 @@ def test_info_rejects_numbers_beyond_float64(tmp_path, capsys, monkeypatch, fiel
                     '"cov_row_major": %(cov_row_major)s}]}' % values)
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: malformed statistics entry: {message}\n"
+    assert err == f"error: categories[0].{message}\n"
     assert _info_without_hook(monkeypatch, capsys, path) == (code, out, err)
 
 
@@ -715,33 +645,6 @@ def test_loss_eval_reports_clamped_entries(loss_files, capsys):
     assert doc["saturated"] == 0
 
 
-def test_loss_eval_norm_overflow_exits_3(loss_files, capsys):
-    # Finite coordinates whose squared norm overflows float64.
-    (loss_files / "big.csv").write_text("category,e0,e1,e2,e3\n0,1e200,1e200,0,0\n")
-    code, out, err = run(
-        capsys, "loss-eval", "--features", str(loss_files / "big.csv"),
-        "--weights", str(loss_files / "w.bin"), "--loss", "igam",
-    )
-    assert code == 3 and out == ""
-    assert "feature vector at index 0 overflows" in err
-
-
-def test_loss_eval_tiny_norm_row_scores_like_its_direction(loss_files, capsys):
-    # Each square of 1e-200 underflows to 0; the row is rescaled, not
-    # rejected as zero-norm.
-    (loss_files / "tiny.csv").write_text("category,e0,e1,e2,e3\n0,1e-200,1e-200,0,0\n")
-    (loss_files / "unit.csv").write_text("category,e0,e1,e2,e3\n0,1,1,0,0\n")
-    docs = []
-    for name in ("tiny.csv", "unit.csv"):
-        code, out, err = run(
-            capsys, "loss-eval", "--features", str(loss_files / name),
-            "--weights", str(loss_files / "w.bin"), "--loss", "igam",
-        )
-        assert code == 0 and err == ""
-        docs.append(json.loads(out))
-    assert docs[0]["losses"] == docs[1]["losses"]
-
-
 @pytest.mark.parametrize("loss", ["igam", "normface"])
 def test_loss_eval_non_finite_loss_exits_3(loss_files, capsys, loss):
     # At s = 1e300 the logit gaps overflow exp, so the losses are inf.
@@ -763,18 +666,6 @@ def test_loss_eval_ce_ignores_scale(loss_files, capsys):
         "--weights", str(loss_files / "w.bin"), "--loss", "ce", "--s", "50",
     )
     assert json.loads(out_a)["losses"] == json.loads(out_b)["losses"]
-
-
-def test_loss_eval_mixes_binary_and_csv_files(loss_files, capsys):
-    # Each file names its own format, so binary features and CSV weights
-    # give the losses of the all-binary run.
-    W, ids = read_embeddings(loss_files / "w.bin")
-    write_embeddings_csv(loss_files / "w.csv", W, ids)
-    outs = [run(capsys, "loss-eval", "--features", str(loss_files / "x.bin"),
-                "--weights", str(loss_files / name), "--loss", "normface")
-            for name in ("w.bin", "w.csv")]
-    assert outs[0][0] == 0 and outs[0][2] == ""
-    assert outs[1] == outs[0]
 
 
 def test_loss_eval_rejects_bad_weight_ids(tmp_path, capsys):
@@ -1226,14 +1117,10 @@ def test_invalid_json_input_exits_two(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
-@pytest.mark.parametrize("argv, name, content", [
-    (["margins"], "info.json", b'{"epoch": 0, "info": {"0": 0.5, "1": "\xff"}}'),
-    (["stats"], "e.csv", b"category,e0\n0,1.0\n1,2.\xff\n"),
-], ids=["json", "csv"])
-def test_text_that_is_not_utf8_exits_two(tmp_path, capsys, argv, name, content):
-    path = tmp_path / name
-    path.write_bytes(content)
-    code, out, err = run(capsys, *argv, str(path))
+def test_text_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "info.json"
+    path.write_bytes(b'{"epoch": 0, "info": {"0": 0.5, "1": "\xff"}}')
+    code, out, err = run(capsys, "margins", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}: not UTF-8 text: invalid start byte\n"
 

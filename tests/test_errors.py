@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from infomargin.errors import InputError, as_batch, as_id, as_number_array
-from infomargin.fileio import write_embeddings_binary, write_embeddings_csv
+from infomargin.fileio import write_embeddings_binary
 from infomargin.loss import CosineClassifier, MarginMatrix, ce_batch, igam_batch, \
     normface_batch
 from infomargin.stats import EpochAccumulator, local_stats_from_arrays
@@ -46,7 +46,6 @@ def _entry_points(tmp_path):
     clf = CosineClassifier(np.eye(C, P))
     return {
         "write_embeddings_binary": lambda X, y: write_embeddings_binary(tmp_path / "e.bin", X, y),
-        "write_embeddings_csv": lambda X, y: write_embeddings_csv(tmp_path / "e.csv", X, y),
         "EpochAccumulator.add": lambda X, y: EpochAccumulator(capacity=1, p=P).add(X, y),
         "local_stats_from_arrays": local_stats_from_arrays,
         "igam_batch": lambda X, y: igam_batch(clf, X, y, MarginMatrix.zeros(C)),

@@ -1,4 +1,4 @@
-"""Embedding file formats and canonical JSON emission."""
+"""The embedding file format and canonical JSON emission."""
 
 import json
 import os
@@ -18,15 +18,11 @@ from infomargin.fileio import (
     read_embeddings,
     read_json,
     write_embeddings_binary,
-    write_embeddings_csv,
     write_json,
 )
 from infomargin.planner import PlanInput, optimal_queue_length, plan_result_to_json
 from infomargin.stats import EpochAccumulator, global_stats_to_json
 from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, run_report_to_json, train
-
-
-WRITERS = {"bin": write_embeddings_binary, "csv": write_embeddings_csv}
 
 
 @pytest.fixture
@@ -40,27 +36,14 @@ def sample():
 # ------------------------------------------------------------- round trips
 
 
-@pytest.mark.parametrize("ext", ["bin", "csv"])
-def test_round_trip_preserves_f32_payload(tmp_path, sample, ext):
+def test_round_trip_preserves_f32_payload(tmp_path, sample):
     X, cats = sample
-    path = tmp_path / f"emb.{ext}"
-    WRITERS[ext](path, X, cats)
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(path, X, cats)
     X2, cats2 = read_embeddings(path)
     # Storage is 32-bit; the round trip reproduces the f32 rounding exactly.
     assert np.array_equal(X2, X.astype(np.float32).astype(np.float64))
     assert np.array_equal(cats2, cats)
-
-
-def test_all_formats_load_identically(tmp_path, sample):
-    X, cats = sample
-    loads = []
-    for ext, write in WRITERS.items():
-        path = tmp_path / f"emb.{ext}"
-        write(path, X, cats)
-        loads.append(read_embeddings(path))
-    for X2, cats2 in loads[1:]:
-        assert np.array_equal(X2, loads[0][0])
-        assert np.array_equal(cats2, loads[0][1])
 
 
 def test_binary_layout_is_little_endian_fixed(tmp_path):
@@ -79,26 +62,27 @@ def test_binary_layout_is_little_endian_fixed(tmp_path):
 
 
 def test_format_is_read_from_content(tmp_path, sample):
-    # The first bytes name the format, whatever the file is called.
+    # The file name plays no part: a binary file named .csv reads, and a
+    # text file headered `category,e0` fails the magic, whatever its name.
     X, cats = sample
     write_embeddings_binary(tmp_path / "x.csv", X, cats)
-    write_embeddings_csv(tmp_path / "x.dat", X, cats)
     X_bin, cats_bin = read_embeddings(tmp_path / "x.csv")
-    X_csv, cats_csv = read_embeddings(tmp_path / "x.dat")
     assert np.array_equal(X_bin, X.astype(np.float32).astype(np.float64))
-    assert np.array_equal(X_csv, X_bin) and np.array_equal(cats_csv, cats_bin)
     assert np.array_equal(cats_bin, cats)
+    path = tmp_path / "x.bin"
+    path.write_text("category,e0\n0,1.0\n")
+    with pytest.raises(InputError, match=re.escape(
+            "bad magic b'category' at byte offset 0 (expected b'IGAMEMB1')")):
+        read_embeddings(path)
 
 
 # ----------------------------------------------------------- chunked reads
 
 
-@pytest.mark.parametrize("ext", ["bin", "csv"])
-def test_binary_chunks_tile_the_file(tmp_path, sample, ext):
-    # 13 records in chunks of 4: 4 + 4 + 4 + 1, concatenating to the whole
-    # file, in either format.
-    path = tmp_path / f"emb.{ext}"
-    WRITERS[ext](path, *sample)
+def test_binary_chunks_tile_the_file(tmp_path, sample):
+    # 13 records in chunks of 4: 4 + 4 + 4 + 1, concatenating to the whole file.
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(path, *sample)
     p, chunks = iter_embeddings(path, chunk=4)
     chunks = list(chunks)
     assert p == 5
@@ -119,33 +103,18 @@ def test_binary_header_checked_before_any_record(tmp_path):
         iter_embeddings(path, chunk=0)
 
 
-@pytest.mark.parametrize("ext", ["bin", "csv"])
 @pytest.mark.parametrize("chunk, message", [
     (0, "chunk size must be >= 1, got 0"),
     (2.5, "chunk size: expected an integer, got 2.5"),
     (True, "chunk size: expected an integer, got True"),
 ])
-def test_chunk_size_checked_when_called(tmp_path, sample, ext, chunk, message):
-    path = tmp_path / f"emb.{ext}"
-    WRITERS[ext](path, *sample)
+def test_chunk_size_checked_when_called(tmp_path, sample, chunk, message):
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(path, *sample)
     with pytest.raises(InputError, match=re.escape(message)):
         iter_embeddings(path, chunk=chunk)
     p, chunks = iter_embeddings(path, chunk=np.int64(13))
     assert p == 5 and len(list(chunks)) == 1
-
-
-def test_csv_header_checked_before_any_record(tmp_path):
-    # A bad header is found when the iterator is made; a bad record only
-    # when its chunk is read, after the chunks before it.
-    path = tmp_path / "h.csv"
-    path.write_text("category,e0,e2\n0,1.0,2.0\n")
-    with pytest.raises(InputError, match="line 1: bad header"):
-        iter_embeddings(path, chunk=1)
-    path.write_text("category,e0\n0,1.0\n1,2.0\n2,oops\n")
-    p, chunks = iter_embeddings(path, chunk=2)
-    assert p == 1 and next(chunks)[1].tolist() == [0, 1]
-    with pytest.raises(InputError, match="line 4"):
-        next(chunks)
 
 
 def test_binary_file_cut_after_the_check_is_reported(tmp_path, sample):
@@ -173,8 +142,7 @@ def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<8sIQ", b"NOTMAGIC", 2, 0))
     with pytest.raises(InputError, match=re.escape(
-            "bad magic b'NOTMAGIC' at byte offset 0 (expected b'IGAMEMB1', "
-            "or a CSV header 'category,e0,...')")):
+            "bad magic b'NOTMAGIC' at byte offset 0 (expected b'IGAMEMB1')")):
         read_embeddings(path)
 
 
@@ -210,94 +178,6 @@ def test_binary_zero_records_rejected(tmp_path):
         read_embeddings(path)
 
 
-# -------------------------------------------------------------- csv errors
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "h.csv"
-    path.write_text("category,x0,x1\n0,1.0,2.0\n")
-    with pytest.raises(InputError, match="line 1: bad header"):
-        read_embeddings(path)
-    # A file that does not start with `category` is not CSV: the binary
-    # reader's message names both formats.
-    path.write_text("cat,x0,x1\n0,1.0,2.0\n")
-    with pytest.raises(InputError, match=re.escape(
-            "bad magic b'cat,x0,x' at byte offset 0 (expected b'IGAMEMB1', "
-            "or a CSV header 'category,e0,...')")):
-        read_embeddings(path)
-
-
-def test_csv_rejects_wrong_field_count_with_line_number(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("category,e0,e1\n0,1.0,2.0\n1,3.0\n")
-    with pytest.raises(InputError, match="line 3: expected 3 fields, got 2"):
-        read_embeddings(path)
-
-
-def test_csv_rejects_non_numeric_and_negative(tmp_path):
-    path = tmp_path / "v.csv"
-    path.write_text("category,e0\n0,oops\n")
-    with pytest.raises(InputError, match="line 2"):
-        read_embeddings(path)
-    path.write_text("category,e0\n-3,1.0\n")
-    with pytest.raises(InputError, match="negative category id -3"):
-        read_embeddings(path)
-
-
-@pytest.mark.parametrize("rows, message", [
-    # int() takes each of these category spellings; only str(int) is kept.
-    (["1_0,0.5,1.5", "0,1.0,2.0"], "line 2: category '1_0' is not a canonical decimal id"),
-    (["0,0.5,1.5", "+0,1.0,2.0"], "line 3: category '+0' is not a canonical decimal id"),
-    (["07,0.5,1.5"], "line 2: category '07' is not a canonical decimal id"),
-    ([" 7,0.5,1.5"], "line 2: category ' 7' is not a canonical decimal id"),
-    (["-0,0.5,1.5"], "line 2: category '-0' is not a canonical decimal id"),
-    # float() takes "1_0.5" as 10.5.
-    (["0,0.5,1.5", "1,1.0,1_0.5"], "line 3: '_' in a coordinate"),
-])
-def test_csv_takes_only_plain_spellings(tmp_path, rows, message):
-    path = tmp_path / "s.csv"
-    path.write_text("category,e0,e1\n" + "\n".join(rows) + "\n")
-    with pytest.raises(InputError, match=re.escape(message)):
-        read_embeddings(path)
-
-
-@pytest.mark.parametrize("cat", [2**63, 99999999999999999999])
-def test_readers_reject_category_ids_beyond_int64(tmp_path, cat):
-    # The largest int64 id still reads; one more names the CSV line instead
-    # of overflowing in numpy.
-    csv_path = tmp_path / "big.csv"
-    csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n{cat},2.0\n")
-    with pytest.raises(InputError, match=f"line 3: category id {cat} exceeds {2**63 - 1}"):
-        read_embeddings(csv_path)
-    csv_path.write_text(f"category,e0\n{2**63 - 1},1.0\n")
-    assert read_embeddings(csv_path)[1].tolist() == [2**63 - 1]
-
-
-def test_csv_rejects_non_finite(tmp_path):
-    path = tmp_path / "n.csv"
-    path.write_text("category,e0\n0,inf\n")
-    with pytest.raises(InputError, match="line 2: non-finite"):
-        read_embeddings(path)
-
-
-def test_csv_rejects_header_only(tmp_path):
-    path = tmp_path / "e.csv"
-    path.write_text("category,e0,e1\n")
-    with pytest.raises(InputError, match="no records after the header"):
-        read_embeddings(path)
-    path.write_text("")
-    with pytest.raises(InputError, match=re.escape("truncated header, 0 bytes at byte offset 0")):
-        read_embeddings(path)
-
-
-def test_csv_skips_blank_lines(tmp_path):
-    path = tmp_path / "b.csv"
-    path.write_text("category,e0\n0,1.0\n\n1,2.0\n")
-    X, cats = read_embeddings(path)
-    assert np.array_equal(cats, [0, 1])
-    assert np.array_equal(X, [[1.0], [2.0]])
-
-
 # ------------------------------------------------------------- json errors
 
 
@@ -331,12 +211,12 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
     with pytest.raises(InputError, match=re.escape(
             f"a.bin: id {cats[0] - 10} in row 0 is outside [0, {2**63})")):
         write_embeddings_binary(tmp_path / "a.bin", X, cats - 10)
-    with pytest.raises(InputError, match="b.csv: non-finite value in row 2"):
+    with pytest.raises(InputError, match="b.bin: non-finite value in row 2"):
         bad = X.copy()
         bad[2, 1] = np.nan
-        write_embeddings_csv(tmp_path / "b.csv", bad, cats)
+        write_embeddings_binary(tmp_path / "b.bin", bad, cats)
     with pytest.raises(InputError, match=re.escape(f"ids of shape ({len(cats) - 1},) for {len(cats)} rows")):
-        write_embeddings_csv(tmp_path / "c.csv", X, cats[:-1])
+        write_embeddings_binary(tmp_path / "c.bin", X, cats[:-1])
     with pytest.raises(InputError, match="u32 range"):
         write_embeddings_binary(tmp_path / "d.bin", X[:1], np.array([2**32]))
 

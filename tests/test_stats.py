@@ -396,10 +396,17 @@ def test_queue_flag_refires_after_reset():
 
 
 def test_queue_rejects_dimension_mismatch_and_bad_capacity():
-    with pytest.raises(InputError):
-        EpochAccumulator(capacity=0, p=1)
-    with pytest.raises(InputError):
-        EpochAccumulator(capacity=2, p=0)
+    for capacity, p, message in [
+        (0, 1, "queue capacity must be >= 1, got 0"),
+        (2.5, 1, "queue capacity: expected an integer, got 2.5"),
+        (True, 1, "queue capacity: expected an integer, got True"),
+        ("3", 1, "queue capacity: expected an integer, got '3'"),
+        (2, 0, "embedding dimension must be >= 1, got 0"),
+        (2, 3.0, "embedding dimension: expected an integer, got 3.0"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            EpochAccumulator(capacity=capacity, p=p)
+    assert EpochAccumulator(capacity=np.int64(2), p=np.int64(3)).capacity == 2
     acc = EpochAccumulator(capacity=2, p=3)
     with pytest.raises(InputError):
         acc.add(np.zeros((1, 2)), [0])

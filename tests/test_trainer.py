@@ -62,7 +62,6 @@ def test_generate_dataset_counts_and_shapes():
     ds = generate_dataset(spec)
     assert ds.train_X.shape == (60, 4)
     assert ds.test_X.shape == (18, 4)
-    assert np.array_equal(ds.train_counts, [10, 20, 30])
     assert np.array_equal(np.bincount(ds.train_y), [10, 20, 30])
     assert np.array_equal(np.bincount(ds.test_y), [5, 6, 7])
 
@@ -105,8 +104,6 @@ def _reference_dataset(spec):
         train_y=np.concatenate(train_labels),
         test_X=np.concatenate(test_blocks),
         test_y=np.concatenate(test_labels),
-        train_counts=np.asarray(spec.n_train, dtype=np.int64),
-        test_counts=np.asarray(spec.n_test, dtype=np.int64),
     )
 
 
@@ -659,27 +656,10 @@ def test_class_without_rows_is_rejected(part):
     keep = getattr(ds, f"{part}_y") != 2
     setattr(ds, f"{part}_X", getattr(ds, f"{part}_X")[keep])
     setattr(ds, f"{part}_y", getattr(ds, f"{part}_y")[keep])
-    getattr(ds, f"{part}_counts")[2] = 0
     for loss in LOSSES:
         with pytest.raises(InputError, match=f"^class 2 has no {part} rows$"):
             train(spec, TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90),
                   dataset=ds)
-
-
-@pytest.mark.parametrize("part", ["train", "test"])
-def test_counts_must_match_labels(part):
-    spec = small_spec()
-    config = TrainConfig(epochs=1, batch_size=16, queue_len=90)
-    ds = generate_dataset(spec)
-    getattr(ds, f"{part}_y")[0] = 1  # the first row was class 0's
-    n = {"train": 60, "test": 30}[part]
-    message = f"class 0: {part}_counts gives {n} rows, but the labels hold {n - 1}"
-    with pytest.raises(InputError, match=re.escape(message)):
-        train(spec, config, dataset=ds)
-    ds = generate_dataset(spec)
-    setattr(ds, f"{part}_counts", getattr(ds, f"{part}_counts")[:2])
-    with pytest.raises(InputError, match=re.escape(f"{part}_counts has shape (2,), expected (3,)")):
-        train(spec, config, dataset=ds)
 
 
 def test_dataset_shapes_and_dtypes_checked():
