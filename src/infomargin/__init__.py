@@ -31,7 +31,6 @@ from .loss import (
     ce_batch,
     igam_batch,
     normalize_info,
-    normface_batch,
 )
 from .planner import (
     PlanInput,
@@ -73,7 +72,6 @@ __all__ = [
     "normalize_info",
     "build_margins",
     "igam_batch",
-    "normface_batch",
     "ce_batch",
     "PlanInput",
     "PlanResult",

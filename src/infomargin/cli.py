@@ -35,14 +35,12 @@ from . import fileio, trainer
 from .info import info_table_from_json, info_table_to_json, information_amounts_from_stats
 from .loss import (
     CosineClassifier,
-    MarginMatrix,
     build_margins,
     ce_batch,
     igam_batch,
     margins_from_json,
     margins_to_json,
     normalize_info,
-    normface_batch,
     MARGIN_DIRECTIONS,
     IBAR_MODES,
 )
@@ -96,6 +94,8 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_loss_eval(args) -> int:
+    if args.margins is not None and args.loss != "igam":
+        raise InputError("--margins applies only to --loss igam")
     X, labels = fileio.read_embeddings(args.features)
     Wraw, ids = fileio.read_embeddings(args.weights)
     C = Wraw.shape[0]
@@ -105,21 +105,16 @@ def _cmd_loss_eval(args) -> int:
         )
     W = Wraw[np.argsort(ids)]
     clf = CosineClassifier(W, scale=args.s)
+    margins = None
     if args.margins is not None:
         margins = margins_from_json(fileio.read_json(args.margins))
         if margins.C != C:
-            raise InputError(
-                f"{args.margins}: margin matrix is {margins.C}x{margins.C} "
-                f"but the weights define {C} classes"
-            )
-    else:
-        margins = MarginMatrix.zeros(C)
+            raise InputError(f"{args.margins}: margin matrix is {margins.C}x{margins.C} "
+                             f"but the weights define {C} classes")
     # A logit gap beyond exp's range makes a loss inf, reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.loss == "ce":
             out = ce_batch(clf, X, labels)
-        elif args.loss == "normface":
-            out = normface_batch(clf, X, labels)
         else:
             out = igam_batch(clf, X, labels, margins)
     bad = ~np.isfinite(out.losses)
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="embedding file; one record per class id")
     p_loss.add_argument("--loss", choices=LOSSES, default="igam")
     p_loss.add_argument("--margins", default=None,
-                        help="margin-matrix JSON (igam only; default all-zero)")
+                        help="margin-matrix JSON (igam only; default: no margins)")
     p_loss.add_argument("--s", type=float, default=30.0, help="logit scale (default 30)")
     p_loss.add_argument("--out", default=None)
     p_loss.set_defaults(func=_cmd_loss_eval)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks of inputs:
-integers, numbers and number lists from JSON, and (features, ids) batches.
+integers, numbers, objects and lists from JSON, and (features, ids) batches.
 
 The CLI maps these onto exit codes: InputError -> 2, NumericalError -> 3.
 """
@@ -56,6 +56,13 @@ def as_float(value, path: str) -> float:
     if not np.isfinite(out):
         raise InputError(f"{path}: expected a finite number, got {value!r}")
     return out
+
+
+def as_object(value, path: str) -> dict:
+    """`value` if it is a dict (a JSON object), else InputError naming `path`."""
+    if not isinstance(value, dict):
+        raise InputError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def as_choice(value, path: str, choices: tuple[str, ...]) -> str:

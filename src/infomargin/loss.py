@@ -10,18 +10,18 @@ in a scaled-cosine softmax loss:
     z_j = s * cos(theta_j + m_ij)         (other classes, j != i)
 
 so that against an information-rich target, competing classes must win by
-a larger angular gap. Two reference losses share the machinery: plain
-cross-entropy on raw inner products, and the zero-margin normalized-cosine
-loss (a zero margin matrix reduces the margined loss to it exactly).
+a larger angular gap. With no margins this is the normalized-cosine
+(NormFace) softmax loss, so one entry point gives both: `igam_batch` with a
+MarginMatrix, or with None for NormFace. Plain cross-entropy on raw inner
+products is the other reference loss.
 
-The losses are array-in/array-out: `igam_batch`, `normface_batch` and
-`ce_batch` take an (n, p) batch and return a LossBatch with per-sample
-losses, logits and the analytic gradients of the mean loss. A single
-sample is a one-row batch. Each checks its features and labels once with
-`errors.as_batch` (labels in [0, C)) and its weights for finite values,
-normalizes them for the cosine losses, and runs one private kernel
-(`_cosine_kernel` or `_ce_kernel`); the trainer runs the same kernels on
-rows it checked and normalized once per run.
+The losses are array-in/array-out: `igam_batch` and `ce_batch` take an
+(n, p) batch and return a LossBatch with per-sample losses, logits and the
+analytic gradients of the mean loss. A single sample is a one-row batch.
+Each checks its features and labels once with `errors.as_batch` (labels in
+[0, C)) and its weights for finite values, and runs one private kernel
+(`_cosine_kernel` on unit rows, or `_ce_kernel`); the trainer runs the
+same kernels on rows it checked and normalized once per run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "normalize_info",
     "build_margins",
     "igam_batch",
-    "normface_batch",
     "ce_batch",
     "margins_to_json",
     "margins_from_json",
@@ -67,13 +66,13 @@ _TINY = np.finfo(np.float64).tiny
 class MarginMatrix:
     """Pairwise angular margins in radians; row = true class, column = rival.
 
-    The diagonal is exactly zero. `build_margins` gives entries >= 0, with
-    m[i, j] > 0 exactly when I'_i > I'_j (target direction); one built
-    directly from an array may hold negative margins. `m` is a
-    read-only copy, so its values stay the checked ones and the losses do
-    not scan it again. The losses read cos and sin of the margins from
-    `_trig`, computed once on first use and read-only; a batch that meets
-    no nonzero margin never computes them.
+    `build_margins` gives a zero diagonal and entries >= 0, with m[i, j] > 0
+    exactly when I'_i > I'_j (target direction); one built directly from an
+    array may hold negative margins, and the losses ignore its diagonal.
+    `m` is a read-only copy, so its values stay the checked ones and the
+    losses do not scan it again. The losses read cos and sin of the margins
+    from `_trig`, computed once on first use and read-only; a batch that
+    meets no nonzero margin never computes them.
     """
 
     m: np.ndarray
@@ -175,7 +174,8 @@ class LossBatch:
         return self._grad_inputs()
 
 
-def normalize_info(table, variant: str = "double-exp", ibar: str = "sum") -> np.ndarray:
+def normalize_info(table: InfoAmountTable, variant: str = "double-exp",
+                   ibar: str = "sum") -> np.ndarray:
     """The normalized information amounts I'_i, a (C,) float64 array.
 
     The amounts are scaled to x_i = I_i / (i_bar * sqrt(C)) and mapped
@@ -187,10 +187,8 @@ def normalize_info(table, variant: str = "double-exp", ibar: str = "sum") -> np.
 
     Parameters
     ----------
-    table : InfoAmountTable or 1-D array of amounts, which is checked as
-        the table of categories 0..C-1. The table's id order fixes the
-        order of the output, and so the row/column order of the margin
-        matrix built from it.
+    table : InfoAmountTable. Its id order fixes the order of the output,
+        and so the row/column order of the margin matrix built from it.
     variant : "double-exp", the only value; the keyword is kept only
         because `bench/worker.py` passes it.
     ibar : "sum" uses i_bar = sum_j I_j (as typeset), so x_i <= 1/sqrt(C)
@@ -204,8 +202,6 @@ def normalize_info(table, variant: str = "double-exp", ibar: str = "sum") -> np.
     """
     as_choice(variant, "variant", ("double-exp",))
     as_choice(ibar, "ibar", IBAR_MODES)
-    if not isinstance(table, InfoAmountTable):
-        table = InfoAmountTable(np.arange(np.size(table)), np.ravel(table))
     I = table.amounts
     if I.size < 2:
         raise InputError(f"need at least two categories, got {I.size}")
@@ -306,16 +302,6 @@ def _check_batch(clf: CosineClassifier, X: np.ndarray, labels) -> tuple[np.ndarr
     X, labels = as_batch(np.atleast_2d(X), np.atleast_1d(labels), "batch", p=p, C=C)
     _check_finite(clf.weights, "weight")
     return X, labels
-
-
-def _margin_matrix(margins, C: int) -> MarginMatrix:
-    # A MarginMatrix checked its values when it was built; a raw array is
-    # checked by building one.
-    if not isinstance(margins, MarginMatrix):
-        margins = MarginMatrix(margins)
-    if margins.C != C:
-        raise InputError(f"margin matrix must be ({C}, {C}), got shape {margins.m.shape}")
-    return margins
 
 
 def _label_index(labels: np.ndarray, C: int) -> np.ndarray:
@@ -427,8 +413,27 @@ def _ce_kernel(X, W, labels):
     return losses, gz.T @ X, z, gz
 
 
-def _cosine_batch(clf: CosineClassifier, X: np.ndarray, labels: np.ndarray,
-                  margins: MarginMatrix | None) -> LossBatch:
+def igam_batch(clf: CosineClassifier, X: np.ndarray, labels,
+               margins: MarginMatrix | None) -> LossBatch:
+    """Information-guided angular-margin loss over a batch.
+
+    `margins` is a MarginMatrix of the classifier's C, or None for no
+    margins: the normalized-cosine (NormFace) loss z_j = s cos(theta_j),
+    with the same bits as an all-zero MarginMatrix. It has no default, so
+    leaving it out is an error, not NormFace.
+
+    Cosines are clipped to [-1, 1]. A margined angle theta_j + m_ij past
+    pi is clamped there (logit -s, zero gradient) so the logit stays
+    monotone in the angle; such entries are tallied in `clamped`.
+    Margin-active classes whose |cos| is within 1e-9 of 1 get the
+    clamped-branch zero gradient and are tallied in `saturated`. The
+    returned batch computes `grad_inputs` on first read; `grad_cos` is
+    read-only.
+    """
+    X, labels = _check_batch(clf, X, labels)
+    C = clf.n_classes
+    if margins is not None and margins.C != C:
+        raise InputError(f"margin matrix must be ({C}, {C}), got shape {margins.m.shape}")
     U, xnorms = _unit_rows(X, "feature")
     Wn, wnorms = _unit_rows(clf.weights, "weight")
     losses, grad_W, z, gc, gc_cos, saturated, clamped = _cosine_kernel(
@@ -443,30 +448,6 @@ def _cosine_batch(clf: CosineClassifier, X: np.ndarray, labels: np.ndarray,
         saturated=saturated,
         clamped=clamped,
     )
-
-
-def igam_batch(clf: CosineClassifier, X: np.ndarray, labels, margins) -> LossBatch:
-    """Information-guided angular-margin loss over a batch.
-
-    Cosines are clipped to [-1, 1]. A margined angle theta_j + m_ij past
-    pi is clamped there (logit -s, zero gradient) so the logit stays
-    monotone in the angle; such entries are tallied in `clamped`.
-    Margin-active classes whose |cos| is within 1e-9 of 1 get the
-    clamped-branch zero gradient and are tallied in `saturated`. The
-    returned batch computes `grad_inputs` on first read; `grad_cos` is
-    read-only.
-    """
-    X, labels = _check_batch(clf, X, labels)
-    return _cosine_batch(clf, X, labels, _margin_matrix(margins, clf.n_classes))
-
-
-def normface_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:
-    """Normalized-cosine softmax loss: z_j = s cos(theta_j), no margins.
-
-    The same as `igam_batch` under an all-zero margin matrix, bit for bit.
-    """
-    X, labels = _check_batch(clf, X, labels)
-    return _cosine_batch(clf, X, labels, None)
 
 
 def ce_batch(clf: CosineClassifier, X: np.ndarray, labels) -> LossBatch:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import InputError
+from .errors import InputError, as_object
 from .trainer import SyntheticSpec, TrainConfig
 
 __all__ = ["ParsedRunConfig", "parse_run_config"]
@@ -27,12 +27,6 @@ class ParsedRunConfig:
     configs: tuple[TrainConfig, ...]
 
 
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
 def _reject_unknown(section: dict, allowed, path: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
@@ -43,7 +37,7 @@ def _section(value, path: str, cls) -> dict:
     """A section's keys over the defaults of `cls`'s fields."""
     keys = {f.name: f.default for f in fields(cls)}
     section = {k: v for k, v in keys.items() if v is not MISSING}
-    section.update(_object(value, path))
+    section.update(as_object(value, path))
     _reject_unknown(section, keys, path)
     for key in keys:
         if key not in section:
@@ -62,7 +56,7 @@ def _build(path: str, cls, **values):
 def parse_run_config(doc) -> ParsedRunConfig:
     """Check a loaded JSON document's structure and build the dataset and
     train configs. Raises InputError naming the offending field path."""
-    root = _object(doc, "config")
+    root = as_object(doc, "config")
     _reject_unknown(root, ("dataset", "train"), "config")
     if "dataset" not in root:
         raise InputError("config.dataset: missing required section")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_batch, as_id, as_int, as_number_array
+from .errors import InputError, NumericalError, as_batch, as_id, as_int, as_number_array, as_object
 
 __all__ = [
     "CategoryStats",
@@ -278,10 +278,11 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
     categories: dict[int, CategoryStats] = {}
     for i, entry in enumerate(entries):
         where = f"categories[{i}]"
+        entry = as_object(entry, where)
         try:
             raw_id, raw_count = entry["id"], entry["count"]
             raw_mean, raw_cov = entry["mean"], entry["cov_row_major"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputError(f"{where}: malformed statistics entry: {exc}") from exc
         mean = as_number_array(raw_mean, f"{where}.mean")
         cov = as_number_array(raw_cov, f"{where}.cov_row_major")

@@ -1,18 +1,18 @@
 """Desk-scale training demo: does information-guided margining reduce bias?
 
 Synthetic classes are isotropic Gaussians with per-class spread sigma_c,
-so intra-class diversity (and with it the measured information amount) is
-controlled directly. A linear cosine classifier is trained under one of
-three losses — plain cross-entropy, the zero-margin cosine loss, or the
-information-guided margin loss. The dataset is checked and its feature
-rows are normalized once per run, so each SGD step normalizes only the
-weights and runs the loss kernel. Each epoch's rows, in SGD order, stream
-through the bounded queue as one array, which cuts the same windows as
-adding them batch by batch; at each epoch end the merged statistics
-refresh the information amounts, which set the margins for the next epoch
-(epoch 1 runs margin-free, since no amounts exist yet). One weight matrix
-serves the whole run: each SGD step updates it in place, and the
-epoch-end evaluation reads the same weights.
+so intra-class diversity (and with it the measured information amount)
+is controlled directly. A linear cosine classifier is trained under one
+of three losses: plain cross-entropy, NormFace (the cosine loss with no
+margins), or the information-guided margin loss. The dataset is checked
+and its feature rows are normalized once per run, so each SGD step
+normalizes only the weights and runs the loss kernel. Each epoch's rows,
+in SGD order, stream through the bounded queue as one array, which cuts
+the same windows as adding them batch by batch; at each epoch end the
+merged statistics refresh the information amounts, which set the margins
+for the next epoch (epoch 1 runs margin-free, since no amounts exist
+yet). One weight matrix serves the whole run: each SGD step updates it
+in place, and the epoch-end evaluation reads the same weights.
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
@@ -273,8 +273,8 @@ def train(
     cosine losses no zero-norm feature row. Errors name the dataset row or
     the class. The cosine losses normalize the train and test rows once per
     run; each step gathers its unit rows, normalizes the weights and runs
-    the loss kernel, with the same bits as `igam_batch` and `normface_batch`
-    on the raw rows.
+    the loss kernel, with the same bits as `igam_batch` on the raw rows
+    (with margins None for normface).
 
     Each epoch's rows are added to the accumulator as one array in SGD
     order. Since the features do not depend on the weights, this cuts the

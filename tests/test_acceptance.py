@@ -20,14 +20,14 @@ import numpy as np
 from conftest import acceptance_lines
 
 from infomargin.fileio import read_json
-from infomargin.info import information_amount_from_embeddings, information_amounts_from_stats
+from infomargin.info import InfoAmountTable, information_amount_from_embeddings, \
+    information_amounts_from_stats
 from infomargin.loss import (
     CosineClassifier,
     MarginMatrix,
     build_margins,
     igam_batch,
     normalize_info,
-    normface_batch,
 )
 from infomargin.planner import PlanInput, memory_report, optimal_queue_length
 from infomargin.runconfig import parse_run_config
@@ -179,11 +179,12 @@ def test_criterion_4_gradient_correctness():
             theta = np.arccos(cos)
             if np.all(np.abs(cos) < 0.95) and np.all(theta + M[label] < np.pi - 0.1):
                 break
+        margins = MarginMatrix(M)
 
         def loss():
-            return igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], M).losses[0]
+            return igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], margins).losses[0]
 
-        out = igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], M)
+        out = igam_batch(CosineClassifier(W, scale=s), x[None, :], [label], margins)
         for arr, grad in ((x, out.grad_inputs[0]), (W, out.grad_weights)):
             flat = arr.reshape(-1)
             fd = np.empty_like(flat)
@@ -224,7 +225,7 @@ def test_criterion_5_degeneracy_suite():
         X = rng.normal(size=(n, p))
         y = rng.integers(0, C, size=n)
         a = igam_batch(clf, X, y, MarginMatrix.zeros(C))
-        b = normface_batch(clf, X, y)
+        b = igam_batch(clf, X, y, None)
         worst_eq = max(worst_eq, float(np.abs(a.losses - b.losses).max()))
         total += n
     ok_eq = worst_eq < 1e-12
@@ -232,7 +233,8 @@ def test_criterion_5_degeneracy_suite():
     # Equal information amounts: margins all exactly zero.
     ok_zero = True
     for C in (2, 3, 7, 11):
-        norm = normalize_info(np.full(C, float(rng.uniform(0.1, 5.0))))
+        level = float(rng.uniform(0.1, 5.0))
+        norm = normalize_info(InfoAmountTable(np.arange(C), np.full(C, level)))
         ok_zero = ok_zero and bool(np.all(build_margins(norm).m == 0.0))
 
     # Feature- and weight-scale invariance within 1e-10.
@@ -244,6 +246,7 @@ def test_criterion_5_degeneracy_suite():
         x = rng.normal(size=p)
         M = rng.uniform(0.0, 0.4, size=(C, C))
         np.fill_diagonal(M, 0.0)
+        M = MarginMatrix(M)
         label = int(rng.integers(0, C))
         x = x[None, :]
         base = igam_batch(CosineClassifier(W, scale=10.0), x, [label], M).losses[0]

@@ -134,9 +134,8 @@ def test_stats_size_mismatch_fails_before_any_window(tmp_path, capsys, monkeypat
     write_sample_embeddings(path, n=12)
     path.write_bytes(path.read_bytes() + b"\0" * 4)
     windows = []
-    real = stats_module.local_stats_from_arrays
-    monkeypatch.setattr(stats_module, "local_stats_from_arrays",
-                        lambda *a: windows.append(1) or real(*a))
+    real = stats_module._window_stats
+    monkeypatch.setattr(stats_module, "_window_stats", lambda *a: windows.append(1) or real(*a))
     code, out, err = run(capsys, "stats", str(path), "--queue-len", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "expected file size" in err
@@ -287,6 +286,9 @@ def test_info_rejects_duplicate_id_and_zero_count(tmp_path, capsys, second, mess
     {"p": 1.5, "categories": [{"id": 0, "count": 2, "mean": [1.0], "cov_row_major": [1.0]}]},
     {"p": 1, "categories": [{"id": 0, "count": True, "mean": [1.0], "cov_row_major": [1.0]}]},
     {"p": 0, "categories": []},
+    {"p": 2, "categories": [[1]]},
+    {"p": 2, "categories": ["a"]},
+    {"p": 2, "categories": [None]},
 ])
 def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
     path = tmp_path / "stats.json"
@@ -294,6 +296,9 @@ def test_info_malformed_stats_exits_two(tmp_path, capsys, doc):
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    entries = doc["categories"]
+    if isinstance(entries, list) and entries and not isinstance(entries[0], dict):
+        assert err == f"error: categories[0]: expected an object, got {type(entries[0]).__name__}\n"
 
 
 def test_stats_out_peaks_below_document_size(tmp_path):
@@ -689,6 +694,15 @@ def test_loss_eval_margin_shape_mismatch(loss_files, capsys):
     )
     assert code == 2
     assert "2x2" in err and "3 classes" in err
+    # A margin file with a loss that takes none is refused before any file is read.
+    for loss in ("ce", "normface"):
+        code, out, err = run(
+            capsys, "loss-eval", "--features", str(loss_files / "absent.bin"),
+            "--weights", str(loss_files / "absent.bin"), "--loss", loss,
+            "--margins", str(loss_files / "absent.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --margins applies only to --loss igam\n"
 
 
 @pytest.mark.parametrize("flat", [

@@ -8,8 +8,7 @@ import pytest
 
 from infomargin.errors import InputError, as_batch, as_id, as_number_array
 from infomargin.fileio import write_embeddings_binary
-from infomargin.loss import CosineClassifier, MarginMatrix, ce_batch, igam_batch, \
-    normface_batch
+from infomargin.loss import CosineClassifier, MarginMatrix, ce_batch, igam_batch
 from infomargin.stats import EpochAccumulator, local_stats_from_arrays
 from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, train
 
@@ -49,7 +48,7 @@ def _entry_points(tmp_path):
         "EpochAccumulator.add": lambda X, y: EpochAccumulator(capacity=1, p=P).add(X, y),
         "local_stats_from_arrays": local_stats_from_arrays,
         "igam_batch": lambda X, y: igam_batch(clf, X, y, MarginMatrix.zeros(C)),
-        "normface_batch": lambda X, y: normface_batch(clf, X, y),
+        "normface_batch": lambda X, y: igam_batch(clf, X, y, None),
         "ce_batch": lambda X, y: ce_batch(clf, X, y),
         "train": _train,
     }

@@ -1,10 +1,11 @@
-"""Golden bytes: `stats -> info -> margins` on a fixed seeded `.bin`.
+"""Golden bytes: `stats -> info -> margins` on a fixed seeded `.bin`, and
+`loss-eval` on a second seeded pair of files.
 
-The SHA-256 of each output was recorded from the code before the sort-grouped
-window statistics and the array path of `canonical_dumps`, so those rewrites,
-and later ones, are pinned to the same bytes. The input file's own hash is
-checked first: if numpy's generator stream ever changes, that assertion
-fails instead of the output ones.
+The SHA-256 of each `stats -> info -> margins` output was recorded from the
+code before the sort-grouped window statistics and the array path of
+`canonical_dumps`, so those rewrites, and later ones, are pinned to the same
+bytes. The input file's own hash is checked first: if numpy's generator
+stream ever changes, that assertion fails instead of the output ones.
 """
 
 import hashlib
@@ -59,3 +60,57 @@ def test_stats_info_margins_bytes_are_pinned(tmp_path):
     assert main(["margins", str(out["info.json"]), "--direction", "rival", "--ibar", "mean",
                  "--out", str(out["margins.json"])]) == 0
     assert {name: _sha256(path) for name, path in out.items()} == OUTPUT_SHA256
+
+
+# `loss-eval` on a seeded features file and weights file; the margins come from
+# `stats -> info -> margins` on the features. Recorded from the code that still
+# had a separate NormFace entry point and an all-zero default margin matrix.
+LOSS_N, LOSS_C = 600, 5
+LOSS_INPUT_SHA256 = {
+    "x.bin": "c5c10344b12c22069767e5ae17fa4d477ad52983232214ce70bbc93b46ef7ea9",
+    "w.bin": "9ccaea1781ce9ee5c06fa17afd653f7a73da63a28beb80045c5d68b846d79d94",
+}
+LOSS_OUTPUT_SHA256 = {
+    "ce": "4831cae6c0deb95880ad3d7db4ddbc00b10891a03a9d2b4b60ee16ca8eaecf84",
+    "normface": "0780d6691eaf383fef1c464d0b58fcb28069d9ce32578dd21172961ce9861b1e",
+    "igam": "bdf4807bf233e90500c3669dbaa4c346bbe4ad0adedf0f91e4af99025db641b2",
+    "igam-margins": "0cdc22d8fdfbacc71d8b75b939d46bcd49397b9474397a481d5957ae1c1da116",
+}
+
+
+def _write_records(path, labels, X) -> None:
+    records = np.empty(labels.size, dtype=[("category", "<u4"), ("vector", "<f4", (P,))])
+    records["category"] = labels
+    records["vector"] = X
+    with open(path, "wb") as fh:
+        fh.write(b"IGAMEMB1" + np.uint32(P).tobytes() + np.uint64(labels.size).tobytes())
+        fh.write(records.tobytes())
+
+
+def test_loss_eval_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(20261020)
+    labels = rng.integers(0, LOSS_C, size=LOSS_N)
+    centers = rng.standard_normal((LOSS_C, P)) * 2.0
+    scale = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    X = centers[labels] + rng.standard_normal((LOSS_N, P)) * scale[labels, None]
+    W = centers + rng.standard_normal((LOSS_C, P))
+    src = {name: tmp_path / name for name in LOSS_INPUT_SHA256}
+    _write_records(src["x.bin"], labels, X)
+    _write_records(src["w.bin"], np.arange(LOSS_C), W)
+    assert {name: _sha256(path) for name, path in src.items()} == LOSS_INPUT_SHA256, \
+        "the seeded input itself changed"
+    stats_json, info_json, margins_json = (tmp_path / n for n in ("s.json", "i.json", "m.json"))
+    assert main(["stats", str(src["x.bin"]), "--out", str(stats_json)]) == 0
+    assert main(["info", str(stats_json), "--out", str(info_json)]) == 0
+    assert main(["margins", str(info_json), "--direction", "rival", "--ibar", "mean",
+                 "--out", str(margins_json)]) == 0
+    runs = {"ce": ["--loss", "ce"], "normface": ["--loss", "normface"],
+            "igam": ["--loss", "igam"],
+            "igam-margins": ["--loss", "igam", "--margins", str(margins_json)]}
+    got = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["loss-eval", "--features", str(src["x.bin"]),
+                     "--weights", str(src["w.bin"]), *flags, "--out", str(out)]) == 0
+        got[name] = _sha256(out)
+    assert got == LOSS_OUTPUT_SHA256

@@ -23,7 +23,6 @@ from infomargin.loss import (
     margins_from_json,
     margins_to_json,
     normalize_info,
-    normface_batch,
 )
 
 # Shared fixture for the frozen single-sample loss values below; a single
@@ -36,13 +35,17 @@ _W34 = np.array(
         [0.1, -0.6, 0.9, 1.3],
     ]
 )
-_M3 = np.zeros((3, 3))
-_M3[0] = [0.0, 0.25, 0.6]
+_M3 = MarginMatrix([[0.0, 0.25, 0.6], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 _S = 7.5
 
 
 def make_clf(W, s=_S):
     return CosineClassifier(weights=np.array(W, dtype=np.float64), scale=s)
+
+
+def _table(a):
+    """The amounts `a` as the table of categories 0..C-1."""
+    return InfoAmountTable(np.arange(len(a)), a)
 
 
 # ----------------------------------------------------------- normalization
@@ -60,7 +63,7 @@ _EQUAL_NORMALIZED = {
 
 @pytest.mark.parametrize("C,expected", sorted(_EQUAL_NORMALIZED.items()))
 def test_equal_amounts_normalize_to_known_value(C, expected):
-    norm = normalize_info(np.full(C, 1.7))
+    norm = normalize_info(_table(np.full(C, 1.7)))
     assert norm.shape == (C,) and norm.dtype == np.float64
     assert np.allclose(norm, expected, rtol=1e-12, atol=0)
     assert norm.std() == pytest.approx(0.0, abs=1e-15)
@@ -69,8 +72,8 @@ def test_equal_amounts_normalize_to_known_value(C, expected):
 def test_equal_amounts_value_independent_of_level():
     # x_i depends only on I_i / i_bar, so any common positive level gives
     # the same normalized output.
-    a = normalize_info(np.full(5, 0.01))
-    b = normalize_info(np.full(5, 250.0))
+    a = normalize_info(_table(np.full(5, 0.01)))
+    b = normalize_info(_table(np.full(5, 250.0)))
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -79,7 +82,7 @@ def test_normalized_amounts_exceed_one():
     for _ in range(20):
         C = int(rng.integers(2, 12))
         I = rng.uniform(0.0, 5.0, size=C)
-        norm = normalize_info(I)
+        norm = normalize_info(_table(I))
         assert np.all(norm > 1.0)
         assert np.all(np.isfinite(norm))
 
@@ -89,21 +92,21 @@ def test_normalization_preserves_order():
     for ibar in IBAR_MODES:
         I = np.sort(rng.uniform(0.1, 4.0, size=6))
         I += np.arange(6) * 1e-3  # force strict increase
-        norm = normalize_info(I, ibar=ibar)
+        norm = normalize_info(_table(I), ibar=ibar)
         assert np.all(np.diff(norm) > 0), ibar
 
 
 def test_degenerate_all_zero_input_flagged():
     # i_bar = 0, so x_i = 0 by convention: I' = C*e/(C*1) + 1 = e + 1 for
     # every class.
-    norm = normalize_info(np.zeros(4))
+    norm = normalize_info(_table(np.zeros(4)))
     assert np.allclose(norm, np.e + 1.0, rtol=1e-15)
 
 
 def test_table_input_is_sorted_by_category_id():
     table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
     norm = normalize_info(table)
-    assert np.array_equal(norm, normalize_info(np.array([3.0, 1.0])))
+    assert np.array_equal(norm, normalize_info(_table(np.array([3.0, 1.0]))))
     assert norm[0] > norm[1]
 
 
@@ -113,21 +116,21 @@ def test_ibar_modes_sum_and_mean():
     for ibar, i_bar in (("sum", 6.0), ("mean", 2.0)):
         x = I / (i_bar * np.sqrt(3))
         expected = 3 * np.exp(np.exp(x)) / np.exp(x).sum() + 1.0
-        assert np.allclose(normalize_info(I, ibar=ibar), expected, rtol=1e-14), ibar
+        assert np.allclose(normalize_info(_table(I), ibar=ibar), expected, rtol=1e-14), ibar
 
 
 def test_normalize_input_validation():
     with pytest.raises(InputError):
-        normalize_info(np.array([1.0]))  # fewer than two categories
+        normalize_info(_table(np.array([1.0])))  # fewer than two categories
     with pytest.raises(InputError):
-        normalize_info(np.array([1.0, -0.1]))
+        normalize_info(_table(np.array([1.0, -0.1])))
     with pytest.raises(InputError):
-        normalize_info(np.array([1.0, np.nan]))
+        normalize_info(_table(np.array([1.0, np.nan])))
     for variant in ("bogus", "softmax-single-exp"):
         with pytest.raises(InputError, match="variant must be one of"):
-            normalize_info(np.array([1.0, 2.0]), variant=variant)
+            normalize_info(_table(np.array([1.0, 2.0])), variant=variant)
     with pytest.raises(InputError):
-        normalize_info(np.array([1.0, 2.0]), ibar="median")
+        normalize_info(_table(np.array([1.0, 2.0])), ibar="median")
 
 
 def test_double_exp_overflow_raises_numerical_error():
@@ -136,8 +139,8 @@ def test_double_exp_overflow_raises_numerical_error():
     # x <= 1/sqrt(C) and survives.
     I = np.concatenate([[100.0], np.full(49, 1e-6)])
     with pytest.raises(NumericalError):
-        normalize_info(I, ibar="mean")
-    assert np.all(np.isfinite(normalize_info(I, ibar="sum")))
+        normalize_info(_table(I), ibar="mean")
+    assert np.all(np.isfinite(normalize_info(_table(I), ibar="sum")))
 
 
 def test_one_hot_mean_overflow_starts_at_44_categories():
@@ -146,14 +149,14 @@ def test_one_hot_mean_overflow_starts_at_44_categories():
     def one_hot(C):
         return np.eye(1, C).ravel()
 
-    assert np.all(np.isfinite(normalize_info(one_hot(43), ibar="mean")))
+    assert np.all(np.isfinite(normalize_info(_table(one_hot(43)), ibar="mean")))
     with pytest.raises(NumericalError) as info:
-        normalize_info(one_hot(44), ibar="mean")
+        normalize_info(_table(one_hot(44)), ibar="mean")
     assert str(info.value) == (
         "double-exponential normalization overflow: max exp(x) = 759.948; "
         "use ibar='sum' (CLI --ibar sum), which cannot overflow"
     )
-    assert np.all(np.isfinite(normalize_info(one_hot(44), ibar="sum")))
+    assert np.all(np.isfinite(normalize_info(_table(one_hot(44)), ibar="sum")))
 
 
 def test_overflow_of_the_scaled_numerator_raises_numerical_error():
@@ -166,14 +169,14 @@ def test_overflow_of_the_scaled_numerator_raises_numerical_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"max exp\(x\) = 708\.5"):
-            normalize_info(I, ibar="mean")
+            normalize_info(_table(I), ibar="mean")
 
 
 # ----------------------------------------------------------------- margins
 
 
 def test_equal_normalized_amounts_give_exact_zero_margins():
-    norm = normalize_info(np.full(6, 2.0))
+    norm = normalize_info(_table(np.full(6, 2.0)))
     margins = build_margins(norm)
     assert np.array_equal(margins.m, np.zeros((6, 6)))
 
@@ -292,7 +295,7 @@ def test_igam_single_sample_frozen_value():
 
 
 def test_normface_single_sample_frozen_value():
-    out = normface_batch(make_clf(_W34), _X4, [0])
+    out = igam_batch(make_clf(_W34), _X4, [0], None)
     assert out.losses[0] == pytest.approx(4.9764935463184747, rel=1e-10)
 
 
@@ -305,7 +308,7 @@ def test_margins_lower_the_loss_against_rivals():
     # Widening rival angles can only shrink rival logits, so the margined
     # loss sits at or below the margin-free one, strictly here.
     igam = igam_batch(make_clf(_W34), _X4, [0], _M3).losses[0]
-    plain = normface_batch(make_clf(_W34), _X4, [0]).losses[0]
+    plain = igam_batch(make_clf(_W34), _X4, [0], None).losses[0]
     assert igam < plain
 
 
@@ -322,7 +325,7 @@ def test_zero_margins_reduce_to_normface_bit_exact():
         X = rng.normal(size=(n, p))
         y = rng.integers(0, C, size=n)
         a = igam_batch(clf, X, y, MarginMatrix.zeros(C))
-        b = normface_batch(clf, X, y)
+        b = igam_batch(clf, X, y, None)
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.grad_inputs, b.grad_inputs)
         assert np.array_equal(a.grad_weights, b.grad_weights)
@@ -335,17 +338,17 @@ def test_uniform_cosines_give_log_C():
     for C in (2, 5):
         W = np.tile(np.array([0.3, -0.8, 0.44]), (C, 1))
         clf = make_clf(W, s=12.0)
-        out = igam_batch(clf, np.array([[1.0, 0.2, -0.5]]), [1], np.zeros((C, C)))
+        out = igam_batch(clf, np.array([[1.0, 0.2, -0.5]]), [1], MarginMatrix.zeros(C))
         assert out.losses[0] == pytest.approx(np.log(C), rel=1e-14)
 
 
 def test_label_row_margin_entry_is_ignored():
     # Only rival columns of the label's margin row matter; a poisoned
     # diagonal entry must not change anything.
-    dirty = _M3.copy()
+    dirty = _M3.m.copy()
     dirty[0, 0] = 0.9
     a = igam_batch(make_clf(_W34), _X4, [0], _M3)
-    b = igam_batch(make_clf(_W34), _X4, [0], dirty)
+    b = igam_batch(make_clf(_W34), _X4, [0], MarginMatrix(dirty))
     assert np.array_equal(a.losses, b.losses)
     assert np.array_equal(a.grad_inputs, b.grad_inputs)
 
@@ -359,6 +362,7 @@ def test_feature_scale_invariance():
     x = rng.normal(size=(1, 6))
     M = rng.uniform(0.0, 0.4, size=(4, 4))
     np.fill_diagonal(M, 0.0)
+    M = MarginMatrix(M)
     base = igam_batch(clf, x, [2], M)
     for alpha in (1e-3, 0.5, 7.0, 1e3):
         out = igam_batch(clf, alpha * x, [2], M)
@@ -371,7 +375,7 @@ def test_weight_row_scale_invariance():
     rng = np.random.default_rng(50)
     W = rng.normal(size=(3, 5))
     x = rng.normal(size=(1, 5))
-    M = rng.uniform(0.0, 0.3, size=(3, 3))
+    M = MarginMatrix(rng.uniform(0.0, 0.3, size=(3, 3)))
     base = igam_batch(make_clf(W), x, [1], M)
     scales = np.array([0.01, 3.0, 40.0])
     out = igam_batch(make_clf(W * scales[:, None]), x, [1], M)
@@ -389,7 +393,7 @@ def test_loss_non_increasing_in_margin():
         M = np.zeros((3, 3))
         M[1, :] = m
         M[1, 1] = 0.0
-        losses.append(igam_batch(clf, x, [1], M).losses[0])
+        losses.append(igam_batch(clf, x, [1], MarginMatrix(M)).losses[0])
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -402,7 +406,7 @@ def test_saturated_cosine_counted_and_gradient_zeroed():
     w_rival = np.array([0.6, 0.8])
     W = np.stack([np.array([1.0, 0.0]), w_rival])
     clf = make_clf(W, s=5.0)
-    M = np.array([[0.0, 0.3], [0.0, 0.0]])
+    M = MarginMatrix([[0.0, 0.3], [0.0, 0.0]])
     out = igam_batch(clf, 2.0 * w_rival[None, :], [0], M)
     assert out.saturated == 1
     assert out.grad_cos[0, 1] == 0.0
@@ -419,12 +423,12 @@ def test_margined_angle_past_pi_clamps_logit():
     W = np.stack([np.array([0.0, 1.0]), w_rival])
     clf = make_clf(W, s=5.0)
     M = np.array([[0.0, 0.35], [0.0, 0.0]])
-    out = igam_batch(clf, x, [0], M)
+    out = igam_batch(clf, x, [0], MarginMatrix(M))
     assert out.logits[0, 1] == -5.0
     assert out.grad_cos[0, 1] == 0.0
     assert out.saturated == 0  # clamped, not saturated
     assert out.clamped == 1
-    assert igam_batch(clf, x, [0], 0.1 * M).clamped == 0
+    assert igam_batch(clf, x, [0], MarginMatrix(0.1 * M)).clamped == 0
 
 
 def test_ce_saturates_to_zero_loss():
@@ -442,7 +446,7 @@ def test_zero_margin_grad_cos_matches_softmax_identity():
     rng = np.random.default_rng(52)
     clf = make_clf(rng.normal(size=(5, 7)), s=9.0)
     x = rng.normal(size=(1, 7))
-    out = normface_batch(clf, x, [3])
+    out = igam_batch(clf, x, [3], None)
     cos = clf.cosines(x)[0]
     z = 9.0 * cos
     p = np.exp(z - z.max())
@@ -495,10 +499,12 @@ def test_igam_gradients_match_finite_differences(seed):
         theta = np.arccos(cos)
         if np.all(np.abs(cos) < 0.95) and np.all(theta + M[label] < np.pi - 0.1):
             break
-    def loss():
-        return igam_batch(CosineClassifier(W, s), x[None, :], [label], M).losses[0]
+    margins = MarginMatrix(M)
 
-    out = igam_batch(clf, x[None, :], [label], M)
+    def loss():
+        return igam_batch(CosineClassifier(W, s), x[None, :], [label], margins).losses[0]
+
+    out = igam_batch(clf, x[None, :], [label], margins)
     fd_x = central_diff(loss, x)
     fd_W = central_diff(loss, W)
     # rtol 1e-4 with a 1e-7 absolute floor for entries drowned in the
@@ -516,6 +522,7 @@ def test_batch_agrees_with_per_sample_calls():
     clf = make_clf(rng.normal(size=(C, p)))
     M = rng.uniform(0.0, 0.3, size=(C, C))
     np.fill_diagonal(M, 0.0)
+    M = MarginMatrix(M)
     X = rng.normal(size=(n, p))
     y = rng.integers(0, C, size=n)
     batch = igam_batch(clf, X, y, M)
@@ -540,7 +547,7 @@ def test_batch_shape_and_label_validation():
     with pytest.raises(InputError):
         igam_batch(clf, np.ones((2, 2)), [0, 2], M)  # label out of range
     with pytest.raises(InputError):
-        igam_batch(clf, np.ones((2, 2)), [0, 1], np.zeros((3, 3)))  # margin shape
+        igam_batch(clf, np.ones((2, 2)), [0, 1], MarginMatrix.zeros(3))  # margin shape
 
 
 def test_margin_matrix_values_cannot_change_after_the_check():
@@ -550,17 +557,6 @@ def test_margin_matrix_values_cannot_change_after_the_check():
         M.m[0, 1] = np.nan
     raw[0, 1] = np.nan  # the caller's array stays theirs
     assert M.m[0, 1] == 0.0
-
-
-def test_raw_margin_array_is_checked():
-    # A raw array is validated as a MarginMatrix would be; only a
-    # MarginMatrix argument skips the scan.
-    clf = make_clf([[1.0, 0.0], [0.0, 1.0]])
-    X = np.ones((2, 2))
-    with pytest.raises(InputError, match="non-finite margin values"):
-        igam_batch(clf, X, [0, 1], np.array([[0.0, np.nan], [0.1, 0.0]]))
-    with pytest.raises(InputError, match="margin matrix must be"):
-        igam_batch(clf, X, [0, 1], np.zeros((2, 3)))
 
 
 _NON_FINITE_BATCHES = {
@@ -585,7 +581,7 @@ def test_non_finite_batch_rejected_by_every_loss(loss, case):
     if weight_entry is not None:
         W[weight_entry[:2]] = weight_entry[2]
     clf = CosineClassifier(W)
-    call = {"ce": ce_batch, "normface": normface_batch,
+    call = {"ce": ce_batch, "normface": lambda c, x, y: igam_batch(c, x, y, None),
             "igam": lambda c, x, y: igam_batch(c, x, y, MarginMatrix.zeros(3))}[loss]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -606,7 +602,8 @@ def test_losses_are_positive_and_finite():
         y = rng.integers(0, C, size=n)
         M = rng.uniform(0.0, 0.2, size=(C, C))
         np.fill_diagonal(M, 0.0)
-        for batch in (igam_batch(clf, X, y, M), normface_batch(clf, X, y), ce_batch(clf, X, y)):
+        M = MarginMatrix(M)
+        for batch in (igam_batch(clf, X, y, M), igam_batch(clf, X, y, None), ce_batch(clf, X, y)):
             assert np.all(np.isfinite(batch.losses))
             assert np.all(batch.losses >= 0.0)
             assert batch.logits.shape == (n, C)
@@ -631,7 +628,7 @@ def test_weight_norm_overflow_raises_numerical_error():
     W[2] = [1e200, -1e200, 0.0, 0.0]
     clf = make_clf(W)
     with pytest.raises(NumericalError, match="weight vector at index 2"):
-        normface_batch(clf, _X4, [0])
+        igam_batch(clf, _X4, [0], None)
     with pytest.raises(NumericalError, match="weight vector at index 2"):
         clf.cosines(_X4)
 
@@ -643,7 +640,7 @@ def test_tiny_norm_row_scores_like_its_direction():
     tiny = np.array([[1e-200, 1e-200, 0.0, 0.0], [1e-160, 2e-160, 0.0, 0.0]])
     plain = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]])
     for evaluate in (lambda X: igam_batch(clf, X, [0, 0], _M3),
-                     lambda X: normface_batch(clf, X, [0, 0])):
+                     lambda X: igam_batch(clf, X, [0, 0], None)):
         got, want = evaluate(tiny), evaluate(plain)
         assert np.array_equal(got.logits[0], want.logits[0])
         np.testing.assert_allclose(got.logits[1], want.logits[1], rtol=1e-15, atol=1e-14)
@@ -657,8 +654,8 @@ def test_tiny_weight_row_is_rescaled():
     W[1] = [0.0, 3e-170, -4e-170, 0.0]
     plain = _W34.copy()
     plain[1] = [0.0, 3.0, -4.0, 0.0]
-    got = normface_batch(make_clf(W), _X4, [1])
-    want = normface_batch(make_clf(plain), _X4, [1])
+    got = igam_batch(make_clf(W), _X4, [1], None)
+    want = igam_batch(make_clf(plain), _X4, [1], None)
     np.testing.assert_allclose(got.logits, want.logits, rtol=1e-15, atol=1e-14)
 
 
@@ -670,7 +667,7 @@ def test_all_zero_row_still_raises_with_its_index():
     W = _W34.copy()
     W[1] = 0.0
     with pytest.raises(InputError, match="zero-norm weight vector at index 1"):
-        normface_batch(make_clf(W), _X4, [0])
+        igam_batch(make_clf(W), _X4, [0], None)
 
 
 # ------------------------------------------------- bit-identity reference
@@ -741,7 +738,7 @@ def _random_problem(seed, C=9, p=12, n=40, s=30.0):
     clf = make_clf(rng.normal(size=(C, p)), s=s)
     X = rng.normal(size=(n, p))
     y = rng.integers(0, C, size=n)
-    norm = normalize_info(rng.uniform(0.0, 50.0, size=C), ibar="mean")
+    norm = normalize_info(_table(rng.uniform(0.0, 50.0, size=C)), ibar="mean")
     return clf, X, y, norm
 
 
@@ -765,13 +762,13 @@ def _margin_cases(norm, C):
         "zero": MarginMatrix.zeros(C),
         "x60": MarginMatrix(60.0 * rival.m),
         "signed-x60": MarginMatrix(60.0 * signed.m),
-        "raw-diagonal": dirty,
+        "raw-diagonal": MarginMatrix(dirty),
     }
 
 
 def _assert_matches_reference(clf, X, y, margins):
     out = igam_batch(clf, X, y, margins)
-    ref = _igam_reference(clf, X, y, getattr(margins, "m", margins))
+    ref = _igam_reference(clf, X, y, margins.m)
     for name in ("losses", "logits", "grad_weights", "grad_inputs", "grad_cos"):
         assert np.array_equal(getattr(out, name), ref[name]), name
     assert out.saturated == ref["saturated"]
@@ -780,7 +777,7 @@ def _assert_matches_reference(clf, X, y, margins):
 
 def _outside_in_clamped(out, y, M, s):
     # Margin-active entries whose logit sits at exactly -s.
-    active = np.asarray(getattr(M, "m", M))[y] != 0.0
+    active = M.m[y] != 0.0
     active[np.arange(y.shape[0]), y] = False
     return int(np.count_nonzero(active & (out.logits == -s)))
 

@@ -22,7 +22,6 @@ from infomargin.loss import (
     ce_batch,
     igam_batch,
     normalize_info,
-    normface_batch,
 )
 from infomargin.stats import EpochAccumulator
 from infomargin.trainer import (
@@ -475,7 +474,8 @@ def test_kernel_on_rows_normalized_whole_equals_public_api(case):
     rng = np.random.default_rng(71)
     W = rng.normal(size=(C, p))
     clf = CosineClassifier(W, scale=12.0)
-    norm = normalize_info(rng.uniform(1.0, 50.0, size=C), ibar="mean")
+    norm = normalize_info(InfoAmountTable(np.arange(C), rng.uniform(1.0, 50.0, size=C)),
+                          ibar="mean")
     # "signed": the unclamped, antisymmetric ln(I'_i / I'_j) / pi, a matrix
     # `build_margins` does not make but `loss-eval --margins` may read.
     logs = np.log(norm)
@@ -494,7 +494,7 @@ def test_kernel_on_rows_normalized_whole_equals_public_api(case):
     public = [igam_batch(clf, Xb, yb, margins)]
     kernel = [_cosine_kernel(Ub, Wn, wnorms, yb, margins, clf.scale)]
     if case == "zero":
-        public.append(normface_batch(clf, Xb, yb))
+        public.append(igam_batch(clf, Xb, yb, None))
         kernel.append(_cosine_kernel(Ub, Wn, wnorms, yb, None, clf.scale))
     public.append(ce_batch(clf, Xb, yb))
     kernel.append(_ce_kernel(Xb, W, yb))
