@@ -94,23 +94,24 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_loss_eval(args) -> int:
+    # Cheapest check first: the margin file, then the weights and their C,
+    # and only then the features, so a bad input fails before a large read.
     if args.margins is not None and args.loss != "igam":
         raise InputError("--margins applies only to --loss igam")
-    X, labels = fileio.read_embeddings(args.features)
+    margins = None
+    if args.margins is not None:
+        margins = margins_from_json(fileio.read_json(args.margins))
     Wraw, ids = fileio.read_embeddings(args.weights)
     C = Wraw.shape[0]
     if sorted(ids.tolist()) != list(range(C)):
         raise InputError(
             f"{args.weights}: weight records must carry class ids 0..{C - 1} exactly once"
         )
-    W = Wraw[np.argsort(ids)]
-    clf = CosineClassifier(W, scale=args.s)
-    margins = None
-    if args.margins is not None:
-        margins = margins_from_json(fileio.read_json(args.margins))
-        if margins.C != C:
-            raise InputError(f"{args.margins}: margin matrix is {margins.C}x{margins.C} "
-                             f"but the weights define {C} classes")
+    if margins is not None and margins.C != C:
+        raise InputError(f"{args.margins}: margin matrix is {margins.C}x{margins.C} "
+                         f"but the weights define {C} classes")
+    clf = CosineClassifier(Wraw[np.argsort(ids)], scale=args.s)
+    X, labels = fileio.read_embeddings(args.features)
     # A logit gap beyond exp's range makes a loss inf, reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.loss == "ce":
@@ -146,19 +147,18 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-# The (spec, dataset) a `toy run` worker trains on, set by `_init_worker` in
-# each worker process when the pool starts; never set in the parent.
+# The dataset a `toy run` worker trains on, set by `_init_worker` in each
+# worker process when the pool starts; never set in the parent.
 _worker_data = None
 
 
-def _init_worker(spec, dataset) -> None:
+def _init_worker(dataset) -> None:
     global _worker_data
-    _worker_data = (spec, dataset)
+    _worker_data = dataset
 
 
 def _train_task(config) -> trainer.TrainResult:
-    spec, dataset = _worker_data
-    return trainer.train(spec, config, dataset=dataset)
+    return trainer.train(_worker_data, config)
 
 
 def _cmd_toy_run(args) -> int:
@@ -175,11 +175,11 @@ def _cmd_toy_run(args) -> int:
     # started the platform's default way: forked workers start at once, while
     # spawned ones re-import the package and measured no faster than one
     # process. The dataset goes to each worker once, as the initializer's
-    # arguments: a forked worker inherits them unpickled, and each task sends
+    # argument: a forked worker inherits it unpickled, and each task sends
     # only its TrainConfig. `imap` yields in config order, so the report and
     # first error are as if trained one by one; leaving the `with` block stops
     # the workers still running.
-    with Pool(len(configs), initializer=_init_worker, initargs=(spec, dataset)) as pool:
+    with Pool(len(configs), initializer=_init_worker, initargs=(dataset,)) as pool:
         results = list(pool.imap(_train_task, configs))
     _emit(run_report_to_json(spec, results), args.out)
     return 0

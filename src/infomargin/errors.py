@@ -58,10 +58,20 @@ def as_float(value, path: str) -> float:
     return out
 
 
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def json_type(value) -> str:
+    """The JSON name of a parsed value's type, such as "null" or "array"."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def as_object(value, path: str) -> dict:
-    """`value` if it is a dict (a JSON object), else InputError naming `path`."""
+    """`value` if it is a dict (a JSON object), else InputError naming `path`
+    and the JSON type it has."""
     if not isinstance(value, dict):
-        raise InputError(f"{path}: expected an object, got {type(value).__name__}")
+        raise InputError(f"{path}: expected an object, got {json_type(value)}")
     return value
 
 

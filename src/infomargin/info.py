@@ -17,8 +17,9 @@ The floor is the raw square, never clamped: for m < p it grows past 1, and
 a single-sample category (zero covariance, m=1) is deliberately inflated
 to lambda_- in every direction rather than special-cased.
 
-An `InfoAmountTable` holds one epoch's amounts as parallel `ids` and
-`amounts` arrays, sorted and checked once, when the table is built.
+An `InfoAmountTable` holds one set of amounts as parallel `ids` and
+`amounts` arrays, sorted and checked once, when the table is built. Its
+JSON form, as `info` writes it, is {"info": {"<category-id>": amount}}.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_float, as_id, as_int
+from .errors import InputError, NumericalError, as_float, as_id, as_int, json_type
 from .stats import GlobalStats, local_stats_from_arrays
 
 __all__ = [
@@ -54,14 +55,13 @@ def lambda_minus(p: int, m: int) -> float:
 
 @dataclass(frozen=True)
 class InfoAmountTable:
-    """Information amounts of categories `ids`, tagged with the epoch: (C,)
-    int64 `ids` and (C,) float64 `amounts`, read-only copies sorted by id. A
-    table is ordered and checked only here: a repeated or negative id, a
-    negative or non-finite amount, or mismatched arrays raise InputError."""
+    """Information amounts of categories `ids`: (C,) int64 `ids` and (C,)
+    float64 `amounts`, read-only copies sorted by id. A table is ordered and
+    checked only here: a repeated or negative id, a negative or non-finite
+    amount, or mismatched arrays raise InputError."""
 
     ids: np.ndarray
     amounts: np.ndarray
-    epoch: int = 0
 
     def __post_init__(self):
         ids = np.asarray(self.ids)
@@ -151,7 +151,7 @@ def information_amount_from_embeddings(X: np.ndarray) -> float:
     return _clipped_amount(cs.cov, cs.total)
 
 
-def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAmountTable:
+def information_amounts_from_stats(stats: GlobalStats) -> InfoAmountTable:
     """Information amount per category from merged epoch statistics.
 
     Each amount is read straight off the category's clipped spectrum, one
@@ -168,29 +168,27 @@ def information_amounts_from_stats(stats: GlobalStats, epoch: int = 0) -> InfoAm
             amounts.append(_clipped_amount(cs.cov, cs.total))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"category {cat}: {exc}") from exc
-    return InfoAmountTable(list(stats.categories), amounts, epoch=epoch)
+    return InfoAmountTable(list(stats.categories), amounts)
 
 
 def info_table_to_json(table: InfoAmountTable) -> dict:
-    """JSON-ready form: {"epoch": int, "info": {"<category-id>": amount}}."""
-    return {
-        "epoch": table.epoch,
-        "info": dict(zip(map(str, table.ids.tolist()), table.amounts.tolist())),
-    }
+    """JSON-ready form: {"info": {"<category-id>": amount}}."""
+    return {"info": dict(zip(map(str, table.ids.tolist()), table.amounts.tolist()))}
 
 
 def info_table_from_json(doc: dict) -> InfoAmountTable:
+    """The table of an `info` document. Keys other than "info" are ignored,
+    among them the "epoch" that earlier versions wrote."""
     try:
-        raw_epoch, info = doc["epoch"], doc["info"]
+        info = doc["info"]
         if not isinstance(info, dict):
-            raise TypeError(f"'info' must map category ids to amounts, got {type(info).__name__}")
+            raise TypeError(f"'info' must map category ids to amounts, got {json_type(info)}")
         ids = [int(key) for key in info]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
-    epoch = as_int(raw_epoch, "epoch")
     ids = [as_id(cat, "category id") for cat in ids]
     amounts = [as_float(val, f"info.{key}") for key, val in info.items()]
-    table = InfoAmountTable(ids, amounts, epoch=epoch)
+    table = InfoAmountTable(ids, amounts)
     # Only the spelling `info` writes: int() also takes "1_0", " 2", "+3" and
     # "07". Checked last, so a key that aliases another reports as a repeat.
     for cat, key in zip(ids, info):

@@ -72,7 +72,9 @@ class MarginMatrix:
     `m` is a read-only copy, so its values stay the checked ones and the
     losses do not scan it again. The losses read cos and sin of the margins
     from `_trig`, computed once on first use and read-only; a batch that
-    meets no nonzero margin never computes them.
+    meets no nonzero margin never computes them. Where no margins were built
+    (NormFace, or a ce or normface training run) the margins are None, which
+    the losses read bit for bit as `MarginMatrix(np.zeros((C, C)))`.
     """
 
     m: np.ndarray
@@ -85,10 +87,6 @@ class MarginMatrix:
             raise InputError("non-finite margin values")
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
-
-    @classmethod
-    def zeros(cls, C: int) -> "MarginMatrix":
-        return cls(np.zeros((C, C), dtype=np.float64))
 
     @property
     def C(self) -> int:

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_batch, as_id, as_int, as_number_array, as_object
+from .errors import InputError, NumericalError, as_batch, as_id, as_int, as_number_array, \
+    as_object, json_type
 
 __all__ = [
     "CategoryStats",
@@ -273,7 +274,7 @@ def global_stats_from_json(doc: dict) -> GlobalStats:
     p = as_int(raw_p, "p", minimum=1)
     if not isinstance(entries, list):
         raise InputError(
-            f"malformed statistics document: 'categories' must be a list, got {type(entries).__name__}"
+            f"malformed statistics document: 'categories' must be a list, got {json_type(entries)}"
         )
     categories: dict[int, CategoryStats] = {}
     for i, entry in enumerate(entries):

@@ -16,9 +16,13 @@ in place, and the epoch-end evaluation reads the same weights.
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
-information and against class instance counts. Pearson values are None
-when either side has zero variance (e.g. the count correlation on a
-balanced benchmark).
+information and against the log of each class's training count. Pearson
+values are None when either side has zero variance (e.g. the count
+correlation on a balanced benchmark).
+
+A run's final amounts are its last report's `info_amounts`; its
+`final_margins` are the last refresh's margins, or None for ce and
+normface, which build none.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, TrainingDivergedError, as_batch, as_choice, \
     as_float, as_int
-from .info import InfoAmountTable, info_table_to_json, information_amounts_from_stats
+from .info import information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
     MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, _cosine_kernel, _unit_rows
 from .stats import EpochAccumulator
@@ -157,7 +161,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EpochReport:
-    """Diagnostics for one epoch; Pearson fields are None when degenerate."""
+    """Diagnostics for one epoch. `pearson_count_acc` is taken against
+    log(n_train); Pearson fields are None when degenerate."""
 
     epoch: int
     per_class_accuracy: np.ndarray
@@ -173,11 +178,9 @@ class TrainResult:
     """Everything a run produced: per-epoch reports plus final state."""
 
     reports: list[EpochReport]
-    final_margins: MarginMatrix
-    final_info: InfoAmountTable
+    final_margins: MarginMatrix | None
     weights: np.ndarray
     config: TrainConfig
-    spec: SyntheticSpec
 
 
 def generate_dataset(spec: SyntheticSpec) -> Dataset:
@@ -261,12 +264,8 @@ def _diverged(what: str, epoch: int, config: TrainConfig) -> TrainingDivergedErr
     return TrainingDivergedError(f"{what} in epoch {epoch} (loss={config.loss}, lr={config.lr})")
 
 
-def train(
-    spec: SyntheticSpec,
-    config: TrainConfig,
-    dataset: Dataset | None = None,
-) -> TrainResult:
-    """Run one training configuration end to end.
+def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
+    """Train one configuration on `dataset`, whose `spec` gives C and p.
 
     The dataset is checked once, before any SGD step: finite features,
     labels in [0, C), train and test rows for every class, and for the
@@ -286,11 +285,7 @@ def train(
     Raises TrainingDivergedError if the loss or weights go non-finite or a
     weight row's norm overflows.
     """
-    if dataset is None:
-        dataset = generate_dataset(spec)
-    elif dataset.spec != spec:
-        raise InputError("dataset was generated from a different spec")
-    C, p = spec.C, spec.p
+    C, p = dataset.spec.C, dataset.spec.p
     # The run reads the dataset's arrays in place, so its features must
     # already be float64.
     counts = {}
@@ -349,7 +344,7 @@ def train(
         accumulator.add(X_epoch, y_epoch)
 
         # Every class has training rows, so the table covers ids 0..C-1.
-        table = information_amounts_from_stats(accumulator.finalize(), epoch=epoch)
+        table = information_amounts_from_stats(accumulator.finalize())
         if config.loss == "igam":
             margins = build_margins(normalize_info(table, ibar=config.ibar_mode),
                                     direction=config.margin_direction)
@@ -370,18 +365,11 @@ def train(
             info_amounts=table.amounts,
             bias_variance=bias_variance(acc),
             pearson_info_acc=_maybe_pearson(table.amounts, acc),
-            pearson_count_acc=_maybe_pearson(counts["train"], acc),
+            pearson_count_acc=_maybe_pearson(np.log(counts["train"]), acc),
             loss_mean=loss_total / n_total,
         ))
 
-    return TrainResult(
-        reports=reports,
-        final_margins=MarginMatrix.zeros(C) if margins is None else margins,
-        final_info=table,
-        weights=W,
-        config=config,
-        spec=spec,
-    )
+    return TrainResult(reports=reports, final_margins=margins, weights=W, config=config)
 
 
 def _report_to_json(report: EpochReport) -> dict:
@@ -393,8 +381,8 @@ def train_result_to_json(result: TrainResult) -> dict:
     return {
         "train": asdict(result.config),
         "epochs": [_report_to_json(r) for r in result.reports],
-        "final_margins": margins_to_json(result.final_margins),
-        "final_info": info_table_to_json(result.final_info),
+        "final_margins": (None if result.final_margins is None
+                          else margins_to_json(result.final_margins)),
     }
 
 

@@ -224,7 +224,7 @@ def test_criterion_5_degeneracy_suite():
         clf = CosineClassifier(rng.normal(size=(C, p)), scale=float(rng.uniform(1.0, 40.0)))
         X = rng.normal(size=(n, p))
         y = rng.integers(0, C, size=n)
-        a = igam_batch(clf, X, y, MarginMatrix.zeros(C))
+        a = igam_batch(clf, X, y, MarginMatrix(np.zeros((C, C))))
         b = igam_batch(clf, X, y, None)
         worst_eq = max(worst_eq, float(np.abs(a.losses - b.losses).max()))
         total += n
@@ -283,7 +283,7 @@ def test_criterion_6_bias_reduction():
         dataset = generate_dataset(spec)
         by_loss = {}
         for cfg in parsed.configs:
-            result = train(spec, replace(cfg, seed=seed), dataset=dataset)
+            result = train(dataset, replace(cfg, seed=seed))
             by_loss[cfg.loss] = result.reports[-1]
         ce_pearson.append(by_loss["ce"].pearson_info_acc)
         delta = by_loss["igam"].bias_variance - by_loss["normface"].bias_variance
@@ -316,7 +316,7 @@ def test_criterion_7_queue_vs_pooled_equivalence():
         p=parsed.spec.p, categories=local_stats_from_arrays(dataset.train_X, dataset.train_y)))
     assert np.array_equal(pooled_table.ids, np.arange(parsed.spec.C))
     pooled = pooled_table.amounts
-    result = train(parsed.spec, config, dataset=dataset)
+    result = train(dataset, config)
     worst = 0.0
     for report in result.reports:
         rel = np.abs(report.info_amounts - pooled) / np.maximum(np.abs(pooled), 1e-30)

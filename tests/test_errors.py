@@ -38,7 +38,7 @@ def _train(X, ids):
                          mean_separation=3.0)
     ds = generate_dataset(spec)
     ds.train_X, ds.train_y = X, np.asarray(ids)
-    train(spec, TrainConfig(epochs=1, batch_size=2, queue_len=4), dataset=ds)
+    train(ds, TrainConfig(epochs=1, batch_size=2, queue_len=4))
 
 
 def _entry_points(tmp_path):
@@ -47,7 +47,7 @@ def _entry_points(tmp_path):
         "write_embeddings_binary": lambda X, y: write_embeddings_binary(tmp_path / "e.bin", X, y),
         "EpochAccumulator.add": lambda X, y: EpochAccumulator(capacity=1, p=P).add(X, y),
         "local_stats_from_arrays": local_stats_from_arrays,
-        "igam_batch": lambda X, y: igam_batch(clf, X, y, MarginMatrix.zeros(C)),
+        "igam_batch": lambda X, y: igam_batch(clf, X, y, MarginMatrix(np.zeros((C, C)))),
         "normface_batch": lambda X, y: igam_batch(clf, X, y, None),
         "ce_batch": lambda X, y: ce_batch(clf, X, y),
         "train": _train,

@@ -246,8 +246,7 @@ def _toy_report(tmp_path):
     spec = SyntheticSpec(C=3, p=4, n_train=40, n_test=20, spreads=(0.5, 1.0, 2.0),
                          mean_separation=3.0, seed=0)
     dataset = generate_dataset(spec)
-    results = [train(spec, TrainConfig(loss=loss, epochs=2, batch_size=16, queue_len=60),
-                     dataset=dataset)
+    results = [train(dataset, TrainConfig(loss=loss, epochs=2, batch_size=16, queue_len=60))
                for loss in ("ce", "igam")]
     return run_report_to_json(spec, results)
 

@@ -17,7 +17,7 @@ from infomargin.info import (
     lambda_minus,
 )
 from infomargin.stats import CategoryStats, EpochAccumulator, GlobalStats, global_stats_to_json
-from infomargin.trainer import SyntheticSpec, TrainConfig, train
+from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, train
 
 from conftest import reference_amount
 
@@ -253,8 +253,7 @@ def test_amount_from_stats_uses_merged_count_for_clip():
     cs = stats.categories[0]
     assert cs.total == 400
     assert np.allclose(cs.cov, np.eye(4) / 4, atol=1e-12)
-    table = information_amounts_from_stats(stats, epoch=3)
-    assert table.epoch == 3
+    table = information_amounts_from_stats(stats)
     expected = 0.5 * 4 * np.log2(1.0 + 0.81)
     assert table.amounts[0] == pytest.approx(expected, rel=1e-12)
 
@@ -332,7 +331,7 @@ def test_cli_and_trainer_refresh_one_eigvalsh_per_category(eig_calls, tmp_path, 
     assert main(["info", str(path)]) == 0 and capsys.readouterr().err == ""
     assert eig_calls == {"eigh": 0, "eigvalsh": 3}
     spec = SyntheticSpec(C=4, p=3, n_train=12, n_test=5, spreads=[1.0] * 4, mean_separation=2.0)
-    train(spec, TrainConfig(loss="igam", epochs=2, queue_len=10, batch_size=8))
+    train(generate_dataset(spec), TrainConfig(loss="igam", epochs=2, queue_len=10, batch_size=8))
     assert eig_calls == {"eigh": 0, "eigvalsh": 3 + 2 * 4}
 
 
@@ -349,27 +348,26 @@ def test_embeddings_input_validation():
 
 
 def test_info_table_json_round_trip():
-    table = InfoAmountTable([3, 0], [1.5, 0.25], epoch=2)
+    table = InfoAmountTable([3, 0], [1.5, 0.25])
     doc = info_table_to_json(table)
-    assert doc == {"epoch": 2, "info": {"0": 0.25, "3": 1.5}}
-    back = info_table_from_json(doc)
-    assert back.epoch == 2
-    assert back.ids.tolist() == [0, 3] and back.amounts.tolist() == [0.25, 1.5]
+    assert doc == {"info": {"0": 0.25, "3": 1.5}}
+    # A document written with the former "epoch" key reads the same.
+    for back in (info_table_from_json(doc), info_table_from_json(dict(doc, epoch=2.5))):
+        assert back.ids.tolist() == [0, 3] and back.amounts.tolist() == [0.25, 1.5]
 
 
 def test_info_table_ordering_and_arrays():
-    table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
+    table = InfoAmountTable([5, 2], [1.0, 3.0])
     cats, vals = table.as_arrays()
     assert np.array_equal(cats, [2, 5])
     assert np.array_equal(vals, [3.0, 1.0])
 
 
 def test_info_table_sorts_rows_by_id():
-    table = InfoAmountTable(np.array([7, 1, 4]), np.array([0.5, 2.0, 1.25]), epoch=3)
+    table = InfoAmountTable(np.array([7, 1, 4]), np.array([0.5, 2.0, 1.25]))
     assert table.ids.dtype == np.int64 and table.amounts.dtype == np.float64
     assert table.ids.tolist() == [1, 4, 7]
     assert table.amounts.tolist() == [2.0, 1.25, 0.5]
-    assert table.epoch == 3
 
 
 def test_info_table_arrays_are_read_only_copies():
@@ -402,9 +400,9 @@ def test_info_table_json_rejects_bad_documents():
     with pytest.raises(InputError):
         info_table_from_json({"epoch": 0})
     with pytest.raises(InputError):
-        info_table_from_json({"epoch": 0, "info": {"0": -1.0}})
+        info_table_from_json({"info": {"0": -1.0}})
     with pytest.raises(InputError):
-        info_table_from_json({"epoch": 0, "info": {"x": 1.0}})
+        info_table_from_json({"info": {"x": 1.0}})
 
 
 # ----------------------------------------------------------- symmetry check

@@ -104,7 +104,7 @@ def test_degenerate_all_zero_input_flagged():
 
 
 def test_table_input_is_sorted_by_category_id():
-    table = InfoAmountTable([5, 2], [1.0, 3.0], epoch=0)
+    table = InfoAmountTable([5, 2], [1.0, 3.0])
     norm = normalize_info(table)
     assert np.array_equal(norm, normalize_info(_table(np.array([3.0, 1.0]))))
     assert norm[0] > norm[1]
@@ -234,7 +234,7 @@ def test_margin_matrix_validation_and_zeros():
         MarginMatrix(np.zeros((2, 3)))
     with pytest.raises(InputError):
         MarginMatrix(np.array([[0.0, np.inf], [0.0, 0.0]]))
-    z = MarginMatrix.zeros(4)
+    z = MarginMatrix(np.zeros((4, 4)))
     assert z.C == 4
     assert np.array_equal(z.m, np.zeros((4, 4)))
 
@@ -324,7 +324,7 @@ def test_zero_margins_reduce_to_normface_bit_exact():
         clf = make_clf(rng.normal(size=(C, p)), s=float(rng.uniform(1.0, 40.0)))
         X = rng.normal(size=(n, p))
         y = rng.integers(0, C, size=n)
-        a = igam_batch(clf, X, y, MarginMatrix.zeros(C))
+        a = igam_batch(clf, X, y, MarginMatrix(np.zeros((C, C))))
         b = igam_batch(clf, X, y, None)
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.grad_inputs, b.grad_inputs)
@@ -338,7 +338,7 @@ def test_uniform_cosines_give_log_C():
     for C in (2, 5):
         W = np.tile(np.array([0.3, -0.8, 0.44]), (C, 1))
         clf = make_clf(W, s=12.0)
-        out = igam_batch(clf, np.array([[1.0, 0.2, -0.5]]), [1], MarginMatrix.zeros(C))
+        out = igam_batch(clf, np.array([[1.0, 0.2, -0.5]]), [1], MarginMatrix(np.zeros((C, C))))
         assert out.losses[0] == pytest.approx(np.log(C), rel=1e-14)
 
 
@@ -539,7 +539,7 @@ def test_batch_agrees_with_per_sample_calls():
 
 def test_batch_shape_and_label_validation():
     clf = make_clf([[1.0, 0.0], [0.0, 1.0]])
-    M = MarginMatrix.zeros(2)
+    M = MarginMatrix(np.zeros((2, 2)))
     with pytest.raises(InputError):
         igam_batch(clf, np.zeros((3, 3)), [0, 1, 0], M)  # wrong feature dim
     with pytest.raises(InputError):
@@ -547,7 +547,7 @@ def test_batch_shape_and_label_validation():
     with pytest.raises(InputError):
         igam_batch(clf, np.ones((2, 2)), [0, 2], M)  # label out of range
     with pytest.raises(InputError):
-        igam_batch(clf, np.ones((2, 2)), [0, 1], MarginMatrix.zeros(3))  # margin shape
+        igam_batch(clf, np.ones((2, 2)), [0, 1], MarginMatrix(np.zeros((3, 3))))  # margin shape
 
 
 def test_margin_matrix_values_cannot_change_after_the_check():
@@ -582,7 +582,7 @@ def test_non_finite_batch_rejected_by_every_loss(loss, case):
         W[weight_entry[:2]] = weight_entry[2]
     clf = CosineClassifier(W)
     call = {"ce": ce_batch, "normface": lambda c, x, y: igam_batch(c, x, y, None),
-            "igam": lambda c, x, y: igam_batch(c, x, y, MarginMatrix.zeros(3))}[loss]
+            "igam": lambda c, x, y: igam_batch(c, x, y, MarginMatrix(np.zeros((3, 3))))}[loss]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=message):
@@ -759,7 +759,7 @@ def _margin_cases(norm, C):
     return {
         "clamped-rival": rival,
         "signed-target": signed,
-        "zero": MarginMatrix.zeros(C),
+        "zero": MarginMatrix(np.zeros((C, C))),
         "x60": MarginMatrix(60.0 * rival.m),
         "signed-x60": MarginMatrix(60.0 * signed.m),
         "raw-diagonal": MarginMatrix(dirty),
@@ -858,7 +858,7 @@ def test_grad_cos_and_cached_trig_are_read_only():
 
 def test_margin_trig_skipped_for_zero_margins_and_exact_where_inactive():
     clf, X, y, norm = _random_problem(69)
-    zero = MarginMatrix.zeros(clf.n_classes)
+    zero = MarginMatrix(np.zeros((clf.n_classes, clf.n_classes)))
     igam_batch(clf, X, y, zero)
     assert "_trig" not in vars(zero)
     raw = np.array([[0.5, 0.2, -0.0], [0.0, 0.0, -0.3], [1.0, 0.0, 0.0]])

@@ -245,7 +245,7 @@ def test_report_with_numpy_scalar_settings_is_json():
     spec = small_spec(n_train=np.array([20, 30, 40]), seed=np.int64(0))
     config = TrainConfig(loss="igam", epochs=np.int64(1), batch_size=np.int64(16),
                          queue_len=np.int64(90))
-    result = train(spec, config)
+    result = train(generate_dataset(spec), config)
     doc = json.loads(canonical_dumps(run_report_to_json(spec, [result])))
     assert doc["runs"][0]["train"]["epochs"] == 1
     assert doc["dataset"]["n_train"] == [20, 30, 40]
@@ -304,15 +304,15 @@ def test_well_separated_classes_reach_high_accuracy():
                          spreads=(0.1, 0.1), mean_separation=4.0, seed=1)
     config = TrainConfig(loss="normface", epochs=10, lr=0.1, batch_size=32,
                          queue_len=200, seed=1)
-    result = train(spec, config)
+    result = train(generate_dataset(spec), config)
     assert result.reports[-1].per_class_accuracy.min() >= 0.99
 
 
 def test_training_is_deterministic():
     spec = small_spec()
     config = TrainConfig(loss="igam", epochs=3, lr=0.1, batch_size=16, queue_len=90, seed=5)
-    a = train(spec, config)
-    b = train(spec, config)
+    a = train(generate_dataset(spec), config)
+    b = train(generate_dataset(spec), config)
     assert np.array_equal(a.weights, b.weights)
     for ra, rb in zip(a.reports, b.reports):
         assert ra.loss_mean == rb.loss_mean
@@ -330,7 +330,7 @@ def test_measured_information_orders_with_spread():
                              mean_separation=4.0, seed=seed)
         config = TrainConfig(loss="normface", epochs=2, lr=0.05,
                              batch_size=32, queue_len=800, seed=seed)
-        result = train(spec, config)
+        result = train(generate_dataset(spec), config)
         info = result.reports[-1].info_amounts
         if np.all(np.diff(info) > 0):
             wins += 1
@@ -345,12 +345,12 @@ def test_igam_with_forced_zero_margins_equals_normface(monkeypatch):
 
     monkeypatch.setattr(
         trainer_mod, "build_margins",
-        lambda norm, direction="target": MarginMatrix.zeros(len(norm)),
+        lambda norm, direction="target": MarginMatrix(np.zeros((len(norm), len(norm)))),
     )
-    spec = small_spec()
+    ds = generate_dataset(small_spec())
     base = dict(epochs=3, lr=0.1, batch_size=16, queue_len=90, seed=3)
-    res_igam = train(spec, TrainConfig(loss="igam", **base))
-    res_nf = train(spec, TrainConfig(loss="normface", **base))
+    res_igam = train(ds, TrainConfig(loss="igam", **base))
+    res_nf = train(ds, TrainConfig(loss="normface", **base))
     assert np.array_equal(res_igam.weights, res_nf.weights)
     for ra, rb in zip(res_igam.reports, res_nf.reports):
         assert ra.loss_mean == rb.loss_mean
@@ -359,14 +359,14 @@ def test_igam_with_forced_zero_margins_equals_normface(monkeypatch):
 def test_first_epoch_runs_margin_free():
     # No information amounts exist before the first refresh, so a 1-epoch
     # IGAM run trains exactly like the zero-margin baseline; the refreshed
-    # margins only show up in the final report.
-    spec = small_spec(spreads=(0.5, 1.0, 2.0))
+    # margins only show up in the final report, and normface builds none.
+    ds = generate_dataset(small_spec(spreads=(0.5, 1.0, 2.0)))
     base = dict(epochs=1, lr=0.1, batch_size=16, queue_len=90, seed=4)
-    res_igam = train(spec, TrainConfig(loss="igam", **base))
-    res_nf = train(spec, TrainConfig(loss="normface", **base))
+    res_igam = train(ds, TrainConfig(loss="igam", **base))
+    res_nf = train(ds, TrainConfig(loss="normface", **base))
     assert np.array_equal(res_igam.weights, res_nf.weights)
     assert np.abs(res_igam.final_margins.m).max() > 0.0
-    assert np.abs(res_nf.final_margins.m).max() == 0.0
+    assert res_nf.final_margins is None
 
 
 def test_equal_spreads_give_near_zero_margins():
@@ -377,7 +377,7 @@ def test_equal_spreads_give_near_zero_margins():
                              spreads=(1.0,) * 5, mean_separation=4.0, seed=seed)
         config = TrainConfig(loss="igam", epochs=10, lr=0.2, batch_size=32,
                              queue_len=150, seed=seed)
-        result = train(spec, config)
+        result = train(generate_dataset(spec), config)
         assert np.abs(result.final_margins.m).max() < 0.02, seed
 
 
@@ -386,7 +386,7 @@ def test_divergence_raises():
     spec = small_spec()
     config = TrainConfig(loss="ce", epochs=2, lr=1e8, batch_size=16, queue_len=90)
     with pytest.raises(TrainingDivergedError):
-        train(spec, config)
+        train(generate_dataset(spec), config)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -399,22 +399,27 @@ def test_non_finite_weights_raise_with_epoch(loss):
     config = TrainConfig(loss=loss, epochs=2, lr=1e308, batch_size=16, queue_len=90)
     message = f"non-finite weights in epoch 1 (loss={loss}, lr=1e+308)"
     with pytest.raises(TrainingDivergedError, match=re.escape(message)):
-        train(spec, config)
-
-
-def test_dataset_spec_mismatch_rejected():
-    spec = small_spec()
-    other = small_spec(seed=9)
-    ds = generate_dataset(other)
-    with pytest.raises(InputError, match="different spec"):
-        train(spec, TrainConfig(epochs=1, queue_len=90), dataset=ds)
+        train(generate_dataset(spec), config)
 
 
 def test_pearson_count_acc_is_none_on_balanced_data():
     spec = small_spec()
     config = TrainConfig(loss="ce", epochs=1, batch_size=16, queue_len=90)
-    result = train(spec, config)
+    result = train(generate_dataset(spec), config)
     assert result.reports[0].pearson_count_acc is None
+
+
+def test_pearson_count_acc_is_taken_against_log_counts():
+    # Counts grow geometrically, so log(n_train) is evenly spaced and the
+    # correlation differs from the one against the raw counts.
+    n_train = [30, 60, 120, 240]
+    spec = small_spec(C=4, n_train=n_train, spreads=(1.0, 1.5, 2.0, 2.5),
+                      mean_separation=2.0)
+    config = TrainConfig(loss="ce", epochs=2, batch_size=16, queue_len=90)
+    result = train(generate_dataset(spec), config)
+    for report in result.reports:
+        assert report.pearson_count_acc is not None
+        assert report.pearson_count_acc == pearson(np.log(n_train), report.per_class_accuracy)
 
 
 # ------------------------------------------------------------------- report
@@ -427,7 +432,7 @@ def test_run_report_json_structure():
         for name in ("ce", "igam")
     ]
     ds = generate_dataset(spec)
-    results = [train(spec, cfg, dataset=ds) for cfg in configs]
+    results = [train(ds, cfg) for cfg in configs]
     doc = run_report_to_json(spec, results)
     assert set(doc) == {"dataset", "runs"}
     assert doc["dataset"] == {
@@ -437,7 +442,9 @@ def test_run_report_json_structure():
     assert [run["train"]["loss"] for run in doc["runs"]] == ["ce", "igam"]
     for run, config in zip(doc["runs"], configs):
         assert run["train"] == dataclasses.asdict(config)
-        assert {"train", "epochs", "final_margins", "final_info"} == set(run)
+        assert {"train", "epochs", "final_margins"} == set(run)
+        # ce builds no margins, so it reports none.
+        assert (run["final_margins"] is None) == (config.loss == "ce")
         assert len(run["epochs"]) == 2
         for ep in run["epochs"]:
             assert set(ep) == {
@@ -452,7 +459,8 @@ def test_run_report_json_structure():
 
 def test_train_result_json_margin_block_round_trips():
     spec = small_spec(spreads=(0.5, 1.0, 2.0))
-    result = train(spec, TrainConfig(loss="igam", epochs=2, batch_size=16, queue_len=90))
+    config = TrainConfig(loss="igam", epochs=2, batch_size=16, queue_len=90)
+    result = train(generate_dataset(spec), config)
     doc = train_result_to_json(result)
     assert doc["train"]["margin_direction"] == "target"
     assert doc["final_margins"]["C"] == 3
@@ -482,7 +490,7 @@ def test_kernel_on_rows_normalized_whole_equals_public_api(case):
     signed = (logs[:, None] - logs[None, :]) / np.pi
     np.fill_diagonal(signed, 0.0)
     margins = {
-        "zero": MarginMatrix.zeros(C),
+        "zero": MarginMatrix(np.zeros((C, C))),
         "clamped-rival": build_margins(norm, direction="rival"),
         "signed": MarginMatrix(signed),
     }[case]
@@ -511,7 +519,7 @@ def _reference_train(spec, config, dataset):
     clf = CosineClassifier(rng_init.standard_normal((C, p)) / np.sqrt(p), scale=config.s)
     W = clf.weights
     velocity = np.zeros_like(W)
-    margins = MarginMatrix.zeros(C)
+    margins = MarginMatrix(np.zeros((C, C)))
     info = np.zeros(C)
     accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
     reports = []
@@ -530,10 +538,10 @@ def _reference_train(spec, config, dataset):
             velocity += out.grad_weights
             W -= config.lr * velocity
             accumulator.add(Xb, yb)
-        refreshed = information_amounts_from_stats(accumulator.finalize(), epoch=epoch)
+        refreshed = information_amounts_from_stats(accumulator.finalize())
         info[refreshed.ids] = refreshed.amounts
         if config.loss == "igam":
-            table = InfoAmountTable(np.arange(C), info, epoch=epoch)
+            table = InfoAmountTable(np.arange(C), info)
             norm = normalize_info(table, ibar=config.ibar_mode)
             margins = build_margins(norm, direction=config.margin_direction)
         if config.loss == "ce":
@@ -557,12 +565,14 @@ def test_train_equals_per_batch_public_api_loop(loss, queue_len):
     ds = generate_dataset(spec)
     config = TrainConfig(loss=loss, epochs=3, lr=0.1, batch_size=16,
                          queue_len=queue_len, margin_direction="rival", seed=7)
-    result = train(spec, config, dataset=ds)
+    result = train(ds, config)
     W, margins, reports = _reference_train(spec, config, ds)
     assert np.array_equal(result.weights, W)
-    assert np.array_equal(result.final_margins.m, margins.m)
     if loss == "igam":
+        assert np.array_equal(result.final_margins.m, margins.m)
         assert np.abs(margins.m).max() > 0.0
+    else:
+        assert result.final_margins is None
     assert len(result.reports) == len(reports) == 3
     for got, (acc, info, loss_mean) in zip(result.reports, reports):
         assert np.array_equal(got.per_class_accuracy, acc)
@@ -632,7 +642,7 @@ def test_bad_dataset_rejected_before_any_step(monkeypatch, case):
         mutate(ds)
         config = TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90)
         with pytest.raises(InputError, match=message):
-            train(spec, config, dataset=ds)
+            train(ds, config)
 
 
 def test_ce_accepts_zero_norm_rows():
@@ -642,8 +652,7 @@ def test_ce_accepts_zero_norm_rows():
     ds = generate_dataset(spec)
     ds.train_X[41] = 0.0
     ds.test_X[3] = 0.0
-    result = train(spec, TrainConfig(loss="ce", epochs=1, batch_size=16, queue_len=90),
-                   dataset=ds)
+    result = train(ds, TrainConfig(loss="ce", epochs=1, batch_size=16, queue_len=90))
     assert np.isfinite(result.reports[0].loss_mean)
 
 
@@ -658,8 +667,7 @@ def test_class_without_rows_is_rejected(part):
     setattr(ds, f"{part}_y", getattr(ds, f"{part}_y")[keep])
     for loss in LOSSES:
         with pytest.raises(InputError, match=f"^class 2 has no {part} rows$"):
-            train(spec, TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90),
-                  dataset=ds)
+            train(ds, TrainConfig(loss=loss, epochs=1, batch_size=16, queue_len=90))
 
 
 def test_dataset_shapes_and_dtypes_checked():
@@ -668,12 +676,12 @@ def test_dataset_shapes_and_dtypes_checked():
     ds = generate_dataset(spec)
     ds.train_X = ds.train_X[:, :3]
     with pytest.raises(InputError, match=re.escape("train data: expected an (n, 4) array, got shape (180, 3)")):
-        train(spec, config, dataset=ds)
+        train(ds, config)
     ds = generate_dataset(spec)
     ds.test_y = ds.test_y.astype(np.float64)
     with pytest.raises(InputError, match="test data: ids must be integers, got dtype float64"):
-        train(spec, config, dataset=ds)
+        train(ds, config)
     ds = generate_dataset(spec)
     ds.test_X = ds.test_X.astype(np.float32)
     with pytest.raises(InputError, match="test_X must be a float64 array, got dtype float32"):
-        train(spec, config, dataset=ds)
+        train(ds, config)
