@@ -32,13 +32,7 @@ from .loss import (
     igam_batch,
     normalize_info,
 )
-from .planner import (
-    PlanInput,
-    PlanResult,
-    memory_report,
-    optimal_queue_length,
-    storage_ratio,
-)
+from .planner import PlanInput, memory_report, optimal_queue_length, storage_ratio
 from .trainer import (
     Dataset,
     EpochReport,
@@ -74,7 +68,6 @@ __all__ = [
     "igam_batch",
     "ce_batch",
     "PlanInput",
-    "PlanResult",
     "storage_ratio",
     "optimal_queue_length",
     "memory_report",

@@ -44,7 +44,7 @@ from .loss import (
     MARGIN_DIRECTIONS,
     IBAR_MODES,
 )
-from .planner import PlanInput, memory_report, optimal_queue_length, plan_result_to_json
+from .planner import MODES, PlanInput, memory_report, optimal_queue_length
 from .runconfig import parse_run_config
 from .stats import (
     EpochAccumulator,
@@ -53,8 +53,6 @@ from .stats import (
     stats_entry_arrays,
 )
 from .trainer import LOSSES, generate_dataset, run_report_to_json
-
-_MODES = {"grid": "coarse-grid", "exact": "exact-integer"}
 
 
 def _emit(doc, out: str | None) -> None:
@@ -138,12 +136,12 @@ def _cmd_loss_eval(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    inp = PlanInput(N=args.instances, p=args.dim, C=args.classes, search=_MODES[args.mode])
+    inp = PlanInput(N=args.instances, p=args.dim, C=args.classes, mode=args.mode)
     if args.queue_len is not None:
-        result = memory_report(inp, args.queue_len)
+        doc = memory_report(inp, args.queue_len)
     else:
-        result = optimal_queue_length(inp)
-    _emit(plan_result_to_json(result), args.out)
+        doc = optimal_queue_length(inp)
+    _emit(doc, args.out)
     return 0
 
 
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--instances", type=int, required=True, help="total instances N")
     p_plan.add_argument("--dim", type=int, required=True, help="embedding dimension p")
     p_plan.add_argument("--classes", type=int, required=True, help="category count C")
-    p_plan.add_argument("--mode", choices=sorted(_MODES), default="grid")
+    p_plan.add_argument("--mode", choices=MODES, default="grid")
     p_plan.add_argument("--queue-len", type=int, default=None,
                         help="report a specific d instead of optimizing")
     p_plan.add_argument("--out", default=None)

@@ -183,9 +183,14 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
         info = doc["info"]
         if not isinstance(info, dict):
             raise TypeError(f"'info' must map category ids to amounts, got {json_type(info)}")
-        ids = [int(key) for key in info]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed information-amount document: {exc}") from exc
+    ids = []
+    for key in info:
+        try:
+            ids.append(int(key))
+        except (TypeError, ValueError):
+            raise _non_canonical(key) from None
     ids = [as_id(cat, "category id") for cat in ids]
     amounts = [as_float(val, f"info.{key}") for key, val in info.items()]
     table = InfoAmountTable(ids, amounts)
@@ -193,5 +198,9 @@ def info_table_from_json(doc: dict) -> InfoAmountTable:
     # "07". Checked last, so a key that aliases another reports as a repeat.
     for cat, key in zip(ids, info):
         if str(cat) != key:
-            raise InputError(f"info key {key!r} is not a canonical decimal category id")
+            raise _non_canonical(key)
     return table
+
+
+def _non_canonical(key) -> InputError:
+    return InputError(f"info key {key!r} is not a canonical decimal category id")

@@ -33,22 +33,15 @@ import numpy as np
 
 from .errors import InputError, as_choice, as_int
 
-__all__ = [
-    "PlanInput",
-    "PlanResult",
-    "storage_ratio",
-    "optimal_queue_length",
-    "memory_report",
-    "plan_result_to_json",
-]
+__all__ = ["PlanInput", "storage_ratio", "optimal_queue_length", "memory_report"]
 
-SEARCH_MODES = ("coarse-grid", "exact-integer")
+MODES = ("grid", "exact")
 
 _BYTES_PER_REAL = 4
 _MB = 2**20
 
 # The reference grid search starts at this queue length; for smaller N use
-# the exact-integer mode, which scans every block of constant floor(N/d).
+# the exact mode, which scans every block of constant floor(N/d).
 _GRID_LOW = 1000
 _GRID_POINTS = 100
 
@@ -60,105 +53,77 @@ class PlanInput:
     N: int
     p: int
     C: int
-    search: str = "coarse-grid"
+    mode: str = "grid"
 
     def __post_init__(self):
         for name in ("N", "p", "C"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
-        as_choice(self.search, "search", SEARCH_MODES)
+        as_choice(self.mode, "mode", MODES)
 
 
-@dataclass(frozen=True)
-class PlanResult:
-    """A queue length with its storage ratio and byte accounting."""
+def storage_ratio(inp: PlanInput, d):
+    """R(d) = (d + C*(floor(N/d)+1)*p) / N for one queue length or an array.
 
-    d_star: int
-    R: float
-    savings_percent: float
-    bytes_original: int
-    bytes_new: int
-    bytes_new_with_means: int
-
-
-def storage_ratio(inp: PlanInput, d: int) -> float:
-    """R(d) = (d + C*(floor(N/d)+1)*p) / N for an integer queue length."""
-    if not 1 <= d <= inp.N:
+    For integer d and N < 2^52 this rounds the exact ratio once: the floor
+    of the rounded N/d is N//d, and every other term is an exact integer."""
+    if not (np.min(d) >= 1 and np.max(d) <= inp.N):
         raise InputError(f"queue length d must lie in [1, {inp.N}], got {d}")
-    K = inp.N // d + 1
-    return (d + inp.C * K * inp.p) / inp.N
+    return (d + inp.C * (np.floor(inp.N / d) + 1) * inp.p) / inp.N
 
 
-def memory_report(inp: PlanInput, d: int) -> PlanResult:
-    """Byte accounting at a given queue length.
+def memory_report(inp: PlanInput, d: int) -> dict:
+    """The plan document at a given queue length.
 
     bytes_original prices one p-vector per instance; bytes_new prices the
     queue (d embeddings) plus C*K covariance matrices of p^2 reals each.
     """
-    R = storage_ratio(inp, d)
+    R = float(storage_ratio(inp, d))
     K = inp.N // d + 1
     bytes_original = inp.N * inp.p * _BYTES_PER_REAL
     bytes_new = (d * inp.p + inp.C * K * inp.p * inp.p) * _BYTES_PER_REAL
-    bytes_means = inp.C * K * inp.p * _BYTES_PER_REAL
-    return PlanResult(
-        d_star=d,
-        R=R,
-        savings_percent=100.0 * (1.0 - R),
-        bytes_original=bytes_original,
-        bytes_new=bytes_new,
-        bytes_new_with_means=bytes_new + bytes_means,
-    )
+    return {
+        "d_star": d,
+        "R": R,
+        "savings_percent": 100.0 * (1.0 - R),
+        "bytes_original": bytes_original,
+        "bytes_new": bytes_new,
+        "bytes_new_with_means": bytes_new + inp.C * K * inp.p * _BYTES_PER_REAL,
+        "mb_original": bytes_original / _MB,
+        "mb_new": bytes_new / _MB,
+    }
 
 
 def _grid_optimum(inp: PlanInput) -> int:
     if inp.N < _GRID_LOW:
         raise InputError(
-            f"coarse-grid search needs N >= {_GRID_LOW} (grid spans [{_GRID_LOW}, N]); "
-            f"got N={inp.N}; use search='exact-integer' (CLI: --mode exact)"
+            f"grid search needs N >= {_GRID_LOW} (grid spans [{_GRID_LOW}, N]); "
+            f"got N={inp.N}; use mode='exact' (CLI: --mode exact)"
         )
     d = np.linspace(_GRID_LOW, inp.N, _GRID_POINTS)
-    R = (d + inp.C * (np.floor(inp.N / d) + 1) * inp.p) / inp.N
-    return int(d[int(np.argmin(R))])
+    return int(d[np.argmin(storage_ratio(inp, d))])
 
 
 def _exact_optimum(inp: PlanInput) -> int:
     # Within a block of constant K = floor(N/d) + 1, R is increasing in d,
     # so each block's minimum sits at its left endpoint; the block left
-    # endpoints are enumerable in O(sqrt(N)).
-    best_d, best_R = 1, storage_ratio(inp, 1)
-    d = 1
-    while d <= inp.N:
-        R = storage_ratio(inp, d)
-        if R < best_R:
-            best_d, best_R = d, R
-        d = inp.N // (inp.N // d) + 1
-    return best_d
+    # endpoints are enumerable in O(sqrt(N)). argmin takes the first, so
+    # the smallest d wins a tie.
+    left = [1]
+    while (d := inp.N // (inp.N // left[-1]) + 1) <= inp.N:
+        left.append(d)
+    d = np.array(left)
+    return int(d[np.argmin(storage_ratio(inp, d))])
 
 
-def optimal_queue_length(inp: PlanInput) -> PlanResult:
-    """Queue length minimizing R, by the configured search mode.
+def optimal_queue_length(inp: PlanInput) -> dict:
+    """The plan document at the queue length minimizing R, by `inp.mode`.
 
-    "coarse-grid" evaluates R on a 100-point linear grid over [1000, N]
+    "grid" evaluates R on a 100-point linear grid over [1000, N]
     (fractional d scored with a real-valued floor) and truncates the
-    argmin to an integer; "exact-integer" returns the smallest integer d
+    argmin to an integer; "exact" returns the smallest integer d
     attaining the global minimum. Reported figures are always recomputed
     at the returned integer d.
     """
-    if inp.search == "coarse-grid":
-        d_star = _grid_optimum(inp)
-    else:
-        d_star = _exact_optimum(inp)
-    return memory_report(inp, d_star)
-
-
-def plan_result_to_json(result: PlanResult) -> dict:
-    doc = {
-        "d_star": result.d_star,
-        "R": result.R,
-        "savings_percent": result.savings_percent,
-        "bytes_original": result.bytes_original,
-        "bytes_new": result.bytes_new,
-        "bytes_new_with_means": result.bytes_new_with_means,
-        "mb_original": result.bytes_original / _MB,
-        "mb_new": result.bytes_new / _MB,
-    }
-    return doc
+    if inp.mode == "grid":
+        return memory_report(inp, _grid_optimum(inp))
+    return memory_report(inp, _exact_optimum(inp))

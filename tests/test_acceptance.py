@@ -91,24 +91,24 @@ def test_criterion_2_memory_plan_reproduction():
     rep2 = memory_report(PlanInput(N=605638, p=128, C=80), 68182)
     mb = 2 ** 20
     checks = [
-        plan1.d_star == 11517,
-        abs(plan1.savings_percent - 56.44) < 0.1,
-        plan2.d_star == 68182,
-        abs(plan2.savings_percent - 73.52) < 0.1,
-        abs(rep1.bytes_original / mb - 27.25) < 0.01,
-        abs(rep1.bytes_new / mb - 11.87) < 0.01,
-        abs(rep2.bytes_original / mb - 295.72) < 0.01,
-        abs(rep2.bytes_new / mb - 78.29) < 0.01,
+        plan1["d_star"] == 11517,
+        abs(plan1["savings_percent"] - 56.44) < 0.1,
+        plan2["d_star"] == 68182,
+        abs(plan2["savings_percent"] - 73.52) < 0.1,
+        abs(rep1["bytes_original"] / mb - 27.25) < 0.01,
+        abs(rep1["bytes_new"] / mb - 11.87) < 0.01,
+        abs(rep2["bytes_original"] / mb - 295.72) < 0.01,
+        abs(rep2["bytes_new"] / mb - 78.29) < 0.01,
     ]
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 1.0
     record(
         2, ok,
-        f"d*={plan1.d_star}/{plan2.d_star}, savings "
-        f"{plan1.savings_percent:.2f}%/{plan2.savings_percent:.2f}% "
+        f"d*={plan1['d_star']}/{plan2['d_star']}, savings "
+        f"{plan1['savings_percent']:.2f}%/{plan2['savings_percent']:.2f}% "
         f"(within 0.1pp of 56.44/73.52), MB "
-        f"{rep1.bytes_original / mb:.4f}/{rep1.bytes_new / mb:.4f} and "
-        f"{rep2.bytes_original / mb:.4f}/{rep2.bytes_new / mb:.4f} "
+        f"{rep1['bytes_original'] / mb:.4f}/{rep1['bytes_new'] / mb:.4f} and "
+        f"{rep2['bytes_original'] / mb:.4f}/{rep2['bytes_new'] / mb:.4f} "
         f"(within 0.01), {elapsed * 1000:.0f}ms (< 1s)",
     )
 

@@ -20,7 +20,7 @@ from infomargin.fileio import (
     write_embeddings_binary,
     write_json,
 )
-from infomargin.planner import PlanInput, optimal_queue_length, plan_result_to_json
+from infomargin.planner import PlanInput, optimal_queue_length
 from infomargin.stats import EpochAccumulator, global_stats_to_json
 from infomargin.trainer import SyntheticSpec, TrainConfig, generate_dataset, run_report_to_json, train
 
@@ -264,8 +264,7 @@ _CANONICAL_CORPUS = {
     "null": lambda _: None,
     "stats-document": _stats_document,
     "toy-report": _toy_report,
-    "plan-result": lambda _: plan_result_to_json(
-        optimal_queue_length(PlanInput(N=55_800, p=128, C=20))),
+    "plan-result": lambda _: optimal_queue_length(PlanInput(N=55_800, p=128, C=20)),
 }
 
 

@@ -116,3 +116,32 @@ def test_loss_eval_bytes_are_pinned(tmp_path):
                      "--weights", str(src["w.bin"]), *flags, "--out", str(out)]) == 0
         got[name] = _sha256(out)
     assert got == LOSS_OUTPUT_SHA256
+
+
+# `plan --out` at the README and benchmark size in both modes, at a fixed queue
+# length, and in exact mode below the grid's N >= 1000. Recorded from the code
+# that still had a separate result class and mode names, so the planner's
+# one-formula form is pinned to the same bytes.
+PLAN_OUTPUT_SHA256 = {
+    "grid": "1a2ee131a20ba826980d39b3fba6fc0e7a9170a05e095d68c6cc4e07bd96fb20",
+    "exact": "781d3fb002c1119cabfa990e48aaeb9a06324bf855702a04bbfadc47ec1fa9e7",
+    "queue-len": "16121a7264724a6ab5d93930bb63ce21c2eb21cbd5b00b6089781bee0caea5c6",
+    "exact-small": "e86d49689848dabf9275e1a5f8fbbc5ea78fb7b07616c16e0686b4b7fc9bab97",
+}
+
+
+def test_plan_bytes_are_pinned(tmp_path):
+    readme = ["--instances", "55800", "--dim", "128", "--classes", "20"]
+    runs = {
+        "grid": [*readme, "--mode", "grid"],
+        "exact": [*readme, "--mode", "exact"],
+        "queue-len": ["--instances", "605638", "--dim", "128", "--classes", "80",
+                      "--queue-len", "68182"],
+        "exact-small": ["--instances", "999", "--dim", "8", "--classes", "4", "--mode", "exact"],
+    }
+    got = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["plan", *flags, "--out", str(out)]) == 0
+        got[name] = _sha256(out)
+    assert got == PLAN_OUTPUT_SHA256

@@ -868,3 +868,22 @@ def test_margin_trig_skipped_for_zero_margins_and_exact_where_inactive():
     assert np.all(np.signbit(sin_m[inactive]) == 0) and np.all(sin_m[inactive] == 0.0)
     assert np.array_equal(cos_m[~inactive], np.cos(raw[~inactive]))
     assert np.array_equal(sin_m[~inactive], np.sin(raw[~inactive]))
+
+
+def test_largest_margin_scales_as_a_power_of_C():
+    # The double exponential puts every I'_i near e + 1, so the largest margin
+    # shrinks with C: as 1/sqrt(C) with `ibar mean` and as C^-1.5 with `ibar
+    # sum`. Amounts (p/2) log2(1 + sigma^2), sigma^2 log-uniform in [0.25, 4];
+    # at seed 0 the scaled maxima are 0.471/0.489/0.432/0.421 (mean) and
+    # 0.346/0.395/0.385/0.394 (sum) over C = 10, 30, 100, 300.
+    rng = np.random.default_rng(0)
+    scaled = {"mean": [], "sum": []}
+    for C in (10, 30, 100, 300):
+        sigma2 = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=C))
+        table = InfoAmountTable(list(range(C)), 64 / 2 * np.log2(1 + sigma2))
+        for ibar, power in (("mean", 0.5), ("sum", 1.5)):
+            m = build_margins(normalize_info(table, ibar=ibar), direction="rival").m
+            scaled[ibar].append(m.max() * C**power)
+    for ibar, values in scaled.items():
+        ratio = np.array(values) / values[0]
+        assert np.all((ratio > 1 / 1.5) & (ratio < 1.5)), (ibar, values)
