@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError, as_float, as_int, as_number_array
+from .errors import InputError, NumericalError, as_int
 from . import fileio, trainer
 from .info import info_table_from_json, info_table_to_json, information_amounts_from_stats
 from .loss import (
@@ -45,14 +45,14 @@ from .loss import (
     IBAR_MODES,
 )
 from .planner import MODES, PlanInput, memory_report, optimal_queue_length
-from .runconfig import parse_run_config
 from .stats import (
     EpochAccumulator,
     global_stats_from_json,
     global_stats_to_json,
     stats_entry_arrays,
 )
-from .trainer import LOSSES, generate_dataset, run_report_to_json
+from .trainer import LOSSES, generate_dataset, parse_run_config, run_report_to_json, \
+    summarize_run_report
 
 
 def _emit(doc, out: str | None) -> None:
@@ -160,8 +160,7 @@ def _train_task(config) -> trainer.TrainResult:
 
 
 def _cmd_toy_run(args) -> int:
-    parsed = parse_run_config(fileio.read_json(args.config))
-    spec, configs = parsed.spec, parsed.configs
+    spec, configs = parse_run_config(fileio.read_json(args.config))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
         configs = tuple(replace(cfg, seed=args.seed) for cfg in configs)
@@ -183,41 +182,8 @@ def _cmd_toy_run(args) -> int:
     return 0
 
 
-def _final_epoch_summary(run: dict, index: int) -> dict:
-    try:
-        loss = run["train"]["loss"]
-        epochs = run["epochs"]
-        final = epochs[-1]
-        acc = as_number_array(final["per_class_accuracy"],
-                              f"runs[{index}]: final per_class_accuracy")
-        if not acc.size:
-            raise InputError(f"runs[{index}]: final per_class_accuracy must be a "
-                             f"nonempty list, got shape {acc.shape}")
-        # The copied fields are checked too, as `canonical_dumps` refuses inf.
-        scalars = {key: None if key.startswith("pearson_") and final[key] is None
-                   else as_float(final[key], f"runs[{index}]: final {key}")
-                   for key in ("bias_variance", "pearson_info_acc", "pearson_count_acc",
-                               "loss_mean")}
-        return {
-            "loss": loss,
-            "epochs": len(epochs),
-            **scalars,
-            "mean_accuracy": float(np.mean(acc)),
-            "min_class_accuracy": float(np.min(acc)),
-        }
-    except (KeyError, IndexError, TypeError) as exc:
-        raise InputError(f"runs[{index}]: malformed run report: {exc}") from exc
-
-
 def _cmd_toy_report(args) -> int:
-    doc = fileio.read_json(args.report)
-    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
-        raise InputError(f"{args.report}: expected a run report with a 'runs' list")
-    summary = {
-        "dataset": doc.get("dataset"),
-        "runs": [_final_epoch_summary(run, i) for i, run in enumerate(doc["runs"])],
-    }
-    _emit(summary, args.out)
+    _emit(summarize_run_report(fileio.read_json(args.report), args.report), args.out)
     return 0
 
 

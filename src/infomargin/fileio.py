@@ -9,7 +9,9 @@ Embeddings are stored at 32-bit precision on disk regardless of in-memory
 precision; the reader promotes to float64. Malformed input is reported with
 the byte offset of the problem. The writer checks its arrays with
 `errors.as_batch`, as every (features, ids) entry point of the package does,
-and adds the u32 range of its id field.
+and adds what the reader requires of a file: at least one record, p >= 1,
+ids in the u32 range and values that stay finite at 32 bits. So it writes
+only files the reader takes, and a bad array leaves no file behind.
 
 `iter_embeddings` is the one reader: it yields a file as (X, categories)
 chunks. The header and the file's size are checked before any record is
@@ -141,12 +143,22 @@ def _binary_chunks(path, p: int, count: int, chunk: int):
 
 def write_embeddings_binary(path, X: np.ndarray, categories: np.ndarray) -> None:
     X, categories = as_batch(X, categories, str(path))
+    n, p = X.shape
+    if n == 0:
+        raise InputError(f"{path}: no records to write")
+    if p == 0:
+        raise InputError(f"{path}: embedding dimension 0 must be >= 1")
     if np.any(categories > np.iinfo(np.uint32).max):
         raise InputError(f"{path}: category id exceeds the u32 range")
-    n, p = X.shape
+    # An overflow is reported below, by row, rather than warned about.
+    with np.errstate(over="ignore"):
+        vectors = X.astype(np.float32)
+    if not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
+        row = int(np.argmin(np.isfinite(vectors).all(axis=1)))
+        raise InputError(f"{path}: value in row {row} is beyond the float32 range")
     records = np.empty(n, dtype=_record_dtype(p))
     records["category"] = categories
-    records["vector"] = X.astype(np.float32)
+    records["vector"] = vectors
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, p, n))
         fh.write(records.tobytes())

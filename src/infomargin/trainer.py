@@ -23,19 +23,23 @@ correlation on a balanced benchmark).
 A run's final amounts are its last report's `info_amounts`; its
 `final_margins` are the last refresh's margins, or None for ce and
 normface, which build none.
+
+The module also holds a `toy run`'s three documents: the run config it
+reads (`parse_run_config`), the report it writes (`run_report_to_json`) and
+that report's `toy report` summary (`summarize_run_report`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError, TrainingDivergedError, as_batch, as_choice, \
-    as_float, as_int
+    as_float, as_int, as_number_array, as_object
 from .info import information_amounts_from_stats
 from .loss import MarginMatrix, build_margins, margins_to_json, normalize_info, \
     MARGIN_DIRECTIONS, IBAR_MODES, _ce_kernel, _cosine_kernel, _unit_rows
@@ -52,8 +56,9 @@ __all__ = [
     "train",
     "pearson",
     "bias_variance",
-    "train_result_to_json",
+    "parse_run_config",
     "run_report_to_json",
+    "summarize_run_report",
 ]
 
 LOSSES = ("ce", "normface", "igam")
@@ -146,6 +151,57 @@ class TrainConfig:
             seed=as_int(self.seed, "seed", minimum=0),
         ).items():
             object.__setattr__(self, name, value)
+
+
+def _reject_unknown(section: dict, allowed, path: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise InputError(f"{path}.{unknown[0]}: unknown key")
+
+
+def _section(value, path: str, cls) -> dict:
+    """A section's keys over the defaults of `cls`'s fields."""
+    keys = {f.name: f.default for f in fields(cls)}
+    section = {k: v for k, v in keys.items() if v is not MISSING}
+    section.update(as_object(value, path))
+    _reject_unknown(section, keys, path)
+    for key in keys:
+        if key not in section:
+            raise InputError(f"{path}.{key}: missing required key")
+    return section
+
+
+def _build(path: str, cls, **values):
+    """`cls(**values)`, its InputError prefixed with the section path."""
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise InputError(f"{path}.{exc}") from None
+
+
+def parse_run_config(doc) -> tuple[SyntheticSpec, tuple[TrainConfig, ...]]:
+    """A loaded run config, whose `dataset` and `train` sections hold the
+    fields of SyntheticSpec and TrainConfig, as `(spec, configs)`: one config
+    per loss. Only the structure is checked here: objects, no unknown or
+    missing keys (named by field path, so typos fail loudly), and `train.loss`
+    as one name or a list of distinct names. The dataclasses check every
+    value; their errors come back prefixed with the section, as in
+    `train.epochs must be >= 1, got 0`."""
+    root = as_object(doc, "config")
+    _reject_unknown(root, ("dataset", "train"), "config")
+    if "dataset" not in root:
+        raise InputError("config.dataset: missing required section")
+    spec = _build("dataset", SyntheticSpec, **_section(root["dataset"], "dataset", SyntheticSpec))
+
+    train = _section(root.get("train", {}), "train", TrainConfig)
+    loss = train.pop("loss")
+    names = loss if isinstance(loss, list) else [loss]
+    if not names or not all(isinstance(name, str) for name in names):
+        raise InputError(f"train.loss: expected a loss name or list of names, got {loss!r}")
+    if len(set(names)) != len(names):
+        raise InputError("train.loss: duplicate loss names")
+    configs = tuple(_build("train", TrainConfig, loss=name, **train) for name in names)
+    return spec, configs
 
 
 @dataclass
@@ -372,23 +428,55 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     return TrainResult(reports=reports, final_margins=margins, weights=W, config=config)
 
 
-def _report_to_json(report: EpochReport) -> dict:
-    values = {f.name: getattr(report, f.name) for f in fields(report)}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
-
-
-def train_result_to_json(result: TrainResult) -> dict:
-    return {
-        "train": asdict(result.config),
-        "epochs": [_report_to_json(r) for r in result.reports],
-        "final_margins": (None if result.final_margins is None
-                          else margins_to_json(result.final_margins)),
-    }
-
-
 def run_report_to_json(spec: SyntheticSpec, results: Sequence[TrainResult]) -> dict:
-    """Full `toy run` report: dataset echo plus one entry per trained loss."""
-    return {
-        "dataset": asdict(spec),
-        "runs": [train_result_to_json(res) for res in results],
-    }
+    """Full `toy run` report: the dataset echo, then per trained loss its
+    train section, each epoch's diagnostics (arrays as lists) and its final
+    margins (None for ce and normface)."""
+    runs = []
+    for result in results:
+        epochs = []
+        for report in result.reports:
+            values = {f.name: getattr(report, f.name) for f in fields(report)}
+            epochs.append({k: v.tolist() if isinstance(v, np.ndarray) else v
+                           for k, v in values.items()})
+        margins = result.final_margins
+        runs.append({
+            "train": asdict(result.config),
+            "epochs": epochs,
+            "final_margins": None if margins is None else margins_to_json(margins),
+        })
+    return {"dataset": asdict(spec), "runs": runs}
+
+
+def summarize_run_report(doc, source: str) -> dict:
+    """The `toy report` summary of a loaded run report: the dataset echo and,
+    per run, its final epoch's diagnostics with the mean and smallest class
+    accuracy. Errors name `source`, or a malformed run as `runs[i]: ...`."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+        raise InputError(f"{source}: expected a run report with a 'runs' list")
+    summaries = []
+    for index, run in enumerate(doc["runs"]):
+        try:
+            loss = run["train"]["loss"]
+            epochs = run["epochs"]
+            final = epochs[-1]
+            acc = as_number_array(final["per_class_accuracy"],
+                                  f"runs[{index}]: final per_class_accuracy")
+            if not acc.size:
+                raise InputError(f"runs[{index}]: final per_class_accuracy must be a "
+                                 f"nonempty list, got shape {acc.shape}")
+            # The copied fields are checked too, as `canonical_dumps` refuses inf.
+            scalars = {key: None if key.startswith("pearson_") and final[key] is None
+                       else as_float(final[key], f"runs[{index}]: final {key}")
+                       for key in ("bias_variance", "pearson_info_acc", "pearson_count_acc",
+                                   "loss_mean")}
+            summaries.append({
+                "loss": loss,
+                "epochs": len(epochs),
+                **scalars,
+                "mean_accuracy": float(np.mean(acc)),
+                "min_class_accuracy": float(np.min(acc)),
+            })
+        except (KeyError, IndexError, TypeError) as exc:
+            raise InputError(f"runs[{index}]: malformed run report: {exc}") from exc
+    return {"dataset": doc.get("dataset"), "runs": summaries}

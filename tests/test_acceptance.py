@@ -30,9 +30,8 @@ from infomargin.loss import (
     normalize_info,
 )
 from infomargin.planner import PlanInput, memory_report, optimal_queue_length
-from infomargin.runconfig import parse_run_config
 from infomargin.stats import GlobalStats, local_stats_from_arrays, merge_stats
-from infomargin.trainer import generate_dataset, train
+from infomargin.trainer import generate_dataset, parse_run_config, train
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -274,15 +273,16 @@ def test_criterion_6_bias_reduction():
     # (b) the information-guided margins beat the zero-margin baseline's
     # per-class accuracy variance in >= 4/5 seeds.
     t0 = time.perf_counter()
-    parsed = parse_run_config(read_json(str(files("infomargin") / "examples" / "heterogeneous.json")))
+    base_spec, configs = parse_run_config(
+        read_json(str(files("infomargin") / "examples" / "heterogeneous.json")))
     ce_pearson = []
     wins = 0
     deltas = []
     for seed in range(5):
-        spec = replace(parsed.spec, seed=seed)
+        spec = replace(base_spec, seed=seed)
         dataset = generate_dataset(spec)
         by_loss = {}
-        for cfg in parsed.configs:
+        for cfg in configs:
             result = train(dataset, replace(cfg, seed=seed))
             by_loss[cfg.loss] = result.reports[-1]
         ce_pearson.append(by_loss["ce"].pearson_info_acc)
@@ -307,14 +307,14 @@ def test_criterion_7_queue_vs_pooled_equivalence():
     # information amounts from the streaming merge vs direct computation
     # from all the pooled training records at once.
     t0 = time.perf_counter()
-    parsed = parse_run_config(read_json(str(files("infomargin") / "examples" / "equal-spread.json")))
-    (config,) = parsed.configs
-    assert parsed.spec.C == 5 and parsed.spec.p == 8
-    assert parsed.spec.n_train == (200,) * 5 and config.queue_len == 150
-    dataset = generate_dataset(parsed.spec)
+    spec, (config,) = parse_run_config(
+        read_json(str(files("infomargin") / "examples" / "equal-spread.json")))
+    assert spec.C == 5 and spec.p == 8
+    assert spec.n_train == (200,) * 5 and config.queue_len == 150
+    dataset = generate_dataset(spec)
     pooled_table = information_amounts_from_stats(GlobalStats(
-        p=parsed.spec.p, categories=local_stats_from_arrays(dataset.train_X, dataset.train_y)))
-    assert np.array_equal(pooled_table.ids, np.arange(parsed.spec.C))
+        p=spec.p, categories=local_stats_from_arrays(dataset.train_X, dataset.train_y)))
+    assert np.array_equal(pooled_table.ids, np.arange(spec.C))
     pooled = pooled_table.amounts
     result = train(dataset, config)
     worst = 0.0

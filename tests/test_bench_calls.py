@@ -1,9 +1,15 @@
-"""The library calls of the benchmark's wide-epoch workload (`bench/worker.py`,
-`WideEpoch`), made here at a small size, so that a change which breaks them
-fails the test suite rather than only the benchmark."""
+"""What the benchmark's workloads rely on, exercised here at a small size, so
+that a change which breaks it fails the test suite rather than only the
+benchmark: the library calls of the wide-epoch workload (`bench/worker.py`,
+`WideEpoch`), and the `toy run` report keys that the toy-train gate
+(`bench/gates.py`, `check_toy`) reads."""
+
+import json
+import math
 
 import numpy as np
 
+from infomargin.cli import main
 from infomargin.info import information_amounts_from_stats
 from infomargin.loss import CosineClassifier, build_margins, igam_batch, normalize_info
 from infomargin.stats import CategoryStats, GlobalStats
@@ -53,3 +59,37 @@ def test_wide_epoch_calls(tmp_path):
              losses=pool_losses)
     with np.load(tmp_path / "wide_out.npz") as saved:
         assert np.array_equal(saved["ids"], ids) and np.array_equal(saved["amounts"], amounts)
+
+
+def test_toy_run_report_keys(tmp_path):
+    # A 2-epoch, 3-loss `toy run` through the CLI, as the toy-train workload
+    # runs it, read through the keys the toy-train gate reads.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"C": 3, "p": 4, "n_train": 40, "n_test": 20,
+                    "spreads": [0.5, 1.0, 2.0], "mean_separation": 3.0},
+        "train": {"loss": ["ce", "normface", "igam"], "epochs": 2, "queue_len": 50,
+                  "batch_size": 16},
+    }))
+    seed = 5
+    report = tmp_path / "report.json"
+    assert main(["toy", "run", str(config), "--seed", str(seed), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+
+    assert doc["dataset"]["seed"] == seed
+    C = doc["dataset"]["C"]
+    assert C == 3
+    runs = {run["train"]["loss"]: run for run in doc["runs"]}
+    assert sorted(runs) == ["ce", "igam", "normface"] and len(doc["runs"]) == 3
+    for run in runs.values():
+        assert run["train"]["seed"] == seed
+        assert [ep["epoch"] for ep in run["epochs"]] == [1, 2]
+        for ep in run["epochs"]:
+            acc = np.asarray(ep["per_class_accuracy"], dtype=np.float64)
+            info = np.asarray(ep["info_amounts"], dtype=np.float64)
+            assert acc.shape == (C,) and info.shape == (C,)
+            assert np.all((acc >= 0) & (acc <= 1)) and np.all(np.isfinite(info))
+            assert ep["bias_variance"] == float(np.var(acc))
+            r = ep["pearson_info_acc"]
+            assert r is None or -1.0 <= r <= 1.0
+            assert math.isfinite(ep["loss_mean"])

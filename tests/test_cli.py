@@ -28,8 +28,7 @@ from infomargin.fileio import (
     write_embeddings_binary,
     write_json,
 )
-from infomargin.runconfig import parse_run_config
-from infomargin.trainer import generate_dataset, run_report_to_json, train
+from infomargin.trainer import generate_dataset, parse_run_config, run_report_to_json, train
 
 EQUAL_SPREAD = files("infomargin") / "examples" / "equal-spread.json"
 HETEROGENEOUS = files("infomargin") / "examples" / "heterogeneous.json"
@@ -835,16 +834,13 @@ def test_toy_run_bundled_equal_spread(tmp_path, capsys):
 def test_bundled_heterogeneous_config_parses(capsys):
     # The full benchmark run belongs to the acceptance suite; here just
     # validate the bundled config's schema and sweep layout.
-    from infomargin.fileio import read_json
-    from infomargin.runconfig import parse_run_config
-
-    parsed = parse_run_config(read_json(str(HETEROGENEOUS)))
-    assert parsed.spec.C == 10
-    assert parsed.spec.p == 16
-    assert parsed.spec.n_train == (500,) * 10
-    assert [c.loss for c in parsed.configs] == ["ce", "normface", "igam"]
-    assert parsed.configs[-1].margin_direction == "rival"
-    assert parsed.configs[-1].ibar_mode == "mean"
+    spec, configs = parse_run_config(read_json(str(HETEROGENEOUS)))
+    assert spec.C == 10
+    assert spec.p == 16
+    assert spec.n_train == (500,) * 10
+    assert [c.loss for c in configs] == ["ce", "normface", "igam"]
+    assert configs[-1].margin_direction == "rival"
+    assert configs[-1].ibar_mode == "mean"
 
 
 def test_toy_run_seed_override_and_determinism(tmp_path, capsys):
@@ -931,8 +927,7 @@ _SWEEP = {
 
 
 def _in_process_report(config_path, seed=None):
-    parsed = parse_run_config(read_json(str(config_path)))
-    spec, configs = parsed.spec, parsed.configs
+    spec, configs = parse_run_config(read_json(str(config_path)))
     if seed is not None:
         spec = replace(spec, seed=seed)
         configs = [replace(cfg, seed=seed) for cfg in configs]
@@ -971,10 +966,10 @@ def test_toy_run_never_pickles_the_dataset_under_fork(tmp_path, capsys, monkeypa
 def test_worker_task_trains_on_the_initializers_dataset(monkeypatch):
     # The pool's two halves in one process: the initializer, then the task.
     monkeypatch.setattr(cli_module, "_worker_data", None)
-    parsed = parse_run_config(_SWEEP)
-    ds = generate_dataset(parsed.spec)
+    spec, configs = parse_run_config(_SWEEP)
+    ds = generate_dataset(spec)
     cli_module._init_worker(ds)
-    for cfg in parsed.configs:
+    for cfg in configs:
         got = cli_module._train_task(cfg)
         expected = train(ds, cfg)
         assert np.array_equal(got.weights, expected.weights)

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,40 @@ def test_writers_reject_bad_arrays(tmp_path, sample):
         write_embeddings_binary(tmp_path / "c.bin", X, cats[:-1])
     with pytest.raises(InputError, match="u32 range"):
         write_embeddings_binary(tmp_path / "d.bin", X[:1], np.array([2**32]))
+
+
+# Each of these arrays would make a file that `iter_embeddings` rejects, so the
+# writer refuses it before it opens the file.
+
+
+def test_writer_rejects_zero_rows(tmp_path):
+    path = tmp_path / "empty.bin"
+    with pytest.raises(InputError, match=re.escape(f"{path}: no records to write")):
+        write_embeddings_binary(path, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    assert not path.exists()
+
+
+def test_writer_rejects_zero_dimension(tmp_path):
+    path = tmp_path / "p0.bin"
+    with pytest.raises(InputError, match=re.escape(f"{path}: embedding dimension 0 must be >= 1")):
+        write_embeddings_binary(path, np.empty((2, 0)), np.array([0, 1]))
+    assert not path.exists()
+
+
+def test_writer_rejects_values_beyond_float32(tmp_path):
+    path = tmp_path / "big.bin"
+    X = np.ones((3, 2))
+    X[1, 0] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: value in row 1 is beyond the float32 range")):
+            write_embeddings_binary(path, X, np.array([0, 1, 2]))
+    assert not path.exists()
+    # The largest float32 itself is written and read back.
+    X[1, 0] = -float(np.finfo(np.float32).max)
+    write_embeddings_binary(path, X, np.array([0, 1, 2]))
+    assert read_embeddings(path)[0][1, 0] == X[1, 0]
 
 
 # ---------------------------------------------------------- canonical json

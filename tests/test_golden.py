@@ -1,5 +1,6 @@
-"""Golden bytes: `stats -> info -> margins` on a fixed seeded `.bin`, and
-`loss-eval` on a second seeded pair of files.
+"""Golden bytes: `stats -> info -> margins` on a fixed seeded `.bin`,
+`loss-eval` on a second seeded pair of files, `plan`, and `toy run` with
+`toy report` on the bundled heterogeneous config.
 
 The SHA-256 of each `stats -> info -> margins` output was recorded from the
 code before the sort-grouped window statistics and the array path of
@@ -11,6 +12,7 @@ The `info.json` hash was re-pinned once, when `info` stopped writing the
 """
 
 import hashlib
+from importlib.resources import files
 
 import numpy as np
 
@@ -145,3 +147,24 @@ def test_plan_bytes_are_pinned(tmp_path):
         assert main(["plan", *flags, "--out", str(out)]) == 0
         got[name] = _sha256(out)
     assert got == PLAN_OUTPUT_SHA256
+
+
+# `toy run` of the bundled heterogeneous config at seed 0, and `toy report` on
+# that report. Recorded from the code that still parsed the config in its own
+# module and summarized the report in the CLI, so the trainer's one home for
+# the run's documents is pinned to the same bytes. A change that adds report
+# keys re-pins both hashes and says so.
+TOY_OUTPUT_SHA256 = {
+    "report.json": "5b9d5b259e05562ac916442cdf4bb5fbd704735c782f54ca46d4a20b79dd088e",
+    "summary.json": "7c62dae039fb5c7b65c96249550019f3a21bd41bcaf21953dc18a275ccaf8d81",
+}
+
+
+def test_toy_run_and_report_bytes_are_pinned(tmp_path):
+    config = files("infomargin") / "examples" / "heterogeneous.json"
+    out = {name: tmp_path / name for name in TOY_OUTPUT_SHA256}
+    assert main(["toy", "run", str(config), "--seed", "0",
+                 "--out", str(out["report.json"])]) == 0
+    assert main(["toy", "report", str(out["report.json"]),
+                 "--out", str(out["summary.json"])]) == 0
+    assert {name: _sha256(path) for name, path in out.items()} == TOY_OUTPUT_SHA256

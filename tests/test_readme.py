@@ -1,6 +1,7 @@
 """The README's front-door example and its `plan` commands run as written,
-so a change to the library's API or the CLI's output that breaks them fails
-the suite instead of leaving the README stale."""
+and its claims ledger names tests that exist, so a change to the library's
+API, the CLI's output or the test suite that breaks them fails the suite
+instead of leaving the README stale."""
 
 import json
 import re
@@ -40,3 +41,31 @@ def test_readme_plan_commands_give_the_quoted_figures(capsys):
     assert f"({grid['mb_original']:.2f} MB → {grid['mb_new']:.2f} MB" in quoted
     assert f"`d* = {exact['d_star']}`" in quoted
     assert (grid["d_star"], exact["d_star"], fixed["d_star"]) == (11517, 11161, 4000)
+
+
+def _ledger_rows() -> list[list[str]]:
+    """The cells of each body row of the README's claims table."""
+    section = README.read_text(encoding="utf-8").split("\n## What this repo reproduces\n", 1)[1]
+    lines = [line for line in section.split("\n## ", 1)[0].splitlines()
+             if line.startswith("|")]
+    header, rule, *body = (
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]] for line in lines)
+    assert header == ["Claim", "Test", "Status", "Figure"]
+    assert set("".join(rule)) <= set("- ")
+    return body
+
+
+def test_claims_ledger_names_existing_tests_and_gives_every_status():
+    rows = _ledger_rows()
+    assert len(rows) >= 10
+    named = 0
+    for claim, test, status, _ in rows:
+        assert claim and status and status != "none", (claim, status)
+        if test == "none":
+            assert status.startswith("not yet"), (claim, status)
+            continue
+        path, name = re.fullmatch(r"`(tests/\w+\.py)::(\w+)`", test).groups()
+        source = (README.parent / path).read_text(encoding="utf-8")
+        assert re.search(rf"^def {name}\(", source, re.MULTILINE), test
+        named += 1
+    assert named >= 8

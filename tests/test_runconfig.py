@@ -6,8 +6,7 @@ import re
 import pytest
 
 from infomargin.errors import InputError
-from infomargin.runconfig import parse_run_config
-from infomargin.trainer import SyntheticSpec, TrainConfig
+from infomargin.trainer import SyntheticSpec, TrainConfig, parse_run_config
 
 
 def minimal():
@@ -24,16 +23,16 @@ def minimal():
 
 
 def test_minimal_config_fills_train_defaults():
-    parsed = parse_run_config(minimal())
-    assert parsed.spec.C == 3
-    assert parsed.spec.p == 4
+    spec, configs = parse_run_config(minimal())
+    assert spec.C == 3
+    assert spec.p == 4
     # scalar counts are broadcast to one entry per class
-    assert parsed.spec.n_train == (50, 50, 50)
-    assert parsed.spec.n_test == (20, 20, 20)
-    assert parsed.spec.spreads == (1.0, 2.0, 4.0)
-    assert parsed.spec.seed == 0
-    assert len(parsed.configs) == 1
-    cfg = parsed.configs[0]
+    assert spec.n_train == (50, 50, 50)
+    assert spec.n_test == (20, 20, 20)
+    assert spec.spreads == (1.0, 2.0, 4.0)
+    assert spec.seed == 0
+    assert len(configs) == 1
+    cfg = configs[0]
     assert cfg.loss == "igam"
     assert cfg.epochs == 30
     assert cfg.lr == 0.1
@@ -49,9 +48,9 @@ def test_minimal_config_fills_train_defaults():
 def test_loss_list_expands_to_multiple_configs():
     doc = minimal()
     doc["train"] = {"loss": ["ce", "igam"], "epochs": 2}
-    parsed = parse_run_config(doc)
-    assert [c.loss for c in parsed.configs] == ["ce", "igam"]
-    assert all(c.epochs == 2 for c in parsed.configs)
+    _, configs = parse_run_config(doc)
+    assert [c.loss for c in configs] == ["ce", "igam"]
+    assert all(c.epochs == 2 for c in configs)
 
 
 def test_duplicate_losses_rejected():
@@ -125,9 +124,9 @@ def test_per_class_counts_accepted():
     doc = minimal()
     doc["dataset"]["n_train"] = [10, 20, 30]
     doc["dataset"]["n_test"] = [5, 5, 5]
-    parsed = parse_run_config(doc)
-    assert parsed.spec.n_train == (10, 20, 30)
-    assert parsed.spec.n_test == (5, 5, 5)
+    spec, _ = parse_run_config(doc)
+    assert spec.n_train == (10, 20, 30)
+    assert spec.n_test == (5, 5, 5)
     doc["dataset"]["n_train"] = [10, "x", 30]
     with pytest.raises(InputError, match=r"dataset.n_train\[1\]"):
         parse_run_config(doc)

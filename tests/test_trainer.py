@@ -33,7 +33,6 @@ from infomargin.trainer import (
     pearson,
     run_report_to_json,
     train,
-    train_result_to_json,
 )
 
 
@@ -461,7 +460,7 @@ def test_train_result_json_margin_block_round_trips():
     spec = small_spec(spreads=(0.5, 1.0, 2.0))
     config = TrainConfig(loss="igam", epochs=2, batch_size=16, queue_len=90)
     result = train(generate_dataset(spec), config)
-    doc = train_result_to_json(result)
+    (doc,) = run_report_to_json(spec, [result])["runs"]
     assert doc["train"]["margin_direction"] == "target"
     assert doc["final_margins"]["C"] == 3
     flat = np.asarray(doc["final_margins"]["margins_row_major"]).reshape(3, 3)
