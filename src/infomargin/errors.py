@@ -88,11 +88,13 @@ def as_number_array(value, path: str) -> np.ndarray:
     Nested lists, strings (which `dtype=np.float64` parses), nulls (which it
     reads as NaN), booleans (which numpy promotes to 0 and 1 among numbers),
     integers beyond float64 and non-finite values (`json.loads` reads a
-    literal such as 1e400 as inf) raise InputError naming `path`.
+    literal such as 1e400 as inf) raise InputError naming `path`. Any string
+    entry reads `expected a list of numbers`, whether numpy can parse it or not.
     """
     try:
         out = np.asarray(value)
-        if out.dtype.kind not in "iuf":
+        # Strings are refused before numpy's float conversion, which parses some.
+        if out.dtype.kind == "O" and str not in set(map(type, out.flat)):
             np.asarray(value, dtype=np.float64)  # numpy's error, if it has one
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from None

@@ -6,13 +6,16 @@ is controlled directly. A linear cosine classifier is trained under one
 of three losses: plain cross-entropy, NormFace (the cosine loss with no
 margins), or the information-guided margin loss. The dataset is checked
 and its feature rows are normalized once per run, so each SGD step
-normalizes only the weights and runs the loss kernel. Each epoch's rows,
-in SGD order, stream through the bounded queue as one array, which cuts
-the same windows as adding them batch by batch; at each epoch end the
-merged statistics refresh the information amounts, which set the margins
-for the next epoch (epoch 1 runs margin-free, since no amounts exist
-yet). One weight matrix serves the whole run: each SGD step updates it
-in place, and the epoch-end evaluation reads the same weights.
+normalizes only the weights and runs the loss kernel. The features are
+fixed, so the information amounts are computed once per run: after epoch
+1's steps, its rows, in SGD order, stream through the bounded queue as one
+array, which cuts the same windows as adding them batch by batch, and the
+merged statistics give the amounts that every epoch reports and the
+margins of every later epoch (epoch 1 runs margin-free, since no amounts
+exist yet). A later epoch's queue would hold the same rows in another
+order and give the same amounts up to round-off. One weight matrix serves
+the whole run: each SGD step updates it in place, and the epoch-end
+evaluation reads the same weights.
 
 Each epoch reports the bias diagnostics: per-class test accuracy, its
 population variance, and Pearson correlations of accuracy against measured
@@ -20,8 +23,8 @@ information and against the log of each class's training count. Pearson
 values are None when either side has zero variance (e.g. the count
 correlation on a balanced benchmark).
 
-A run's final amounts are its last report's `info_amounts`; its
-`final_margins` are the last refresh's margins, or None for ce and
+A run's amounts are each report's `info_amounts`, the same in every epoch;
+its `final_margins` are the margins built from them, or None for ce and
 normface, which build none.
 
 The module also holds a `toy run`'s three documents: the run config it
@@ -331,12 +334,15 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     the loss kernel, with the same bits as `igam_batch` on the raw rows
     (with margins None for normface).
 
-    Each epoch's rows are added to the accumulator as one array in SGD
-    order. Since the features do not depend on the weights, this cuts the
-    same windows as adding each batch after its step, and every training
-    record is counted once per epoch, so each epoch's merged statistics
-    cover exactly the training set (acceptance criterion 7 compares them
-    with the pooled records' amounts).
+    After epoch 1's steps its rows are added to the accumulator as one
+    array in SGD order. Since the features do not depend on the weights,
+    this cuts the same windows as adding each batch after its step, and
+    every training record is counted once, so the merged statistics cover
+    exactly the training set (acceptance criterion 7 compares them with the
+    pooled records' amounts). For the same reason every epoch's statistics
+    would be these, so the information amounts, and for igam the margins
+    of epochs 2 onwards, are computed once from them, and every epoch's
+    report carries the same `info_amounts`.
 
     Raises TrainingDivergedError if the loss or weights go non-finite or a
     weight row's norm overflows.
@@ -362,17 +368,16 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     rng_init = np.random.default_rng([config.seed, 101])
     W = rng_init.standard_normal((C, p)) / np.sqrt(p)
     velocity = np.zeros_like(W)
-    # None, read by the kernel as no margins, until a refresh builds them.
+    # None, read by the kernel as no margins, until epoch 1's refresh builds them.
     margins = None
-    accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
+    table = None
 
     reports: list[EpochReport] = []
     for epoch in range(1, config.epochs + 1):
         order = np.random.default_rng([config.seed, 202, epoch]).permutation(n_total)
-        X_epoch = dataset.train_X[order]
         y_epoch = dataset.train_y[order]
-        if cosine:
-            U_epoch = train_U[order]
+        # The rows the kernel reads: unit rows for the cosine losses, raw rows for CE.
+        rows = (train_U if cosine else dataset.train_X)[order]
         loss_total = 0.0
         for start in range(0, n_total, config.batch_size):
             stop = start + config.batch_size
@@ -384,9 +389,9 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 except NumericalError as exc:  # an overflowing weight norm
                     raise _diverged(str(exc), epoch, config) from exc
                 losses, grad_W = _cosine_kernel(
-                    U_epoch[start:stop], Wn, wnorms, yb, margins, config.s)[:2]
+                    rows[start:stop], Wn, wnorms, yb, margins, config.s)[:2]
             else:
-                losses, grad_W = _ce_kernel(X_epoch[start:stop], W, yb)[:2]
+                losses, grad_W = _ce_kernel(rows[start:stop], W, yb)[:2]
             if not np.isfinite(losses).all():
                 raise _diverged("non-finite loss", epoch, config)
             loss_total += float(losses.sum())
@@ -397,13 +402,16 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             W -= config.lr * velocity
             if not np.isfinite(W).all():
                 raise _diverged("non-finite weights", epoch, config)
-        accumulator.add(X_epoch, y_epoch)
 
-        # Every class has training rows, so the table covers ids 0..C-1.
-        table = information_amounts_from_stats(accumulator.finalize())
-        if config.loss == "igam":
-            margins = build_margins(normalize_info(table, ibar=config.ibar_mode),
-                                    direction=config.margin_direction)
+        if table is None:
+            # Fixed features: a later epoch would repeat these up to round-off.
+            accumulator = EpochAccumulator(capacity=config.queue_len, p=p)
+            accumulator.add(dataset.train_X[order] if cosine else rows, y_epoch)
+            # Every class has training rows, so the table covers ids 0..C-1.
+            table = information_amounts_from_stats(accumulator.finalize())
+            if config.loss == "igam":
+                margins = build_margins(normalize_info(table, ibar=config.ibar_mode),
+                                        direction=config.margin_direction)
 
         if cosine:
             try:
@@ -448,12 +456,28 @@ def run_report_to_json(spec: SyntheticSpec, results: Sequence[TrainResult]) -> d
     return {"dataset": asdict(spec), "runs": runs}
 
 
+def _check_finite(value, path: str) -> None:
+    """Raise InputError naming the first float in a loaded JSON value that
+    is not finite (`json.loads` reads a literal such as 1e400 as inf)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _check_finite(item, f"{path}[{index}]")
+    elif isinstance(value, float):
+        as_float(value, path)
+
+
 def summarize_run_report(doc, source: str) -> dict:
     """The `toy report` summary of a loaded run report: the dataset echo and,
     per run, its final epoch's diagnostics with the mean and smallest class
-    accuracy. Errors name `source`, or a malformed run as `runs[i]: ...`."""
+    accuracy. Errors name `source`, a non-finite number in the echo by its
+    key (`dataset.C`), or a malformed run as `runs[i]: ...`."""
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         raise InputError(f"{source}: expected a run report with a 'runs' list")
+    # The echo is copied as it is, and `canonical_dumps` refuses inf.
+    _check_finite(doc.get("dataset"), "dataset")
     summaries = []
     for index, run in enumerate(doc["runs"]):
         try:

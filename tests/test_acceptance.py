@@ -303,9 +303,10 @@ def test_criterion_6_bias_reduction():
 
 
 def test_criterion_7_queue_vs_pooled_equivalence():
-    # The bundled equal-spread run (C=5, p=8, 200/class, d=150): per-epoch
-    # information amounts from the streaming merge vs direct computation
-    # from all the pooled training records at once.
+    # The bundled equal-spread run (C=5, p=8, 200/class, d=150): the
+    # information amounts each epoch reports, from one streaming merge of
+    # epoch 1's rows, vs direct computation from all the pooled training
+    # records at once.
     t0 = time.perf_counter()
     spec, (config,) = parse_run_config(
         read_json(str(files("infomargin") / "examples" / "equal-spread.json")))

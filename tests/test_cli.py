@@ -362,7 +362,7 @@ def test_info_same_bytes_with_and_without_entry_hook(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("field, text, message", [
-    ("mean", '["a", 1.0]', "could not convert string to float: 'a'"),
+    ("mean", '["a", 1.0]', "expected a list of numbers"),
     ("cov_row_major", "[1.0, [0.0, 0.0], 1.0]", "inhomogeneous shape"),
     ("cov_row_major", "[1.0, 0.0, 1.0]", "cannot reshape array of size 3 into shape (2,2)"),
     ("mean", "[1" + "0" * 400 + ", 1.0]", "int too large to convert to float"),
@@ -1104,7 +1104,7 @@ _FINAL_EPOCH = {"per_class_accuracy": [0.5, 1.0], "bias_variance": 0.1, "pearson
 
 @pytest.mark.parametrize("accuracy, message", [
     ([], "runs[1]: final per_class_accuracy must be a nonempty list, got shape (0,)"),
-    (["a", 1], "runs[1]: final per_class_accuracy: could not convert string to float: 'a'"),
+    (["a", 1], "runs[1]: final per_class_accuracy: expected a list of numbers"),
     ([True, 0.5], "runs[1]: final per_class_accuracy: expected a list of numbers"),
 ], ids=["empty", "string", "boolean"])
 def test_toy_report_checks_final_accuracy(tmp_path, capsys, accuracy, message):
@@ -1121,19 +1121,22 @@ def test_toy_report_checks_final_accuracy(tmp_path, capsys, accuracy, message):
 
 
 @pytest.mark.parametrize("field", ["per_class_accuracy", "bias_variance", "pearson_info_acc",
-                                   "pearson_count_acc", "loss_mean"])
+                                   "pearson_count_acc", "loss_mean", "dataset.C"])
 def test_toy_report_rejects_numbers_beyond_float64(tmp_path, capsys, field):
     # `json.loads` reads 1e400 as inf, which the summary could not write.
-    final = dict(_FINAL_EPOCH, **{field: ["HUGE", 0.5] if field == "per_class_accuracy"
-                                  else "HUGE"})
+    huge = ["HUGE", 0.5] if field == "per_class_accuracy" else "HUGE"
+    final = dict(_FINAL_EPOCH, **{field: huge}) if field in _FINAL_EPOCH else _FINAL_EPOCH
+    report = {"runs": [{"train": {"loss": "igam"}, "epochs": [final]}]}
+    if field == "dataset.C":
+        report["dataset"] = {"C": huge, "spreads": [0.5, 1.0]}
     path = tmp_path / "r.json"
-    path.write_text(json.dumps({"runs": [{"train": {"loss": "igam"}, "epochs": [final]}]})
-                    .replace('"HUGE"', "1e400"))
+    path.write_text(json.dumps(report).replace('"HUGE"', "1e400"))
     code, out, err = run(capsys, "toy", "report", str(path))
     assert code == 2 and out == ""
     expected = ("expected finite numbers, got inf at index 0" if field == "per_class_accuracy"
                 else "expected a finite number, got inf")
-    assert err == f"error: runs[0]: final {field}: {expected}\n"
+    where = field if field == "dataset.C" else f"runs[0]: final {field}"
+    assert err == f"error: {where}: {expected}\n"
 
 
 def test_toy_report_rejects_non_standard_json_constant(tmp_path, capsys):

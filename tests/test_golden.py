@@ -150,13 +150,12 @@ def test_plan_bytes_are_pinned(tmp_path):
 
 
 # `toy run` of the bundled heterogeneous config at seed 0, and `toy report` on
-# that report. Recorded from the code that still parsed the config in its own
-# module and summarized the report in the CLI, so the trainer's one home for
-# the run's documents is pinned to the same bytes. A change that adds report
-# keys re-pins both hashes and says so.
+# that report, with the information amounts computed once per run (so every
+# epoch reports epoch 1's). A change that adds report keys re-pins both
+# hashes and says so.
 TOY_OUTPUT_SHA256 = {
-    "report.json": "5b9d5b259e05562ac916442cdf4bb5fbd704735c782f54ca46d4a20b79dd088e",
-    "summary.json": "7c62dae039fb5c7b65c96249550019f3a21bd41bcaf21953dc18a275ccaf8d81",
+    "report.json": "41401aef35fe45d563930c12a5075db2f951e0e13df526c3fcf6438d3e9884c5",
+    "summary.json": "f15b204752176008f4c2b9d8e0f45a6edcca597fa48d66befeedfa1b71da7fc1",
 }
 
 

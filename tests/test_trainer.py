@@ -368,6 +368,25 @@ def test_first_epoch_runs_margin_free():
     assert res_nf.final_margins is None
 
 
+@pytest.mark.parametrize("loss", LOSSES)
+def test_amounts_are_computed_once_per_run(monkeypatch, loss):
+    # The features are fixed, so epoch 1's refresh serves every epoch.
+    calls = []
+
+    def counting(stats):
+        calls.append(stats)
+        return information_amounts_from_stats(stats)
+
+    monkeypatch.setattr(trainer_mod, "information_amounts_from_stats", counting)
+    ds = generate_dataset(small_spec(spreads=(0.5, 1.0, 2.0)))
+    config = TrainConfig(loss=loss, epochs=4, lr=0.1, batch_size=16, queue_len=77, seed=6)
+    result = train(ds, config)
+    assert len(calls) == 1
+    first = result.reports[0].info_amounts
+    for report in result.reports[1:]:
+        assert np.array_equal(report.info_amounts, first)
+
+
 def test_equal_spreads_give_near_zero_margins():
     # Equal per-class spreads make the information amounts nearly equal,
     # so the learned margins stay tiny.
@@ -511,7 +530,11 @@ def test_kernel_on_rows_normalized_whole_equals_public_api(case):
 
 
 def _reference_train(spec, config, dataset):
-    """The per-batch public-API loop `train` replaced, kept to pin its bits."""
+    """The per-batch public-API loop `train` replaced, kept to pin its bits.
+
+    The queue takes rows and refreshes the amounts in epoch 1 only: the
+    features are fixed, so a later epoch's queue would repeat the same
+    statistics, and `train` reuses epoch 1's amounts and margins."""
     C, p = spec.C, spec.p
     n_total = dataset.train_X.shape[0]
     rng_init = np.random.default_rng([config.seed, 101])
@@ -536,13 +559,15 @@ def _reference_train(spec, config, dataset):
             velocity *= config.momentum
             velocity += out.grad_weights
             W -= config.lr * velocity
-            accumulator.add(Xb, yb)
-        refreshed = information_amounts_from_stats(accumulator.finalize())
-        info[refreshed.ids] = refreshed.amounts
-        if config.loss == "igam":
-            table = InfoAmountTable(np.arange(C), info)
-            norm = normalize_info(table, ibar=config.ibar_mode)
-            margins = build_margins(norm, direction=config.margin_direction)
+            if epoch == 1:
+                accumulator.add(Xb, yb)
+        if epoch == 1:
+            refreshed = information_amounts_from_stats(accumulator.finalize())
+            info[refreshed.ids] = refreshed.amounts
+            if config.loss == "igam":
+                table = InfoAmountTable(np.arange(C), info)
+                norm = normalize_info(table, ibar=config.ibar_mode)
+                margins = build_margins(norm, direction=config.margin_direction)
         if config.loss == "ce":
             preds = np.argmax(dataset.test_X @ W.T, axis=1)
         else:
