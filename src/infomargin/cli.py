@@ -55,13 +55,6 @@ from .trainer import LOSSES, generate_dataset, parse_run_config, run_report_to_j
     summarize_run_report
 
 
-def _emit(doc, out: str | None) -> None:
-    if out:
-        fileio.write_json(out, doc)
-    else:
-        sys.stdout.write(fileio.canonical_dumps(doc))
-
-
 def _cmd_stats(args) -> int:
     # The file is read one window of records at a time, and each chunk is
     # dropped before the next is read (the accumulator keeps none once its
@@ -73,21 +66,21 @@ def _cmd_stats(args) -> int:
         acc.add(X, categories)
         del X, categories
     stats = acc.finalize()
-    _emit(global_stats_to_json(stats), args.out)
+    fileio.write_json(args.out, global_stats_to_json(stats))
     return 0
 
 
 def _cmd_info(args) -> int:
     stats = global_stats_from_json(fileio.read_json(args.stats, object_hook=stats_entry_arrays))
     table = information_amounts_from_stats(stats)
-    _emit(info_table_to_json(table), args.out)
+    fileio.write_json(args.out, info_table_to_json(table))
     return 0
 
 
 def _cmd_margins(args) -> int:
     table = info_table_from_json(fileio.read_json(args.info))
     margins = build_margins(normalize_info(table, ibar=args.ibar), direction=args.direction)
-    _emit(margins_to_json(margins), args.out)
+    fileio.write_json(args.out, margins_to_json(margins))
     return 0
 
 
@@ -121,27 +114,26 @@ def _cmd_loss_eval(args) -> int:
         i = int(np.argmax(bad))
         raise NumericalError(f"non-finite loss {out.losses[i]} at sample {i} "
                              f"(loss={args.loss}, s={args.s})")
-    _emit(
-        {
-            "loss": args.loss,
-            "n": int(out.losses.shape[0]),
-            "loss_mean": out.mean,
-            "losses": out.losses.tolist(),
-            "saturated": out.saturated,
-            "clamped": out.clamped,
-        },
-        args.out,
-    )
+    fileio.write_json(args.out, {
+        "loss": args.loss,
+        "n": int(out.losses.shape[0]),
+        "loss_mean": out.mean,
+        "losses": out.losses.tolist(),
+        "saturated": out.saturated,
+        "clamped": out.clamped,
+    })
     return 0
 
 
 def _cmd_plan(args) -> int:
-    inp = PlanInput(N=args.instances, p=args.dim, C=args.classes, mode=args.mode)
+    if args.mode is not None and args.queue_len is not None:
+        raise InputError("--mode applies only without --queue-len")
+    inp = PlanInput(N=args.instances, p=args.dim, C=args.classes, mode=args.mode or "grid")
     if args.queue_len is not None:
         doc = memory_report(inp, args.queue_len)
     else:
         doc = optimal_queue_length(inp)
-    _emit(doc, args.out)
+    fileio.write_json(args.out, doc)
     return 0
 
 
@@ -178,12 +170,12 @@ def _cmd_toy_run(args) -> int:
     # the workers still running.
     with Pool(len(configs), initializer=_init_worker, initargs=(dataset,)) as pool:
         results = list(pool.imap(_train_task, configs))
-    _emit(run_report_to_json(spec, results), args.out)
+    fileio.write_json(args.out, run_report_to_json(spec, results))
     return 0
 
 
 def _cmd_toy_report(args) -> int:
-    _emit(summarize_run_report(fileio.read_json(args.report), args.report), args.out)
+    fileio.write_json(args.out, summarize_run_report(fileio.read_json(args.report), args.report))
     return 0
 
 
@@ -234,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--instances", type=int, required=True, help="total instances N")
     p_plan.add_argument("--dim", type=int, required=True, help="embedding dimension p")
     p_plan.add_argument("--classes", type=int, required=True, help="category count C")
-    p_plan.add_argument("--mode", choices=MODES, default="grid")
+    p_plan.add_argument("--mode", choices=MODES, help="how to search for d (default grid)")
     p_plan.add_argument("--queue-len", type=int, default=None,
                         help="report a specific d instead of optimizing")
     p_plan.add_argument("--out", default=None)

@@ -34,10 +34,10 @@ entries of a symmetric covariance cost no second spelling and the array
 is never turned into Python floats.
 
 One encoder makes the text in pieces: `canonical_dumps` joins them, and
-`write_json` writes each to the file as it is made, so a document written
-to disk is never held whole in memory. `read_json` passes an optional
-`object_hook` to `json.loads`, which lets a reader turn each entry's float
-lists into arrays as the entry is parsed.
+`write_json` writes each to a file or to stdout as it is made, so a
+written document is never held whole in memory. `read_json` passes an
+optional `object_hook` to `json.loads`, which lets a reader turn each
+entry's float lists into arrays as the entry is parsed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import json
 import os
 import stat
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,8 +278,13 @@ def write_json(path, obj) -> None:
     its permission bits kept for the new one. A symlink, or a path that
     exists and is not a regular file (such as `/dev/stdout`), is opened and
     written directly instead, as `open` would; an error there can leave
-    part of the document.
+    part of the document. A falsy `path` (None or "") means `sys.stdout`,
+    written directly too; the CLI checks each document before writing it,
+    so only an I/O error can cut its stdout short.
     """
+    if not path:
+        _write_chunks(sys.stdout, obj)
+        return
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w") as fh:
             _write_chunks(fh, obj)

@@ -142,13 +142,13 @@ def merge_stats(windows: Sequence[CategoryStats]) -> CategoryStats:
 class EpochAccumulator:
     """The window/snapshot/merge cycle for one epoch's stream of embedding batches.
 
-    `add` appends an `(n, p)` batch to the pending window. The window holds
-    views of the added arrays (nothing is copied before the window closes),
-    so callers must not modify a batch in place after adding it. Each time `capacity` rows are
-    pending, per-category window statistics are taken over them, each is
-    folded into its category's running statistics with `merge_stats`, and
-    the window empties; a batch that crosses such a boundary is split
-    there. Memory is at most d pending rows plus one running (count, mean,
+    `add` appends an `(n, p)` batch to the pending window. Each time
+    `capacity` rows are pending, per-category window statistics are taken
+    over them, each is folded into its category's running statistics with
+    `merge_stats`, and the window empties; a batch that crosses such a
+    boundary is split there. A window still open when `add` returns keeps a
+    copy of its rows, so a caller may refill one buffer between calls.
+    Memory is at most d pending rows plus one running (count, mean,
     covariance) per category, O(d*p + C*p^2), however many windows close.
 
     `finalize` closes the epoch. The rows still pending form a final
@@ -186,6 +186,10 @@ class EpochAccumulator:
             start = stop
             if self._pending_rows == self.capacity:
                 self._snapshot()
+        # Only the last piece can be a view of this batch; earlier pieces
+        # of an open window were copied when their own `add` returned.
+        if self._pending:
+            self._pending[-1] = tuple(part.copy() for part in self._pending[-1])
 
     def _snapshot(self) -> None:
         # A window that is one slice of one batch is used as it is; a copy

@@ -456,32 +456,23 @@ def run_report_to_json(spec: SyntheticSpec, results: Sequence[TrainResult]) -> d
     return {"dataset": asdict(spec), "runs": runs}
 
 
-def _check_finite(value, path: str) -> None:
-    """Raise InputError naming the first float in a loaded JSON value that
-    is not finite (`json.loads` reads a literal such as 1e400 as inf)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _check_finite(item, f"{path}[{index}]")
-    elif isinstance(value, float):
-        as_float(value, path)
-
-
 def summarize_run_report(doc, source: str) -> dict:
     """The `toy report` summary of a loaded run report: the dataset echo and,
-    per run, its final epoch's diagnostics with the mean and smallest class
-    accuracy. Errors name `source`, a non-finite number in the echo by its
-    key (`dataset.C`), or a malformed run as `runs[i]: ...`."""
+    per run, its loss, its final epoch's diagnostics and the mean and
+    smallest class accuracy. The echoes are checked as a run config's
+    sections are (`dataset.C: ...`, `runs[i].train.loss: ...`), and the
+    dataset echo is copied as written, None when absent. Other errors name
+    `source`, or a malformed run as `runs[i]: ...`."""
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         raise InputError(f"{source}: expected a run report with a 'runs' list")
-    # The echo is copied as it is, and `canonical_dumps` refuses inf.
-    _check_finite(doc.get("dataset"), "dataset")
+    dataset = doc.get("dataset")
+    if dataset is not None:
+        _build("dataset", SyntheticSpec, **_section(dataset, "dataset", SyntheticSpec))
     summaries = []
     for index, run in enumerate(doc["runs"]):
         try:
-            loss = run["train"]["loss"]
+            path = f"runs[{index}].train"
+            loss = _build(path, TrainConfig, **_section(run["train"], path, TrainConfig)).loss
             epochs = run["epochs"]
             final = epochs[-1]
             acc = as_number_array(final["per_class_accuracy"],
@@ -503,4 +494,4 @@ def summarize_run_report(doc, source: str) -> dict:
             })
         except (KeyError, IndexError, TypeError) as exc:
             raise InputError(f"runs[{index}]: malformed run report: {exc}") from exc
-    return {"dataset": doc.get("dataset"), "runs": summaries}
+    return {"dataset": dataset, "runs": summaries}

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from infomargin import cli as cli_module
+from infomargin import fileio as fileio_module
 from infomargin import stats as stats_module
 from infomargin import trainer as trainer_module
 from infomargin.cli import main
@@ -320,6 +321,32 @@ def test_stats_out_peaks_below_document_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 4_000_000
+    assert peak < size
+
+
+def test_stats_stdout_peaks_below_document_size(tmp_path, monkeypatch):
+    # Stdout is written as it is made too, like `--out`: with stdout sent
+    # to a file (capsys would hold the text), the traced peak stays below
+    # the document's size. Building the text whole peaked above it.
+    rng = np.random.default_rng(105)
+    N, p, C = 4000, 64, 40
+    path = tmp_path / "e.bin"
+    write_embeddings_binary(path, rng.normal(size=(N, p)), rng.integers(0, C, size=N))
+    argv = ["stats", str(path), "--queue-len", "1000"]
+    out = tmp_path / "stdout.json"
+    with open(out, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        assert main(argv) == 0  # warm up numpy's lazy imports and caches
+        fh.truncate(0)
+        fh.seek(0)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     size = out.stat().st_size
     assert size > 4_000_000
     assert peak < size
@@ -800,6 +827,17 @@ def test_plan_fixed_queue_len_reports_without_search(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("mode", ["grid", "exact"])
+def test_plan_mode_with_queue_len_exits_two(capsys, mode):
+    # --queue-len skips the search that --mode picks, so the pair is refused,
+    # before the sizes are checked (--instances 0 would fail on its own).
+    for instances in ("500", "0"):
+        code, out, err = run(capsys, "plan", "--instances", instances, "--dim", "8",
+                             "--classes", "3", "--mode", mode, "--queue-len", "100")
+        assert code == 2 and out == ""
+        assert err == "error: --mode applies only without --queue-len\n"
+
+
 def test_plan_small_N_grid_fails(capsys):
     code, _, err = run(capsys, "plan", "--instances", "999", "--dim", "8",
                        "--classes", "4")
@@ -1128,15 +1166,39 @@ def test_toy_report_rejects_numbers_beyond_float64(tmp_path, capsys, field):
     final = dict(_FINAL_EPOCH, **{field: huge}) if field in _FINAL_EPOCH else _FINAL_EPOCH
     report = {"runs": [{"train": {"loss": "igam"}, "epochs": [final]}]}
     if field == "dataset.C":
-        report["dataset"] = {"C": huge, "spreads": [0.5, 1.0]}
+        report["dataset"] = {"C": huge, "p": 2, "n_train": 4, "n_test": 4,
+                             "spreads": [0.5, 1.0], "mean_separation": 1.0, "seed": 0}
     path = tmp_path / "r.json"
     path.write_text(json.dumps(report).replace('"HUGE"', "1e400"))
     code, out, err = run(capsys, "toy", "report", str(path))
     assert code == 2 and out == ""
-    expected = ("expected finite numbers, got inf at index 0" if field == "per_class_accuracy"
-                else "expected a finite number, got inf")
-    where = field if field == "dataset.C" else f"runs[0]: final {field}"
-    assert err == f"error: {where}: {expected}\n"
+    if field == "dataset.C":
+        # The echo is read as a run config's dataset section is.
+        expected = "dataset.C: expected an integer, got inf"
+    elif field == "per_class_accuracy":
+        expected = "runs[0]: final per_class_accuracy: expected finite numbers, got inf at index 0"
+    else:
+        expected = f"runs[0]: final {field}: expected a finite number, got inf"
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("train, message", [
+    ('{"loss": 1e400}', "loss must be one of ('ce', 'normface', 'igam'), got inf"),
+    ('{"loss": 5}', "loss must be one of ('ce', 'normface', 'igam'), got 5"),
+    ('{"loss": [1, 2]}', "loss must be one of ('ce', 'normface', 'igam'), got [1, 2]"),
+    ('{"loss": {"a": 1}}', "loss must be one of ('ce', 'normface', 'igam'), got {'a': 1}"),
+    ('{"loss": "ce", "sigma": 0.1}', "sigma: unknown key"),
+    ('{"loss": "ce", "epochs": 0}', "epochs must be >= 1, got 0"),
+], ids=["inf", "number", "list", "object", "unknown-key", "bad-value"])
+def test_toy_report_checks_train_echo(tmp_path, capsys, train, message):
+    # Each run's train echo is read as a run config's train section is, so
+    # a loss the summary could not write, or one no run trains, is refused.
+    path = tmp_path / "r.json"
+    path.write_text('{"runs": [{"train": %s, "epochs": [%s]}]}'
+                    % (train, json.dumps(_FINAL_EPOCH)))
+    code, out, err = run(capsys, "toy", "report", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: runs[0].train.{message}\n"
 
 
 def test_toy_report_rejects_non_standard_json_constant(tmp_path, capsys):
@@ -1199,6 +1261,55 @@ def test_import_leaves_out_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """An input for every subcommand, each made with `--out`: embeddings and
+    weights, their statistics, amounts and margins, a run config and its report."""
+    d = tmp_path_factory.mktemp("documents")
+    write_sample_embeddings(d / "x.bin", n=40, p=3, C=3)
+    write_embeddings_binary(d / "w.bin", np.random.default_rng(7).normal(size=(3, 3)),
+                            np.arange(3))
+    write_json(d / "config.json", {
+        "dataset": {"C": 3, "p": 3, "n_train": 20, "n_test": 10,
+                    "spreads": [0.5, 1.0, 2.0], "mean_separation": 3.0},
+        "train": {"loss": ["ce", "igam"], "epochs": 2, "queue_len": 25, "batch_size": 16},
+    })
+    for argv in (["stats", d / "x.bin", "--queue-len", "7", "--out", d / "stats.json"],
+                 ["info", d / "stats.json", "--out", d / "info.json"],
+                 ["margins", d / "info.json", "--out", d / "margins.json"],
+                 ["toy", "run", d / "config.json", "--out", d / "report.json"]):
+        assert main([str(a) for a in argv]) == 0
+    return d
+
+
+_SUBCOMMAND_ARGV = {
+    "stats": lambda d: ["stats", d / "x.bin", "--queue-len", "7"],
+    "info": lambda d: ["info", d / "stats.json"],
+    "margins": lambda d: ["margins", d / "info.json"],
+    "loss-eval": lambda d: ["loss-eval", "--features", d / "x.bin", "--weights", d / "w.bin",
+                            "--margins", d / "margins.json"],
+    "plan": lambda d: ["plan", "--instances", "55800", "--dim", "128", "--classes", "20"],
+    "toy run": lambda d: ["toy", "run", d / "config.json"],
+    "toy report": lambda d: ["toy", "report", d / "report.json"],
+}
+
+
+@pytest.mark.parametrize("name", list(_SUBCOMMAND_ARGV))
+def test_stdout_gets_the_bytes_of_out(documents, tmp_path, capsys, monkeypatch, name):
+    # One writer: stdout streams the encoder's pieces as `--out` does, and
+    # the whole text is never built.
+    def refuse(obj):
+        raise AssertionError("the document text was built whole")
+
+    monkeypatch.setattr(fileio_module, "canonical_dumps", refuse)
+    argv = [str(a) for a in _SUBCOMMAND_ARGV[name](documents)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert out and out.encode() == path.read_bytes()
 
 
 def test_outputs_are_canonical_json(tmp_path, capsys):

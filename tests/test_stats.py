@@ -490,6 +490,27 @@ def test_epoch_windows_partition_distinct_rows():
             assert rel_frobenius(cs.cov, cov_ref) < 1e-12
 
 
+def test_refilled_batch_buffer_leaves_open_window_unchanged():
+    # A caller that refills one buffer between adds: the rows of the window
+    # still open when `add` returns are the accumulator's own, so the
+    # statistics are those of the rows streamed, not of the buffer's last fill.
+    rng = np.random.default_rng(33)
+    streamed = [rng.normal(size=(30, 3)) + k for k in range(4)]
+    cats = np.arange(30) % 2
+    buffer = np.empty((30, 3))
+    acc = EpochAccumulator(capacity=100, p=3)
+    for rows in streamed:
+        buffer[:] = rows
+        acc.add(buffer, cats)
+    stats = acc.finalize()
+    X, labels = np.concatenate(streamed), np.tile(cats, 4)
+    for cat, cs in stats.categories.items():
+        mean_ref, cov_ref = two_pass_reference(X[labels == cat])
+        assert cs.total == 60
+        assert np.allclose(cs.mean, mean_ref, rtol=1e-12, atol=1e-14)
+        assert rel_frobenius(cs.cov, cov_ref) < 1e-12
+
+
 def test_retained_memory_does_not_grow_with_window_count():
     # Each closed window is folded into one running (count, mean, cov) per
     # category, so the accumulator retains as much after 200 windows as
